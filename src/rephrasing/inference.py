@@ -1,10 +1,15 @@
 """Drive an external completion endpoint at high throughput.
 
-Jobs are sorted and grouped by prompt length for better device
-utilization, run through a bounded pool of in-flight requests with
-retries, and written to an append-only checkpoint so preempted runs can
-resume and still produce byte-identical output.  Results always come
-back in the original job order regardless of scheduling.
+Jobs are sorted by prompt length for better device utilization and
+pulled in that order by at most ``max_in_flight`` worker threads.  Each
+finished job is appended to an append-only checkpoint and only then
+reported, so the checkpoint always holds exactly the results reported
+so far, and preempted runs resume without re-issuing them and still
+produce byte-identical output.  A stop discards at most
+``max_in_flight - 1`` in-flight results.  Transient backend errors are
+retried by one helper, ``with_retries``, wherever a request is sent.
+Results always come back in the original job order regardless of
+scheduling.
 
 The wire protocol is a plain-text completion interface (prompt in,
 completion out, with stop sequences and temperature) as served by
@@ -21,23 +26,20 @@ import os
 import re
 import threading
 import time
-from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence, TypeVar
 
 import requests
 
 from .prompts import DEFAULT_TEMPERATURE, RenderedPrompt
 
-STATE_PENDING = "pending"
-STATE_IN_FLIGHT = "in_flight"
-STATE_DONE = "done"
-STATE_FAILED = "failed"
-
 FINISH_STOP = "stop_sequence"
 FINISH_LENGTH = "length_cap"
 FINISH_ERROR = "error"
+
+T = TypeVar("T")
+R = TypeVar("R")
 
 
 class BackendError(Exception):
@@ -80,6 +82,21 @@ class BackendConfig:
             raise ValueError("max_retries must be >= 1")
 
 
+def with_retries(request: Callable[[], T], cfg: BackendConfig) -> T:
+    """Send one backend request, retrying transient failures.
+
+    At most ``cfg.max_retries`` tries in all, sleeping
+    ``cfg.retry_backoff_s * 2**(k - 1)`` after the k-th failed try.  Any
+    other error, and the transient error of the last try, propagates.
+    """
+    for attempt in range(1, cfg.max_retries):
+        try:
+            return request()
+        except TransientBackendError:
+            time.sleep(cfg.retry_backoff_s * 2 ** (attempt - 1))
+    return request()
+
+
 @dataclass(frozen=True)
 class JobKey:
     doc_id: str
@@ -94,12 +111,10 @@ class JobKey:
         return JobKey(str(obj[0]), int(obj[1]), str(obj[2]))
 
 
-@dataclass
+@dataclass(frozen=True)
 class RephraseJob:
     key: JobKey
     prompt: RenderedPrompt
-    attempts: int = 0
-    state: str = STATE_PENDING
 
 
 @dataclass(frozen=True)
@@ -322,7 +337,7 @@ class HttpBackend(CompletionBackend):
         }
         if self.cfg.model:
             payload["model"] = self.cfg.model
-        obj = self._post(payload)
+        obj = with_retries(lambda: self._post(payload), self.cfg)
         try:
             n = int(obj["usage"]["prompt_tokens"])
             logprobs = obj["choices"][0]["logprobs"]["token_logprobs"]
@@ -331,6 +346,11 @@ class HttpBackend(CompletionBackend):
         return n, logprobs
 
     def option_logprobs(self, prompt, options):
+        """One echo request for the prompt and one per option.
+
+        Each request is retried on its own, so transient failures spread
+        over the requests never add up to the retry budget of one.
+        """
         base_tokens, _ = self._prompt_tokens(prompt)
         scores = []
         for option in options:
@@ -465,43 +485,104 @@ def resume(
 
 def _run_one(job: RephraseJob, backend: CompletionBackend, cfg: BackendConfig) -> RephraseResult:
     start = time.monotonic()
-    last_error: Exception | None = None
-    for attempt in range(1, cfg.max_retries + 1):
-        job.attempts = attempt
-        try:
-            completion = backend.complete(
-                job.prompt.text,
-                temperature=job.prompt.temperature,
-                stop=job.prompt.stop,
-                max_tokens=cfg.max_output_tokens,
-            )
-        except AuthError:
-            raise
-        except TransientBackendError as exc:
-            last_error = exc
-            if attempt < cfg.max_retries:
-                time.sleep(cfg.retry_backoff_s * 2 ** (attempt - 1))
-            continue
-        except BackendError as exc:
-            last_error = exc
-            break
-        job.state = STATE_DONE
+    attempts = 0
+
+    def request() -> Completion:
+        nonlocal attempts
+        attempts += 1
+        return backend.complete(
+            job.prompt.text,
+            temperature=job.prompt.temperature,
+            stop=job.prompt.stop,
+            max_tokens=cfg.max_output_tokens,
+        )
+
+    try:
+        completion = with_retries(request, cfg)
+    except AuthError:
+        raise
+    except BackendError as exc:
         return RephraseResult(
             key=job.key,
-            text=completion.text,
-            finish=completion.finish,
-            model_id=completion.model_id,
-            attempts=attempt,
+            text=f"{type(exc).__name__}: {exc}",
+            finish=FINISH_ERROR,
+            attempts=attempts,
             latency_s=time.monotonic() - start,
         )
-    job.state = STATE_FAILED
     return RephraseResult(
         key=job.key,
-        text=f"{type(last_error).__name__}: {last_error}" if last_error else "",
-        finish=FINISH_ERROR,
-        attempts=job.attempts,
+        text=completion.text,
+        finish=completion.finish,
+        model_id=completion.model_id,
+        attempts=attempts,
         latency_s=time.monotonic() - start,
     )
+
+
+def pull_map(
+    fn: Callable[[T], R],
+    items: Sequence[T],
+    max_workers: int,
+    on_done: Callable[[R], None] | None = None,
+) -> list[R]:
+    """Apply ``fn`` to every item on at most ``max_workers`` threads.
+
+    Each thread takes the next item in sequence order under one lock,
+    so at most ``max_workers`` calls run at once and items start in
+    order.  ``on_done(result)`` runs on the worker thread under that
+    same lock, so its calls never overlap.  The first exception -- from
+    ``fn``, from ``on_done``, or an interrupt in the joining thread --
+    stops the pool from taking more items; results that finish after it
+    are dropped without ``on_done``, and the exception is re-raised once
+    every thread has been joined.  Results come back in item order.
+    """
+    results: list = [None] * len(items)
+    lock = threading.Lock()
+    errors: list[BaseException] = []
+    taken = 0
+
+    def work() -> None:
+        nonlocal taken
+        while True:
+            with lock:
+                if errors or taken == len(items):
+                    return
+                index = taken
+                taken += 1
+            try:
+                result = fn(items[index])
+            except BaseException as exc:
+                with lock:
+                    errors.append(exc)
+                return
+            with lock:
+                if errors:
+                    return
+                results[index] = result
+                if on_done is not None:
+                    try:
+                        on_done(result)
+                    except BaseException as exc:
+                        # Recorded before the lock is released, so no
+                        # other result is reported after this one.
+                        errors.append(exc)
+                        return
+
+    threads = [threading.Thread(target=work) for _ in range(min(max_workers, len(items)))]
+    for thread in threads:
+        thread.start()
+    try:
+        for thread in threads:
+            thread.join()
+    except BaseException as exc:
+        with lock:
+            errors.append(exc)
+        for thread in threads:
+            thread.join()
+        raise
+    if errors:
+        raise errors[0]
+    return results
 
 
 def run_batch(
@@ -516,40 +597,30 @@ def run_batch(
 ) -> list[RephraseResult]:
     """Execute jobs with bounded concurrency; results in original order.
 
-    At most ``cfg.max_in_flight`` requests are outstanding at any
-    instant.  Each finished job is appended to the checkpoint before the
-    next result is collected.  Every job key appears exactly once in the
-    output, done or failed.
+    Jobs not in ``replayed`` are pulled in plan order by
+    ``min(cfg.max_in_flight, jobs to run)`` threads, so at most
+    ``cfg.max_in_flight`` requests are outstanding at any instant.  Each
+    finished job is appended to the checkpoint and then passed to
+    ``on_result``, on the worker thread and serialised with every other
+    append and ``on_result`` call.  The first exception, including one
+    raised by ``on_result``, stops the run from issuing more jobs and is
+    re-raised once the in-flight ones return; their results are
+    discarded unrecorded, so the checkpoint holds exactly the results
+    ``on_result`` saw, and a stop wastes at most ``cfg.max_in_flight - 1``
+    requests.  Every job key appears exactly once in the output, done or
+    failed.
     """
     if not jobs:
         return []
     results: dict[JobKey, RephraseResult] = dict(replayed or {})
     todo = [jobs[i] for i in (plan or schedule(jobs)).order if jobs[i].key not in results]
 
-    if todo:
-        with ThreadPoolExecutor(max_workers=cfg.max_in_flight) as pool:
-            pending = {pool.submit(_run_one, job, backend, cfg) for job in todo}
-            try:
-                while pending:
-                    done, pending = wait(pending, return_when=FIRST_COMPLETED)
-                    for future in done:
-                        result = future.result()
-                        results[result.key] = result
-                        if checkpoint is not None:
-                            checkpoint.append(result)
-                        if on_result is not None:
-                            on_result(result)
-            except BaseException:
-                for future in pending:
-                    future.cancel()
-                raise
+    def record(result: RephraseResult) -> None:
+        results[result.key] = result
+        if checkpoint is not None:
+            checkpoint.append(result)
+        if on_result is not None:
+            on_result(result)
 
+    pull_map(lambda job: _run_one(job, backend, cfg), todo, cfg.max_in_flight, record)
     return [results[job.key] for job in jobs]
-
-
-def map_bounded(fn, items: Sequence, max_workers: int) -> list:
-    """Apply fn to items with a bounded worker pool; results in order."""
-    if not items:
-        return []
-    with ThreadPoolExecutor(max_workers=max(1, max_workers)) as pool:
-        return list(pool.map(fn, items))

@@ -51,7 +51,7 @@ from .inference import (
     MockBackend,
     RephraseJob,
     RephraseResult,
-    map_bounded,
+    pull_map,
     resume,
     run_batch,
     schedule,
@@ -447,13 +447,14 @@ def stage_score(cfg: PipelineConfig, manifest_path: Path | None = None) -> dict:
     manifest, base_dir = _select_corpus(cfg, manifest_path)
 
     docs = list(iter_corpus(manifest, base_dir, cfg.languages))
-    scores = map_bounded(
+    scores = pull_map(
         lambda doc: askllm_score(
             doc,
             backend,
             estimator,
             model_id=cfg.backend.model or "mock",
             vote_k=cfg.filter.vote_k,
+            backend_cfg=cfg.backend,
         ),
         docs,
         cfg.backend.max_in_flight,

@@ -16,7 +16,14 @@ from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from .corpus import Document
-from .inference import BackendError, CompletionBackend
+from .inference import (
+    AuthError,
+    BackendConfig,
+    BackendError,
+    CompletionBackend,
+    TransientBackendError,
+    with_retries,
+)
 from .prompts import PromptTemplate, load_builtin
 from .tokens import TokenEstimator
 
@@ -107,13 +114,17 @@ def askllm_score(
     model_id: str = "",
     vote_k: int = 8,
     vote_temperature: float = 0.0,
+    backend_cfg: BackendConfig = BackendConfig(),
 ) -> ScoredDocument:
     """Score one document from option log-probabilities.
 
-    Backends without log-probability support fall back to ``vote_k``
+    Backends without log-probability support (a non-transient
+    ``BackendError`` from ``option_logprobs``) fall back to ``vote_k``
     sampled completions, with the affirmative fraction as the score; the
     scorer tag records which path produced the number so runs are never
-    silently mixed.
+    silently mixed.  Transient and auth errors propagate instead: the
+    backend retries each log-probability request itself, and each vote
+    request is retried under ``backend_cfg``.
     """
     if not doc.text.strip():
         raise QualityError(f"cannot score empty document {doc.id!r}")
@@ -121,14 +132,19 @@ def askllm_score(
     options = [OPTION_AFFIRMATIVE, OPTION_NEGATIVE]
     try:
         lp_yes, lp_no = backend.option_logprobs(prompt, options)
+    except (AuthError, TransientBackendError):
+        raise
     except BackendError:
         votes = 0
         for _ in range(vote_k):
-            completion = backend.complete(
-                prompt,
-                temperature=vote_temperature,
-                stop=("\n",),
-                max_tokens=8,
+            completion = with_retries(
+                lambda: backend.complete(
+                    prompt,
+                    temperature=vote_temperature,
+                    stop=("\n",),
+                    max_tokens=8,
+                ),
+                backend_cfg,
             )
             if completion.text.strip().lower().startswith(OPTION_AFFIRMATIVE):
                 votes += 1

@@ -9,6 +9,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 import pytest
 
 from rephrasing.config import load_config
+from rephrasing.corpus import Document
 from rephrasing.inference import (
     AuthError,
     BackendConfig,
@@ -16,6 +17,7 @@ from rephrasing.inference import (
     TransientBackendError,
 )
 from rephrasing.pipeline import stage_preprocess
+from rephrasing.quality import askllm_score
 
 from conftest import make_docs, write_fixture_config
 
@@ -161,6 +163,14 @@ class TestCompletionWire:
         # token scored -0.5, so both options come back at -0.5.
         scores = backend.option_logprobs("judge this doc\nChoice:", [" yes", " no"])
         assert scores == [-0.5, -0.5]
+
+    def test_echo_503_retried_scorer_stays_logprob(self, server, quarter_estimator):
+        server.state["fail_next"] = 1
+        doc = Document("d1", "informative text about the world.", "en")
+        scored = askllm_score(doc, backend_for(server), quarter_estimator, model_id="m")
+        assert scored.scorer == "ask_llm:m"
+        assert scored.score == 0.5
+        assert [bool(r["payload"].get("echo")) for r in server.state["requests"]] == [True] * 4
 
 
 class TestExactTokenizerWire:

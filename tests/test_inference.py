@@ -2,6 +2,10 @@ from __future__ import annotations
 
 import json
 import math
+import signal
+import sys
+import threading
+import time
 
 import pytest
 
@@ -144,6 +148,55 @@ class TestRunBatch:
         assert all(r.failed for r in results)
         assert all(r.attempts == 1 for r in results)
 
+    def test_concurrency_bound_and_serialised_on_result(self, tmp_path):
+        class Sleepy(MockBackend):
+            def __init__(self):
+                super().__init__(ECHO_RULES, latency_s=0.002)
+                self.active = 0
+                self.peak = 0
+
+            def complete(self, prompt, **kwargs):
+                with self._lock:
+                    self.active += 1
+                    self.peak = max(self.peak, self.active)
+                try:
+                    return super().complete(prompt, **kwargs)
+                finally:
+                    with self._lock:
+                        self.active -= 1
+
+        cfg = BackendConfig(max_in_flight=8, max_retries=1)
+        backend = Sleepy()
+        path = tmp_path / "cp.jsonl"
+        inside = []
+        overlaps = []
+        seen = set()
+
+        def on_result(result):
+            inside.append(result.key)
+            overlaps.append(len(inside))
+            seen.add(result.key)
+            # Appended before it is reported, and nothing else is recorded.
+            assert set(load_checkpoint(path, "fp")) == seen
+            time.sleep(0.0005)
+            inside.remove(result.key)
+
+        threads_before = threading.active_count()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with CheckpointWriter(path, "fp") as checkpoint:
+                results = run_batch(
+                    make_jobs(64), backend, cfg, checkpoint=checkpoint, on_result=on_result
+                )
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(not r.failed for r in results)
+        assert 1 < backend.peak <= cfg.max_in_flight
+        assert max(overlaps) == 1
+        assert len(seen) == 64
+        assert threading.active_count() == threads_before
+
 
 class TestCheckpoint:
     def test_append_and_load(self, tmp_path):
@@ -198,6 +251,7 @@ class TestResume:
         with CheckpointWriter(path, "fp") as checkpoint:
             with pytest.raises(Killed):
                 run_batch(jobs, backend, CFG, checkpoint=checkpoint, on_result=bomb)
+        return backend
 
     def test_kill_at_50_resume_issues_exactly_50(self, tmp_path):
         path = tmp_path / "cp.jsonl"
@@ -216,6 +270,33 @@ class TestResume:
         assert resumed_backend.calls == 50
         uninterrupted = run_batch(make_jobs(100), MockBackend(ECHO_RULES), CFG)
         assert [r.to_obj() for r in results] == [r.to_obj() for r in uninterrupted]
+
+    def test_kill_at_50_wastes_at_most_in_flight_minus_one(self, tmp_path):
+        path = tmp_path / "cp.jsonl"
+        backend = self.run_with_kill(make_jobs(100), path, kill_after=50)
+        assert len(load_checkpoint(path, "fp")) == 50
+        assert backend.calls <= 50 + CFG.max_in_flight - 1
+
+    @pytest.mark.skipif(
+        signal.getsignal(signal.SIGINT) is not signal.default_int_handler,
+        reason="needs Python's default SIGINT handler",
+    )
+    def test_interrupt_stops_issuing_and_records_only_reported(self, tmp_path):
+        path = tmp_path / "cp.jsonl"
+        seen = []
+
+        def interrupt_at_10(result):
+            seen.append(result.key)
+            if len(seen) == 10:
+                signal.pthread_kill(threading.main_thread().ident, signal.SIGINT)
+
+        backend = MockBackend(ECHO_RULES, latency_s=0.001)
+        with CheckpointWriter(path, "fp") as checkpoint:
+            with pytest.raises(KeyboardInterrupt):
+                run_batch(make_jobs(200), backend, CFG, checkpoint=checkpoint, on_result=interrupt_at_10)
+        assert list(load_checkpoint(path, "fp")) == seen
+        assert backend.calls <= len(seen) + CFG.max_in_flight
+        assert backend.calls < 200
 
     def test_resume_with_empty_checkpoint_runs_all(self, tmp_path):
         jobs = make_jobs(10)

@@ -7,7 +7,14 @@ import random
 import pytest
 
 from rephrasing.corpus import Document
-from rephrasing.inference import BackendError, Completion, CompletionBackend, MockBackend
+from rephrasing.inference import (
+    BackendConfig,
+    BackendError,
+    Completion,
+    CompletionBackend,
+    MockBackend,
+    TransientBackendError,
+)
 from rephrasing.quality import (
     MissingScoresError,
     QualityError,
@@ -96,6 +103,29 @@ class TestAskLlmScore:
         scored = askllm_score(self.doc(), NoLogprobs(), quarter_estimator, model_id="m", vote_k=4)
         assert scored.score == 1.0
         assert scored.scorer == "ask_llm_vote:m"
+
+    def test_vote_requests_retried(self, quarter_estimator):
+        class NoLogprobs(MockBackend):
+            def option_logprobs(self, prompt, options):
+                raise BackendError("unsupported")
+
+        backend = NoLogprobs(default_response="yes\n", fail_first=1)
+        scored = askllm_score(
+            self.doc(), backend, quarter_estimator, model_id="m", vote_k=4,
+            backend_cfg=BackendConfig(retry_backoff_s=0.0),
+        )
+        assert scored.score == 1.0
+        assert backend.calls == 5
+
+    def test_transient_logprob_error_does_not_switch_to_voting(self, quarter_estimator):
+        class Busy(MockBackend):
+            def option_logprobs(self, prompt, options):
+                raise TransientBackendError("busy")
+
+        backend = Busy(default_response="yes\n")
+        with pytest.raises(TransientBackendError):
+            askllm_score(self.doc(), backend, quarter_estimator, model_id="m")
+        assert backend.calls == 0
 
     def test_empty_document_rejected(self, quarter_estimator):
         with pytest.raises(QualityError):
