@@ -63,8 +63,8 @@ with tempfile.TemporaryDirectory() as tmp:
     except Preempted:
         print("\npreempted after 5 completions")
 
-    remaining, replayed = resume(checkpoint_path, jobs, "demo")
-    print(f"resume: {len(replayed)} replayed from checkpoint, {len(remaining)} to run")
+    replayed = resume(checkpoint_path, "demo")
+    print(f"resume: {len(replayed)} replayed from checkpoint, {len(jobs) - len(replayed)} to run")
     with CheckpointWriter(checkpoint_path, "demo") as checkpoint:
         resumed = run_batch(jobs, MockBackend([MockRule(r"passage (\d+)", r"rephrased \1</text>")]),
                             cfg, checkpoint=checkpoint, replayed=replayed)

@@ -178,6 +178,9 @@ class CompletionBackend:
         """Log-probability of each option continuing the prompt."""
         raise BackendError("backend does not expose log-probabilities")
 
+    def close(self) -> None:
+        """Release connections; a backend holding none keeps this no-op."""
+
 
 @dataclass(frozen=True)
 class MockRule:
@@ -288,6 +291,9 @@ class HttpBackend(CompletionBackend):
         self._session = requests.Session()
         token = os.environ.get(cfg.auth_token_env, "") if cfg.auth_token_env else ""
         self._headers = {"Authorization": f"Bearer {token}"} if token else {}
+
+    def close(self) -> None:
+        self._session.close()
 
     def _post(self, payload: dict) -> dict:
         try:
@@ -468,19 +474,13 @@ def load_checkpoint(path: Path | str, fingerprint: str) -> dict[JobKey, Rephrase
     return results
 
 
-def resume(
-    checkpoint_path: Path | str,
-    jobs: Sequence[RephraseJob],
-    fingerprint: str,
-) -> tuple[list[RephraseJob], dict[JobKey, RephraseResult]]:
-    """Split jobs into still-to-run and already-done-per-checkpoint.
+def resume(checkpoint_path: Path | str, fingerprint: str) -> dict[JobKey, RephraseResult]:
+    """Results a run can replay from the checkpoint instead of re-issuing.
 
-    Failed records are not replayed; those jobs run again.
+    Failed records are left out, so those jobs run again.
     """
     recorded = load_checkpoint(checkpoint_path, fingerprint)
-    replayed = {key: res for key, res in recorded.items() if not res.failed}
-    remaining = [job for job in jobs if job.key not in replayed]
-    return remaining, replayed
+    return {key: res for key, res in recorded.items() if not res.failed}
 
 
 def _run_one(job: RephraseJob, backend: CompletionBackend, cfg: BackendConfig) -> RephraseResult:

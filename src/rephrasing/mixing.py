@@ -17,7 +17,6 @@ from typing import Mapping, Sequence
 from .corpus import (
     Document,
     ShardManifest,
-    corpus_stats,
     iter_corpus,
     write_corpus,
 )
@@ -228,8 +227,3 @@ def execute_mix(
         shard_size=shard_size,
     )
     return manifest, report
-
-
-def mixed_stats(manifest: ShardManifest, base_dir: Path | str, estimator: TokenEstimator):
-    """Convenience wrapper for reporting on a mixed corpus."""
-    return corpus_stats(manifest, base_dir, estimator, languages=None)

@@ -44,6 +44,7 @@ from .corpus import (
     write_corpus,
 )
 from .inference import (
+    FINISH_LENGTH,
     CheckpointWriter,
     CompletionBackend,
     HttpBackend,
@@ -65,8 +66,8 @@ from .postprocess import (
     clean_passage,
     load_marker_patterns,
 )
-from .prompts import render
-from .quality import askllm_score, ingest_external_scores, load_scores, threshold_filter, write_scores
+from .prompts import TemplateRegistry, render
+from .quality import askllm_score, ingest_external_scores, threshold_filter, write_scores
 from .splitting import Passage, split_document
 from .tokens import TokenEstimator, calibrate
 
@@ -238,16 +239,50 @@ def stage_preprocess(cfg: PipelineConfig) -> dict:
     return report
 
 
-def iter_passages(cfg: PipelineConfig) -> Iterator[Passage]:
+def _passage_shard_paths(cfg: PipelineConfig) -> list[Path]:
     out_dir = cfg.work_dir / "passages"
     manifest = _require_manifest(out_dir / "manifest.json", cfg, "passages")
-    for path in manifest.shard_paths(out_dir):
+    return manifest.shard_paths(out_dir)
+
+
+def iter_passages(cfg: PipelineConfig) -> Iterator[Passage]:
+    for path in _passage_shard_paths(cfg):
         for obj in _read_jsonl(path):
             yield Passage.from_obj(obj)
 
 
+def _shard_jobs(path: Path, cfg: PipelineConfig, registry: TemplateRegistry) -> list[RephraseJob]:
+    """One passages shard's rephrase jobs, in passage order."""
+    jobs = []
+    for obj in _read_jsonl(path):
+        try:
+            passage = Passage.from_obj(obj)
+        except KeyError as exc:
+            raise StageError(
+                f"passages shard {path} has no {exc.args[0]!r} field, so it was written "
+                "by an older version; rerun preprocess"
+            ) from exc
+        template = registry.get(cfg.template_id_for(passage.lang))
+        jobs.append(
+            RephraseJob(
+                key=JobKey(passage.doc_id, passage.index, template.template_id),
+                prompt=render(passage, template, cfg.temperature),
+            )
+        )
+    return jobs
+
+
 def stage_rephrase(cfg: PipelineConfig, *, on_result=None) -> dict:
     """Render prompts, drive the backend, and store raw completions.
+
+    Works one passages shard at a time: render the shard's prompts (the
+    template comes from each passage's ``lang``), send them in ascending
+    prompt-length order, append the shard's results in passage order to
+    ``completions.jsonl.tmp`` and ``failed.jsonl.tmp``, and drop them
+    before the next shard.  Memory thus holds at most one shard of
+    prompts and results, plus the checkpoint's not yet replayed results
+    on a resume.  The two files are renamed into place after the last
+    shard, so a stopped run never leaves a partial ``completions.jsonl``.
 
     Completed jobs land in an append-only checkpoint first, so a killed
     run resumes without re-issuing finished requests and reproduces the
@@ -257,64 +292,61 @@ def stage_rephrase(cfg: PipelineConfig, *, on_result=None) -> dict:
     estimator = load_estimator(cfg)
     registry = cfg.registry()
     fingerprint = cfg.fingerprint()
-
-    doc_langs: dict[str, str] = {}
-    if cfg.template_by_lang:
-        manifest_in, base_dir = resolve_input_manifest(cfg)
-        doc_langs = {
-            doc.id: doc.lang for doc in iter_corpus(manifest_in, base_dir, cfg.languages)
-        }
-
-    def template_for(doc_id: str):
-        if not cfg.template_by_lang:
-            return registry.get(cfg.template_id)
-        lang = doc_langs.get(doc_id)
-        if lang is None:
-            raise StageError(f"passage references unknown document {doc_id!r}")
-        return registry.get(cfg.template_id_for(lang))
-
-    jobs = []
-    for p in iter_passages(cfg):
-        template = template_for(p.doc_id)
-        jobs.append(
-            RephraseJob(
-                key=JobKey(p.doc_id, p.index, template.template_id),
-                prompt=render(p, template, cfg.temperature),
-            )
-        )
+    shard_paths = _passage_shard_paths(cfg)
 
     out_dir = cfg.work_dir / "rephrase"
     out_dir.mkdir(parents=True, exist_ok=True)
     checkpoint_path = out_dir / "checkpoint.jsonl"
-    remaining, replayed = resume(checkpoint_path, jobs, fingerprint)
+    replay = resume(checkpoint_path, fingerprint)
+    done_tmp = out_dir / "completions.jsonl.tmp"
+    failed_tmp = out_dir / "failed.jsonl.tmp"
 
+    totals: Counter = Counter()
     backend = make_backend(cfg)
-    with CheckpointWriter(checkpoint_path, fingerprint) as checkpoint:
-        results = run_batch(
-            jobs,
-            backend,
-            cfg.backend,
-            plan=schedule(jobs) if jobs else None,
-            checkpoint=checkpoint,
-            replayed=replayed,
-            on_result=on_result,
-        )
+    try:
+        with CheckpointWriter(checkpoint_path, fingerprint) as checkpoint, done_tmp.open(
+            "w", encoding="utf-8"
+        ) as done_out, failed_tmp.open("w", encoding="utf-8") as failed_out:
+            for path in shard_paths:
+                jobs = _shard_jobs(path, cfg, registry)
+                replayed = {job.key: replay.pop(job.key) for job in jobs if job.key in replay}
+                results = run_batch(
+                    jobs,
+                    backend,
+                    cfg.backend,
+                    plan=schedule(jobs) if jobs else None,
+                    checkpoint=checkpoint,
+                    replayed=replayed,
+                    on_result=on_result,
+                )
+                totals.update(jobs=len(jobs), replayed=len(replayed))
+                for r in results:
+                    line = json.dumps(r.to_obj(), ensure_ascii=False) + "\n"
+                    if r.failed:
+                        failed_out.write(line)
+                        totals["failed"] += 1
+                        continue
+                    done_out.write(line)
+                    totals["done"] += 1
+                    totals["length_capped"] += r.finish == FINISH_LENGTH
+                    totals["output_est_tokens"] += estimator.estimate_text(r.text)
+                # Free this shard before the next one's prompts are built.
+                del jobs, replayed, results
+    finally:
+        backend.close()
+    done_tmp.replace(out_dir / "completions.jsonl")
+    failed_tmp.replace(out_dir / "failed.jsonl")
     wall = time.monotonic() - started
 
-    done = [r for r in results if not r.failed]
-    failed = [r for r in results if r.failed]
-    _write_jsonl((r.to_obj() for r in done), out_dir / "completions.jsonl")
-    _write_jsonl((r.to_obj() for r in failed), out_dir / "failed.jsonl")
-
-    output_tokens = sum(estimator.estimate_text(r.text) for r in done)
+    output_tokens = totals["output_est_tokens"]
     report = {
         "stage": "rephrase",
-        "jobs": len(jobs),
-        "replayed": len(replayed),
-        "issued": len(jobs) - len(replayed),
-        "done": len(done),
-        "failed": len(failed),
-        "length_capped": sum(1 for r in done if r.finish == "length_cap"),
+        "jobs": totals["jobs"],
+        "replayed": totals["replayed"],
+        "issued": totals["jobs"] - totals["replayed"],
+        "done": totals["done"],
+        "failed": totals["failed"],
+        "length_capped": totals["length_capped"],
         "output_est_tokens": output_tokens,
         "tokens_per_s": round(output_tokens / wall, 1) if wall > 0 else 0.0,
         "seconds": round(wall, 6),
@@ -443,22 +475,25 @@ def stage_score(cfg: PipelineConfig, manifest_path: Path | None = None) -> dict:
     """Score documents with the informative-signal prompt."""
     started = time.monotonic()
     estimator = load_estimator(cfg)
-    backend = make_backend(cfg)
     manifest, base_dir = _select_corpus(cfg, manifest_path)
 
     docs = list(iter_corpus(manifest, base_dir, cfg.languages))
-    scores = pull_map(
-        lambda doc: askllm_score(
-            doc,
-            backend,
-            estimator,
-            model_id=cfg.backend.model or "mock",
-            vote_k=cfg.filter.vote_k,
-            backend_cfg=cfg.backend,
-        ),
-        docs,
-        cfg.backend.max_in_flight,
-    )
+    backend = make_backend(cfg)
+    try:
+        scores = pull_map(
+            lambda doc: askllm_score(
+                doc,
+                backend,
+                estimator,
+                model_id=cfg.backend.model or "mock",
+                vote_k=cfg.filter.vote_k,
+                backend_cfg=cfg.backend,
+            ),
+            docs,
+            cfg.backend.max_in_flight,
+        )
+    finally:
+        backend.close()
 
     out_dir = cfg.work_dir / "scores"
     write_scores(scores, out_dir / "scores.jsonl")
@@ -511,7 +546,7 @@ def stage_filter(
         scores_path = cfg.work_dir / "scores" / "scores.jsonl"
         # An absent score shard filters against an empty table, so the
         # resulting error names every unscored document.
-        scores = load_scores(scores_path) if scores_path.is_file() else {}
+        scores = ingest_external_scores(scores_path) if scores_path.is_file() else {}
 
     docs = iter_corpus(manifest, base_dir, cfg.languages)
     kept, filter_report = threshold_filter(docs, scores, threshold, estimator)

@@ -18,14 +18,11 @@ from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from .corpus import Document, Provenance
-from .prompts import TEXT_CLOSE
+from .prompts import LEGACY, TAGGED, TEXT_CLOSE
 
 MIN_PASSAGE_CHARS = 50
 MAX_PASSAGE_CHARS = 5000
 MIN_DOCUMENT_CHARS = 100
-
-LEGACY = "legacy"
-TAGGED = "tagged"
 
 REJECT_TOO_SHORT = "too_short"
 REJECT_TOO_LONG = "too_long"

@@ -216,11 +216,6 @@ def write_scores(scores: Iterable[ScoredDocument], path: Path | str) -> int:
     return n
 
 
-def load_scores(path: Path | str) -> dict[str, float]:
-    """Score table keyed by doc id from a (doc_id, score[, scorer]) shard."""
-    return ingest_external_scores(path)
-
-
 def ingest_external_scores(path: Path | str) -> dict[str, float]:
     """Read externally computed scores; duplicate or malformed ids abort."""
     table: dict[str, float] = {}

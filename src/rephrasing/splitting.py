@@ -61,6 +61,9 @@ class Passage:
     text: str
     est_tokens: float
     split_flags: frozenset[str] = frozenset()
+    # Language of the source document; later stages pick per-language
+    # templates from it without reopening the input corpus.
+    lang: str = ""
 
     def to_obj(self) -> dict:
         return {
@@ -69,16 +72,23 @@ class Passage:
             "text": self.text,
             "est_tokens": self.est_tokens,
             "split_flags": sorted(self.split_flags),
+            "lang": self.lang,
         }
 
     @staticmethod
     def from_obj(obj: Mapping) -> "Passage":
+        """Parse one passages-shard record; a missing field raises KeyError.
+
+        ``lang`` has no default: guessing it would pick a template for
+        the wrong language without a trace.
+        """
         return Passage(
             doc_id=str(obj["doc_id"]),
             index=int(obj["index"]),
             text=str(obj["text"]),
             est_tokens=float(obj["est_tokens"]),
             split_flags=frozenset(obj.get("split_flags", [])),
+            lang=str(obj["lang"]),
         )
 
 
@@ -177,5 +187,5 @@ def split_document(
             flags.add(OVERSIZE_UNSPLITTABLE)
         if est_tokens < cfg.min_tokens:
             flags.add(UNDERSIZE_TAIL)
-        passages.append(Passage(doc.id, index, text, est_tokens, frozenset(flags)))
+        passages.append(Passage(doc.id, index, text, est_tokens, frozenset(flags), lang))
     return passages

@@ -97,6 +97,7 @@ def server():
         yield httpd
     finally:
         httpd.shutdown()
+        httpd.server_close()
         thread.join(timeout=5)
 
 
@@ -156,6 +157,13 @@ class TestCompletionWire:
         cfg = BackendConfig(endpoint="http://127.0.0.1:9/nothing", timeout_s=0.2)
         with pytest.raises(TransientBackendError):
             HttpBackend(cfg).complete("hi", temperature=0.0, stop=(), max_tokens=8)
+
+    def test_close_closes_session(self, monkeypatch):
+        backend = HttpBackend(BackendConfig(endpoint="http://127.0.0.1:9/nothing"))
+        closed = []
+        monkeypatch.setattr(backend._session, "close", lambda: closed.append(True))
+        backend.close()
+        assert closed == [True]
 
     def test_option_logprobs_sums_option_span(self, server):
         backend = backend_for(server)

@@ -259,9 +259,9 @@ class TestResume:
         self.run_with_kill(jobs, path, kill_after=50)
 
         fresh_jobs = make_jobs(100)
-        remaining, replayed = resume(path, fresh_jobs, "fp")
+        replayed = resume(path, "fp")
         assert len(replayed) == 50
-        assert len(remaining) == 50
+        assert sum(job.key not in replayed for job in fresh_jobs) == 50
         resumed_backend = MockBackend(ECHO_RULES)
         with CheckpointWriter(path, "fp") as checkpoint:
             results = run_batch(
@@ -299,18 +299,15 @@ class TestResume:
         assert backend.calls < 200
 
     def test_resume_with_empty_checkpoint_runs_all(self, tmp_path):
-        jobs = make_jobs(10)
-        remaining, replayed = resume(tmp_path / "cp.jsonl", jobs, "fp")
-        assert len(remaining) == 10
-        assert replayed == {}
+        assert resume(tmp_path / "cp.jsonl", "fp") == {}
 
     def test_resume_after_completion_issues_zero(self, tmp_path):
         path = tmp_path / "cp.jsonl"
         jobs = make_jobs(10)
         with CheckpointWriter(path, "fp") as checkpoint:
             run_batch(jobs, MockBackend(ECHO_RULES), CFG, checkpoint=checkpoint)
-        remaining, replayed = resume(path, make_jobs(10), "fp")
-        assert remaining == []
+        replayed = resume(path, "fp")
+        assert set(replayed) == {job.key for job in jobs}
         backend = MockBackend(ECHO_RULES)
         results = run_batch(make_jobs(10), backend, CFG, replayed=replayed)
         assert backend.calls == 0
@@ -321,9 +318,8 @@ class TestResume:
         jobs = make_jobs(5)
         with CheckpointWriter(path, "fp") as checkpoint:
             run_batch(jobs, MockBackend(ECHO_RULES, fail_first=99), CFG, checkpoint=checkpoint)
-        remaining, replayed = resume(path, make_jobs(5), "fp")
-        assert len(remaining) == 5
-        assert replayed == {}
+        assert len(load_checkpoint(path, "fp")) == 5
+        assert resume(path, "fp") == {}
 
 
 class TestCompletionDataclasses:

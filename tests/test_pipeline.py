@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from rephrasing import pipeline
 from rephrasing.config import load_config
 from rephrasing.corpus import ShardManifest, iter_corpus
 from rephrasing.pipeline import (
@@ -17,6 +18,7 @@ from rephrasing.pipeline import (
     stage_score,
     stage_stats,
 )
+from rephrasing.inference import BackendError, CompletionBackend
 from rephrasing.quality import MissingScoresError
 
 from conftest import QA_LEGACY_RULES, make_docs, write_fixture_config
@@ -25,6 +27,52 @@ from conftest import QA_LEGACY_RULES, make_docs, write_fixture_config
 @pytest.fixture
 def cfg(tmp_path):
     return load_config(write_fixture_config(tmp_path, make_docs(50, seed=7)))
+
+
+class _Stop(Exception):
+    pass
+
+
+class _SpyBackend(CompletionBackend):
+    """Wraps the configured backend, fails every prompt whose length is a
+    multiple of 7 for good, and records whether it was closed."""
+
+    def __init__(self, inner: CompletionBackend):
+        self.inner = inner
+        self.closed = False
+
+    def complete(self, prompt, **kwargs):
+        if len(prompt) % 7 == 0:
+            raise BackendError("scripted permanent failure")
+        return self.inner.complete(prompt, **kwargs)
+
+    def option_logprobs(self, prompt, options):
+        return self.inner.option_logprobs(prompt, options)
+
+    def close(self):
+        self.closed = True
+        self.inner.close()
+
+
+@pytest.fixture
+def backends(monkeypatch):
+    """Every backend the stages build, each wrapped in a _SpyBackend."""
+    made = []
+    make = pipeline.make_backend
+
+    def spy(cfg):
+        made.append(_SpyBackend(make(cfg)))
+        return made[-1]
+
+    monkeypatch.setattr(pipeline, "make_backend", spy)
+    return made
+
+
+def rephrase_outputs(cfg) -> dict[str, bytes]:
+    return {
+        name: (cfg.work_dir / "rephrase" / name).read_bytes()
+        for name in ("completions.jsonl", "failed.jsonl")
+    }
 
 
 def read_audit(cfg):
@@ -42,6 +90,16 @@ class TestPreprocess:
         manifest = ShardManifest.load(cfg.work_dir / "passages" / "manifest.json")
         assert manifest.total_docs == report["passages"]
         assert manifest.fingerprint == cfg.fingerprint()
+
+    def test_passages_carry_document_lang(self, tmp_path):
+        docs = make_docs(12, seed=5)
+        cfg = load_config(write_fixture_config(tmp_path, docs))
+        stage_preprocess(cfg)
+        lang_by_doc = {d.id: d.lang for d in docs}
+        passages = list(pipeline.iter_passages(cfg))
+        assert {p.lang for p in passages} == set(lang_by_doc.values())
+        for passage in passages:
+            assert passage.lang == lang_by_doc[passage.doc_id]
 
     def test_missing_input(self, tmp_path):
         path = write_fixture_config(tmp_path, make_docs(1))
@@ -92,6 +150,102 @@ class TestRephrase:
         assert second["replayed"] == first["jobs"]
         assert second["issued"] == 0
         assert (cfg.work_dir / "rephrase" / "completions.jsonl").read_bytes() == completions
+
+
+class TestStreamingRephrase:
+    """Rephrase runs one passages shard at a time."""
+
+    DOCS = make_docs(40, seed=21)
+
+    def cfg_for(self, tmp_path, shard_size, work):
+        path = write_fixture_config(
+            tmp_path,
+            self.DOCS,
+            extra={"shard_size": shard_size, "work_dir": work},
+            name=f"{work}.yaml",
+        )
+        return load_config(path)
+
+    def test_shard_size_leaves_outputs_byte_identical(self, tmp_path, backends):
+        outputs = []
+        for shard_size in (3, 10_000):
+            cfg = self.cfg_for(tmp_path, shard_size, f"work_{shard_size}")
+            stage_preprocess(cfg)
+            report = stage_rephrase(cfg)
+            assert report["done"] > 0 and report["failed"] > 0
+            outputs.append(rephrase_outputs(cfg))
+        assert outputs[0] == outputs[1]
+
+    def test_run_batch_gets_at_most_one_shard(self, tmp_path, monkeypatch):
+        sizes = []
+        run_batch = pipeline.run_batch
+
+        def spy(jobs, *args, **kwargs):
+            sizes.append(len(jobs))
+            return run_batch(jobs, *args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "run_batch", spy)
+        cfg = self.cfg_for(tmp_path, 3, "work")
+        passages = stage_preprocess(cfg)["passages"]
+        report = stage_rephrase(cfg)
+        manifest = ShardManifest.load(cfg.work_dir / "passages" / "manifest.json")
+        assert len(sizes) == len(manifest.shards) > 1
+        assert max(sizes) <= 3
+        assert sum(sizes) == passages == report["jobs"]
+
+    def test_stop_in_second_shard_then_resume_is_byte_identical(self, tmp_path, backends):
+        reference = self.cfg_for(tmp_path, 3, "ref")
+        stage_preprocess(reference)
+        stage_rephrase(reference)
+
+        cfg = self.cfg_for(tmp_path, 3, "stopped")
+        stage_preprocess(cfg)
+        seen = []
+
+        def stop_at_5(result):
+            seen.append(result)
+            if len(seen) == 5:
+                raise _Stop()
+
+        with pytest.raises(_Stop):
+            stage_rephrase(cfg, on_result=stop_at_5)
+        assert not (cfg.work_dir / "rephrase" / "completions.jsonl").exists()
+        assert not (cfg.work_dir / "rephrase" / "failed.jsonl").exists()
+
+        resumed = stage_rephrase(cfg)
+        assert resumed["replayed"] == sum(not r.failed for r in seen)
+        assert resumed["issued"] == resumed["jobs"] - resumed["replayed"]
+        assert rephrase_outputs(cfg) == rephrase_outputs(reference)
+
+    def test_passages_without_lang_refused(self, cfg):
+        stage_preprocess(cfg)
+        shard = cfg.work_dir / "passages" / "passages-00000.jsonl"
+        rows = [json.loads(line) for line in shard.read_text(encoding="utf-8").splitlines()]
+        shard.write_text(
+            "".join(json.dumps({k: v for k, v in row.items() if k != "lang"}) + "\n" for row in rows),
+            encoding="utf-8",
+        )
+        with pytest.raises(StageError, match=r"passages-00000\.jsonl.*'lang'.*rerun preprocess"):
+            stage_rephrase(cfg)
+
+
+class TestBackendClosed:
+    def test_rephrase_and_score_close_their_backend(self, cfg, backends):
+        stage_preprocess(cfg)
+        stage_rephrase(cfg)
+        stage_postprocess(cfg)
+        stage_score(cfg)
+        assert [b.closed for b in backends] == [True, True]
+
+    def test_stopped_rephrase_closes_its_backend(self, cfg, backends):
+        stage_preprocess(cfg)
+
+        def stop(result):
+            raise _Stop()
+
+        with pytest.raises(_Stop):
+            stage_rephrase(cfg, on_result=stop)
+        assert [b.closed for b in backends] == [True]
 
 
 class TestPostprocess:

@@ -21,7 +21,6 @@ from rephrasing.quality import (
     ScoredDocument,
     askllm_score,
     ingest_external_scores,
-    load_scores,
     render_scoring_prompt,
     score_from_logprobs,
     threshold_filter,
@@ -223,4 +222,4 @@ class TestScoreIO:
         scores = [ScoredDocument("a", 0.5, "ask_llm:m"), ScoredDocument("b", 0.25, "ask_llm:m")]
         path = tmp_path / "scores.jsonl"
         assert write_scores(scores, path) == 2
-        assert load_scores(path) == {"a": 0.5, "b": 0.25}
+        assert ingest_external_scores(path) == {"a": 0.5, "b": 0.25}
