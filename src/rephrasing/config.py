@@ -20,7 +20,7 @@ from typing import Mapping, Sequence
 import yaml
 
 from .corpus import DEFAULT_LANGUAGES
-from .inference import BackendConfig
+from .inference import BackendConfig, parse_endpoint
 from .prompts import (
     EOS_BY_FRAMING,
     LEGACY,
@@ -145,6 +145,10 @@ class PipelineConfig:
     mix: MixSettings | None = None
     shard_size: int = 50_000
 
+    def __post_init__(self) -> None:
+        if self.temperature < 0:
+            raise ValueError("temperature must be >= 0")
+
     def registry(self) -> TemplateRegistry:
         return TemplateRegistry(t.load() for t in self.custom_templates)
 
@@ -201,6 +205,15 @@ class PipelineConfig:
             raise ConfigError(f"unknown backend kind {self.backend_kind!r}")
         if self.backend_kind == "http" and not self.backend.endpoint:
             raise ConfigError("http backend requires an endpoint address")
+        for key, url in (
+            ("backend.endpoint", self.backend.endpoint),
+            ("estimator.exact_endpoint", self.estimator.exact_endpoint),
+        ):
+            if url:
+                try:
+                    parse_endpoint(url)
+                except ValueError as exc:
+                    raise ConfigError(f"{key}: {exc}") from exc
 
     def fingerprint(self) -> str:
         """Stable hash over every output-determining setting."""
@@ -371,14 +384,12 @@ def config_from_obj(obj: Mapping, base_dir: Path) -> PipelineConfig:
         ),
         "backend",
     )
-    temperature = float(obj.get("temperature", 0.7))
     backend = BackendConfig(
         endpoint=str(backend_obj.get("endpoint", "")),
         auth_token_env=str(backend_obj.get("auth_token_env", "")),
         model=str(backend_obj.get("model", "")),
         max_in_flight=int(backend_obj.get("max_in_flight", 4)),
         max_output_tokens=int(backend_obj.get("max_output_tokens", 1024)),
-        temperature=temperature,
         max_retries=int(backend_obj.get("max_retries", 3)),
         timeout_s=float(backend_obj.get("timeout_s", 120.0)),
         retry_backoff_s=float(backend_obj.get("retry_backoff_s", 0.5)),
@@ -449,7 +460,7 @@ def config_from_obj(obj: Mapping, base_dir: Path) -> PipelineConfig:
         template_id=template_id,
         template_by_lang=template_by_lang,
         custom_templates=tuple(customs),
-        temperature=temperature,
+        temperature=float(obj.get("temperature", 0.7)),
         backend_kind=str(backend_obj.get("kind", "mock")),
         backend=backend,
         mock_backend=dict(backend_obj.get("mock", {})),

@@ -14,25 +14,28 @@ scheduling.
 The wire protocol is a plain-text completion interface (prompt in,
 completion out, with stop sequences and temperature) as served by
 vLLM-style servers; the prompts embed their own chat framing, so no
-chat-message interface is needed.
+chat-message interface is needed.  Requests go through ``JsonClient``,
+a pool of standard-library keep-alive connections.
 """
 
 from __future__ import annotations
 
 import hashlib
+import http.client
 import json
 import math
 import os
 import re
+import select
+import ssl
 import threading
 import time
+import urllib.parse
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence, TypeVar
 
-import requests
-
-from .prompts import DEFAULT_TEMPERATURE, RenderedPrompt
+from .prompts import RenderedPrompt
 
 FINISH_STOP = "stop_sequence"
 FINISH_LENGTH = "length_cap"
@@ -67,7 +70,6 @@ class BackendConfig:
     model: str = ""
     max_in_flight: int = 4
     max_output_tokens: int = 1024
-    temperature: float = DEFAULT_TEMPERATURE
     # Total tries per job, first attempt included.
     max_retries: int = 3
     timeout_s: float = 120.0
@@ -76,8 +78,6 @@ class BackendConfig:
     def __post_init__(self) -> None:
         if self.max_in_flight < 1:
             raise ValueError("max_in_flight must be >= 1")
-        if self.temperature < 0:
-            raise ValueError("temperature must be >= 0")
         if self.max_retries < 1:
             raise ValueError("max_retries must be >= 1")
 
@@ -279,6 +279,95 @@ class MockBackend(CompletionBackend):
         return [math.log(u), math.log(1 - u)][: len(options)]
 
 
+def parse_endpoint(url: str) -> urllib.parse.SplitResult:
+    """Split an endpoint URL; ValueError unless it is http(s) with a host."""
+    parts = urllib.parse.urlsplit(url)
+    if parts.scheme not in ("http", "https") or not parts.hostname:
+        raise ValueError(f"endpoint {url!r} is not an http:// or https:// URL with a host")
+    parts.port  # raises ValueError on a malformed port
+    return parts
+
+
+class JsonClient:
+    """JSON POSTs to one http(s) endpoint over pooled keep-alive connections.
+
+    A request takes an idle connection, or opens one when none is idle,
+    and hands it back once the response is read, so the pool never
+    holds more connections than requests were in flight at once.  An
+    idle connection the peer has closed is reopened before use, so it
+    costs no retry.  Connection and protocol errors discard the
+    connection and raise ``TransientBackendError``; retrying is left to
+    ``with_retries``.  Status 401/403 raise ``AuthError``, 429 and 5xx
+    ``TransientBackendError``, any other non-200 ``BackendError``.
+    ``timeout_s`` bounds the connect and every socket read.
+    ``http.client`` sets TCP_NODELAY on every connection.  HTTPS
+    verifies against the system trust store; proxy variables are not
+    read.
+    """
+
+    def __init__(self, url: str, *, timeout_s: float, headers: Mapping[str, str] | None = None):
+        parts = parse_endpoint(url)
+        self._target = (parts.path or "/") + (f"?{parts.query}" if parts.query else "")
+        self._headers = {"Content-Type": "application/json", **(headers or {})}
+        if parts.scheme == "https":
+            context = ssl.create_default_context()
+            self._open = lambda: http.client.HTTPSConnection(
+                parts.hostname, parts.port, timeout=timeout_s, context=context
+            )
+        else:
+            self._open = lambda: http.client.HTTPConnection(
+                parts.hostname, parts.port, timeout=timeout_s
+            )
+        self._idle: list[http.client.HTTPConnection] = []
+        self._lock = threading.Lock()
+
+    def _checkout(self) -> http.client.HTTPConnection:
+        with self._lock:
+            conn = self._idle.pop() if self._idle else None
+        if conn is None:
+            return self._open()
+        if select.select([conn.sock], [], [], 0)[0]:
+            # Readable while idle: the peer closed it, or sent bytes no
+            # request asked for.  A closed HTTPConnection reconnects on
+            # its next request.
+            conn.close()
+        return conn
+
+    def post(self, payload: Mapping) -> dict:
+        body = json.dumps(payload).encode("utf-8")
+        conn = self._checkout()
+        try:
+            conn.request("POST", self._target, body, self._headers)
+            with conn.getresponse() as response:
+                data = response.read()
+        except (OSError, http.client.HTTPException) as exc:
+            conn.close()
+            raise TransientBackendError(f"{type(exc).__name__}: {exc}") from exc
+        except BaseException:
+            conn.close()
+            raise
+        # http.client has already closed a connection the response ends.
+        if not response.will_close:
+            with self._lock:
+                self._idle.append(conn)
+        status = response.status
+        if status in (401, 403):
+            raise AuthError(f"endpoint returned {status}")
+        if status == 429 or status >= 500:
+            raise TransientBackendError(f"endpoint returned {status}")
+        if status != 200:
+            text = data[:200].decode("utf-8", "replace")
+            raise BackendError(f"endpoint returned {status}: {text}")
+        return json.loads(data)
+
+    def close(self) -> None:
+        """Close every pooled connection; a later request opens anew."""
+        with self._lock:
+            idle, self._idle = self._idle, []
+        for conn in idle:
+            conn.close()
+
+
 class HttpBackend(CompletionBackend):
     """vLLM/OpenAI-compatible completions endpoint over HTTP.
 
@@ -288,30 +377,15 @@ class HttpBackend(CompletionBackend):
 
     def __init__(self, cfg: BackendConfig):
         self.cfg = cfg
-        self._session = requests.Session()
         token = os.environ.get(cfg.auth_token_env, "") if cfg.auth_token_env else ""
-        self._headers = {"Authorization": f"Bearer {token}"} if token else {}
+        self._client = JsonClient(
+            cfg.endpoint,
+            timeout_s=cfg.timeout_s,
+            headers={"Authorization": f"Bearer {token}"} if token else None,
+        )
 
     def close(self) -> None:
-        self._session.close()
-
-    def _post(self, payload: dict) -> dict:
-        try:
-            response = self._session.post(
-                self.cfg.endpoint,
-                json=payload,
-                headers=self._headers,
-                timeout=self.cfg.timeout_s,
-            )
-        except (requests.ConnectionError, requests.Timeout) as exc:
-            raise TransientBackendError(str(exc)) from exc
-        if response.status_code in (401, 403):
-            raise AuthError(f"endpoint returned {response.status_code}")
-        if response.status_code == 429 or response.status_code >= 500:
-            raise TransientBackendError(f"endpoint returned {response.status_code}")
-        if response.status_code != 200:
-            raise BackendError(f"endpoint returned {response.status_code}: {response.text[:200]}")
-        return response.json()
+        self._client.close()
 
     def complete(self, prompt, *, temperature, stop, max_tokens):
         payload = {
@@ -323,7 +397,7 @@ class HttpBackend(CompletionBackend):
         }
         if self.cfg.model:
             payload["model"] = self.cfg.model
-        obj = self._post(payload)
+        obj = self._client.post(payload)
         try:
             choice = obj["choices"][0]
             text = choice.get("text", "")
@@ -343,7 +417,7 @@ class HttpBackend(CompletionBackend):
         }
         if self.cfg.model:
             payload["model"] = self.cfg.model
-        obj = with_retries(lambda: self._post(payload), self.cfg)
+        obj = with_retries(lambda: self._client.post(payload), self.cfg)
         try:
             n = int(obj["usage"]["prompt_tokens"])
             logprobs = obj["choices"][0]["logprobs"]["token_logprobs"]

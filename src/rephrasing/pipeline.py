@@ -24,10 +24,9 @@ import itertools
 import json
 import time
 from collections import Counter
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping
-
-import requests
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .config import PipelineConfig
 from .corpus import (
@@ -49,6 +48,7 @@ from .inference import (
     CompletionBackend,
     HttpBackend,
     JobKey,
+    JsonClient,
     MockBackend,
     RephraseJob,
     RephraseResult,
@@ -144,16 +144,22 @@ def _require_manifest(path: Path, cfg: PipelineConfig, stage: str) -> ShardManif
     return manifest
 
 
-def _exact_counter(endpoint: str):
+@contextmanager
+def _exact_counter(cfg: PipelineConfig) -> Iterator[Callable[[str], int] | None]:
     """Exact token counts from an external tokenizer over a local wire
-    interface: POST {"text": ...} -> {"tokens": n}."""
+    interface: POST {"text": ...} -> {"tokens": n}.
 
-    def count(text: str) -> int:
-        response = requests.post(endpoint, json={"text": text}, timeout=60)
-        response.raise_for_status()
-        return int(response.json()["tokens"])
-
-    return count
+    Yields None when no endpoint is configured.  Every count goes over
+    one keep-alive client, closed on exit.
+    """
+    if not cfg.estimator.exact_endpoint:
+        yield None
+        return
+    client = JsonClient(cfg.estimator.exact_endpoint, timeout_s=60.0)
+    try:
+        yield lambda text: int(client.post({"text": text})["tokens"])
+    finally:
+        client.close()
 
 
 def load_estimator(cfg: PipelineConfig) -> TokenEstimator:
@@ -174,17 +180,15 @@ def stage_preprocess(cfg: PipelineConfig) -> dict:
     started = time.monotonic()
     manifest_in, base_dir = resolve_input_manifest(cfg)
 
-    counter = None
-    if cfg.estimator.exact_endpoint:
-        counter = _exact_counter(cfg.estimator.exact_endpoint)
-    estimator = calibrate(
-        iter_corpus(manifest_in, base_dir, cfg.languages),
-        counter,
-        seed=cfg.seed,
-        sample_size=cfg.estimator.sample_size,
-        per_language=cfg.estimator.per_language,
-        default_ratio=cfg.estimator.default_ratio,
-    )
+    with _exact_counter(cfg) as counter:
+        estimator = calibrate(
+            iter_corpus(manifest_in, base_dir, cfg.languages),
+            counter,
+            seed=cfg.seed,
+            sample_size=cfg.estimator.sample_size,
+            per_language=cfg.estimator.per_language,
+            default_ratio=cfg.estimator.default_ratio,
+        )
     cfg.work_dir.mkdir(parents=True, exist_ok=True)
     estimator.save(cfg.work_dir / "calibration.json")
 
@@ -233,6 +237,7 @@ def stage_preprocess(cfg: PipelineConfig) -> dict:
         "passage_est_tokens": manifest_out.total_est_tokens,
         "flag_counts": dict(flag_counts),
         "estimator": estimator.to_obj(),
+        "calibration_fallback": estimator.fallback,
         "seconds": round(time.monotonic() - started, 3),
     }
     _write_report(report, out_dir / "report.json")
@@ -611,28 +616,28 @@ def stage_stats(cfg: PipelineConfig) -> dict:
     calibration = cfg.work_dir / "calibration.json"
     if calibration.is_file():
         estimator = TokenEstimator.load(calibration)
-    exact = _exact_counter(cfg.estimator.exact_endpoint) if cfg.estimator.exact_endpoint else None
 
     rows: list[tuple[str, CorpusStats]] = []
-    try:
-        manifest_in, base_dir = resolve_input_manifest(cfg)
-        rows.append(
-            (
-                "input",
-                corpus_stats(
-                    manifest_in, base_dir, estimator, exact, languages=cfg.languages
-                ),
-            )
-        )
-    except StageError:
-        pass
-    for name in ("rephrased", "filtered", "mixed"):
-        path = cfg.work_dir / name / "manifest.json"
-        if path.is_file():
-            manifest = ShardManifest.load(path)
+    with _exact_counter(cfg) as exact:
+        try:
+            manifest_in, base_dir = resolve_input_manifest(cfg)
             rows.append(
-                (name, corpus_stats(manifest, path.parent, estimator, exact, languages=None))
+                (
+                    "input",
+                    corpus_stats(
+                        manifest_in, base_dir, estimator, exact, languages=cfg.languages
+                    ),
+                )
             )
+        except StageError:
+            pass
+        for name in ("rephrased", "filtered", "mixed"):
+            path = cfg.work_dir / name / "manifest.json"
+            if path.is_file():
+                manifest = ShardManifest.load(path)
+                rows.append(
+                    (name, corpus_stats(manifest, path.parent, estimator, exact, languages=None))
+                )
 
     if not rows:
         raise StageError("nothing to report: no input manifest and no stage outputs")

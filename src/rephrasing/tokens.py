@@ -10,6 +10,7 @@ ratio stays comparable across languages with non-ASCII letters.
 from __future__ import annotations
 
 import json
+import logging
 import random
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -17,6 +18,8 @@ from typing import TYPE_CHECKING, Callable, Iterable, Mapping
 
 if TYPE_CHECKING:
     from .corpus import Document
+
+log = logging.getLogger(__name__)
 
 # Calibrated ratios are snapped to this grid so that chars * ratio is an
 # exact float64 product, keeping estimates exactly additive under string
@@ -54,6 +57,9 @@ class TokenEstimator:
     sample_size: int = 0
     seed: int = 0
     calibrated: bool = False
+    # Why the exact tokenizer failed and the default ratio was used;
+    # reported by the stage that calibrates, never saved.
+    fallback: str | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         pairs = [("global", self.tokens_per_char), *self.per_language.items()]
@@ -134,7 +140,8 @@ def calibrate(
 
     ``count_tokens`` is the exact external tokenizer handle; only
     calibration needs it.  When it is missing or fails, the configured
-    default ratio is used and the estimator is marked uncalibrated.
+    default ratio is used and the estimator is marked uncalibrated; a
+    failure is logged as a warning and named in ``fallback``.
     """
     if sample_size < 1:
         raise ValueError("sample_size must be >= 1")
@@ -157,8 +164,14 @@ def calibrate(
             acc = by_lang.setdefault(doc.lang, [0, 0])
             acc[0] += len(doc.text)
             acc[1] += n_tokens
-    except Exception:
-        return TokenEstimator(default_ratio, {}, len(sample), seed, calibrated=False)
+    except Exception as exc:
+        cause = f"{type(exc).__name__}: {exc}"
+        log.warning(
+            "exact tokenizer failed (%s); using the default ratio %s, uncalibrated",
+            cause,
+            default_ratio,
+        )
+        return TokenEstimator(default_ratio, {}, len(sample), seed, calibrated=False, fallback=cause)
 
     if chars_total == 0:
         raise CalibrationError("sampled documents contain no characters")

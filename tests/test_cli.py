@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -124,3 +126,17 @@ class TestComposability:
         for command in ("preprocess", "rephrase", "postprocess", "score", "filter", "stats"):
             assert run([command, "-c", stage_cfg]) == 0
         assert tree_bytes(tmp_path / "work_all") == tree_bytes(tmp_path / "work_stage")
+
+
+def test_cli_import_loads_no_requests():
+    code = "import sys, rephrasing.cli; print('requests' in sys.modules)"
+    src = Path(__file__).resolve().parents[1] / "src"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        cwd=src,
+        capture_output=True,
+        text=True,
+        timeout=60,
+        check=True,
+    )
+    assert out.stdout.strip() == "False"

@@ -13,7 +13,7 @@ def test_load_defaults(tmp_path):
     assert cfg.template_id == "qa_opt_en"
     assert cfg.split.max_tokens == 350
     assert cfg.split.min_tokens == 50
-    assert cfg.backend.temperature == 0.7
+    assert cfg.temperature == 0.7
     assert cfg.regime() == "tagged"
     assert cfg.work_dir == tmp_path / "work"
 
@@ -66,6 +66,29 @@ def test_http_backend_requires_endpoint(tmp_path):
     path = write_fixture_config(tmp_path, make_docs(3), extra={"backend": {"kind": "http"}})
     with pytest.raises(ConfigError, match="endpoint"):
         load_config(path)
+
+
+@pytest.mark.parametrize(
+    "section, key, url",
+    [
+        ("backend", "endpoint", "localhost:8000/v1/completions"),
+        ("backend", "endpoint", "ftp://example.org/v1/completions"),
+        ("backend", "endpoint", "http:///v1/completions"),
+        ("backend", "endpoint", "http://host:port/v1/completions"),
+        ("estimator", "exact_endpoint", "127.0.0.1:9000/tokenize"),
+    ],
+)
+def test_endpoint_must_be_http_url_with_host(tmp_path, section, key, url):
+    extra = {
+        "backend": {"kind": "http", "endpoint": "https://llm.example.org/v1/completions"},
+        "estimator": {"exact_endpoint": "http://127.0.0.1:9000/tokenize"},
+    }
+    extra[section][key] = url
+    path = write_fixture_config(tmp_path, make_docs(3), extra=extra)
+    with pytest.raises(ConfigError, match=f"{section}.{key}"):
+        load_config(path)
+    extra[section][key] = "http://127.0.0.1:9000/ok"
+    load_config(write_fixture_config(tmp_path, make_docs(3), extra=extra, name="ok.yaml"))
 
 
 def test_custom_template_loaded_and_fingerprinted(tmp_path):

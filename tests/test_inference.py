@@ -9,6 +9,7 @@ import time
 
 import pytest
 
+from rephrasing.config import PipelineConfig
 from rephrasing.inference import (
     AuthError,
     BackendConfig,
@@ -327,11 +328,11 @@ class TestCompletionDataclasses:
         result = RephraseResult(JobKey("d", 2, "qa"), "body", "length_cap", "m", 3)
         assert RephraseResult.from_obj(result.to_obj()) == result
 
-    def test_backend_config_validation(self):
+    def test_backend_config_validation(self, tmp_path):
         with pytest.raises(ValueError):
             BackendConfig(max_in_flight=0)
-        with pytest.raises(ValueError):
-            BackendConfig(temperature=-1.0)
+        with pytest.raises(ValueError, match="temperature"):
+            PipelineConfig(config_dir=tmp_path, work_dir=tmp_path, temperature=-1.0)
 
     def test_completion_defaults(self):
         assert Completion("x", "stop_sequence").model_id == ""

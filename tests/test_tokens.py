@@ -56,6 +56,7 @@ class TestCalibrate:
         est = calibrate([doc("z" * 100)], broken, sample_size=1, default_ratio=0.3)
         assert not est.calibrated
         assert est.tokens_per_char == 0.3
+        assert est.fallback == "ConnectionError: tokenizer away"
 
     def test_per_language_ratios(self):
         docs = [doc("e" * 100, "en", 0), doc("g" * 100, "de", 1)]
