@@ -1,21 +1,27 @@
 """One config file drives every pipeline stage.
 
 The config is a YAML document; relative paths resolve against the
-config file's directory.  A fingerprint over the output-determining
-sections is stamped into every manifest and checkpoint so resumed runs
-refuse artifacts produced under different parameters.  Operational
-knobs (endpoint address, concurrency, timeouts) stay outside the
-fingerprint; auth tokens are referenced by environment variable name
-and never appear inline.
+config file's directory.  Each section is built from its dataclass:
+the fields are the keys it accepts, and each value must already have
+its field's type, so a mistyped value is refused, never reshaped.  A
+fingerprint over the output-determining sections is stamped into every
+manifest and checkpoint so resumed runs refuse artifacts produced under
+different parameters.  Operational knobs (endpoint address,
+concurrency, timeouts) stay outside the fingerprint; auth tokens are
+referenced by environment variable name and never appear inline.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import hashlib
 import json
+import types
+import typing
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import yaml
 
@@ -24,6 +30,7 @@ from .inference import BackendConfig, parse_endpoint
 from .prompts import (
     EOS_BY_FRAMING,
     LEGACY,
+    MISTRAL_INST,
     TAGGED,
     PromptTemplate,
     TemplateRegistry,
@@ -37,12 +44,6 @@ class ConfigError(Exception):
     """Malformed or internally inconsistent configuration."""
 
 
-def _check_keys(obj: Mapping, allowed: Sequence[str], section: str) -> None:
-    unknown = set(obj) - set(allowed)
-    if unknown:
-        raise ConfigError(f"unknown key(s) in {section}: {sorted(unknown)}")
-
-
 @dataclass(frozen=True)
 class EstimatorSettings:
     default_ratio: float = DEFAULT_TOKENS_PER_CHAR
@@ -52,22 +53,14 @@ class EstimatorSettings:
     # calibration: POST {"text": ...} -> {"tokens": n}.
     exact_endpoint: str | None = None
 
-    def to_obj(self) -> dict:
-        return {
-            "default_ratio": self.default_ratio,
-            "sample_size": self.sample_size,
-            "per_language": self.per_language,
-            "exact_endpoint": self.exact_endpoint,
-        }
-
 
 @dataclass(frozen=True)
 class CustomTemplateSettings:
     template_id: str
     file: Path
-    language: str
-    framing: str
-    extraction: str
+    language: str = "en"
+    framing: str = MISTRAL_INST
+    extraction: str = TAGGED
     completion_prefix: str = ""
     # None derives the stop list from framing and extraction mode.
     stop: tuple[str, ...] | None = None
@@ -92,8 +85,6 @@ class CustomTemplateSettings:
 
 @dataclass(frozen=True)
 class PostprocessSettings:
-    # None derives the regime from the selected template.
-    regime: str | None = None
     pattern_file: Path | None = None
 
 
@@ -102,7 +93,6 @@ class FilterSettings:
     scorer: str = "ask_llm"
     threshold: float = 0.6
     external_scores: Path | None = None
-    external_name: str = "external"
     vote_k: int = 8
 
 
@@ -125,7 +115,9 @@ class MixSettings:
 @dataclass(frozen=True)
 class PipelineConfig:
     config_dir: Path
-    work_dir: Path
+    # load_config resolves relative paths, this default included,
+    # against config_dir.
+    work_dir: Path = Path("out")
     input_manifest: Path | None = None
     languages: tuple[str, ...] = DEFAULT_LANGUAGES
     seed: int = 0
@@ -165,34 +157,16 @@ class PipelineConfig:
                 return template_id
         raise ConfigError(f"no template selected for language {lang!r}")
 
-    def template(self) -> PromptTemplate:
-        """The single selected template (single-template configs only)."""
-        ids = self.selected_template_ids()
-        if len(ids) != 1:
-            raise ConfigError("config selects one template per language; pass a lang")
-        return self.registry().get(ids[0])
-
     def regime(self) -> str:
-        if self.postprocess.regime:
-            return self.postprocess.regime
-        registry = self.registry()
-        modes = {registry.get(tid).extraction for tid in self.selected_template_ids()}
-        return next(iter(modes))
+        """The selected templates' extraction mode; `validate` checks they share one."""
+        return self.registry().get(self.selected_template_ids()[0]).extraction
 
     def validate(self) -> None:
         registry = self.registry()
-        modes = {}
-        for tid in self.selected_template_ids():
-            modes[tid] = registry.get(tid).extraction
+        modes = {tid: registry.get(tid).extraction for tid in self.selected_template_ids()}
         if len(set(modes.values())) > 1:
             raise ConfigError(
                 f"selected templates mix extraction modes: {sorted(modes.items())}"
-            )
-        mode = next(iter(modes.values()))
-        if self.postprocess.regime and self.postprocess.regime != mode:
-            raise ConfigError(
-                f"postprocess regime {self.postprocess.regime!r} does not match "
-                f"the selected templates' extraction mode {mode!r}"
             )
         if self.template_by_lang:
             selected = {lang for lang, _ in self.template_by_lang}
@@ -232,8 +206,8 @@ class PipelineConfig:
         payload = {
             "languages": list(self.languages),
             "seed": self.seed,
-            "split": self.split.to_obj(),
-            "estimator": self.estimator.to_obj(),
+            "split": dataclasses.asdict(self.split),
+            "estimator": dataclasses.asdict(self.estimator),
             "template_id": self.template_id,
             "template_by_lang": sorted(self.template_by_lang),
             "custom_templates": custom,
@@ -252,7 +226,9 @@ class PipelineConfig:
             "filter": {
                 "scorer": self.filter.scorer,
                 "threshold": self.filter.threshold,
-                "external_name": self.filter.external_name,
+                # No longer a setting; the constant keeps the fingerprints of
+                # existing manifests and checkpoints valid.
+                "external_name": "external",
                 "vote_k": self.filter.vote_k,
             },
             "mix": None
@@ -283,24 +259,6 @@ def _pattern_fingerprint(path: Path | None) -> str | None:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-_TOP_KEYS = (
-    "languages",
-    "seed",
-    "work_dir",
-    "input_manifest",
-    "split",
-    "estimator",
-    "template",
-    "custom_templates",
-    "temperature",
-    "backend",
-    "postprocess",
-    "filter",
-    "mix",
-    "shard_size",
-)
-
-
 def load_config(path: Path | str) -> PipelineConfig:
     path = Path(path)
     if not path.is_file():
@@ -315,129 +273,90 @@ def load_config(path: Path | str) -> PipelineConfig:
         cfg = config_from_obj(obj, path.parent)
         cfg.validate()
     except (KeyError, TypeError, ValueError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
         raise ConfigError(f"invalid config {path}: {exc}") from exc
     return cfg
 
 
+@functools.cache
+def _field_types(cls: type) -> dict[str, object]:
+    return typing.get_type_hints(cls)
+
+
+def _convert(tp, value, where: str, base_dir: Path):
+    """One YAML value as the field's type; a value of another type is refused."""
+    if isinstance(tp, types.UnionType):  # X | None
+        if value is None:
+            return None
+        (tp,) = (arg for arg in typing.get_args(tp) if arg is not type(None))
+    if tp is float and type(value) in (int, float):
+        return float(value)
+    if tp in (int, bool, str) and type(value) is tp:
+        return value
+    if tp is Path and type(value) is str and value:
+        return base_dir / value
+    if tp == tuple[str, ...] and type(value) is list and all(type(v) is str for v in value):
+        return tuple(value)
+    expected = "a list of strings" if tp == tuple[str, ...] else tp.__name__
+    raise ConfigError(f"{where}: expected {expected}, got {value!r}")
+
+
+def _section(cls, mapping, name: str, base_dir: Path, **fixed):
+    """Build dataclass ``cls`` from one config section.
+
+    Every field not in ``fixed`` is a key the section may set; absent
+    keys keep the field's default.  ``fixed`` holds the fields the caller
+    builds itself.
+    """
+    if not isinstance(mapping, Mapping):
+        raise ConfigError(f"{name}: expected a mapping, got {mapping!r}")
+    hints = _field_types(cls)
+    settable = [f for f in dataclasses.fields(cls) if f.name not in fixed]
+    unknown = set(mapping) - {f.name for f in settable}
+    if unknown:
+        raise ConfigError(f"unknown key(s) in {name}: {sorted(unknown)}")
+    values = {}
+    for f in settable:
+        if f.name in mapping:
+            values[f.name] = _convert(hints[f.name], mapping[f.name], f"{name}.{f.name}", base_dir)
+        elif isinstance(f.default, Path):
+            values[f.name] = base_dir / f.default
+    return cls(**values, **fixed)
+
+
 def config_from_obj(obj: Mapping, base_dir: Path) -> PipelineConfig:
-    _check_keys(obj, _TOP_KEYS, "config")
+    top = dict(obj)
+    split = _section(SplitConfig, top.pop("split", {}), "split", base_dir)
+    estimator = _section(EstimatorSettings, top.pop("estimator", {}), "estimator", base_dir)
+    postprocess = _section(PostprocessSettings, top.pop("postprocess", {}), "postprocess", base_dir)
+    filter_settings = _section(FilterSettings, top.pop("filter", {}), "filter", base_dir)
 
-    def resolve(p) -> Path:
-        p = Path(p)
-        return p if p.is_absolute() else base_dir / p
+    backend_obj = dict(top.pop("backend", {}))
+    backend_kind = backend_obj.pop("kind", PipelineConfig.backend_kind)
+    mock_backend = dict(backend_obj.pop("mock", {}))
+    backend = _section(BackendConfig, backend_obj, "backend", base_dir)
 
-    split_obj = dict(obj.get("split", {}))
-    _check_keys(split_obj, ("max_tokens", "min_tokens", "linebreak", "sentence_end"), "split")
-    split = SplitConfig(
-        max_tokens=float(split_obj.get("max_tokens", 350)),
-        min_tokens=float(split_obj.get("min_tokens", 50)),
-        linebreak=split_obj.get("linebreak", "\n"),
-        sentence_end=split_obj.get("sentence_end", SplitConfig().sentence_end),
-    )
-
-    est_obj = dict(obj.get("estimator", {}))
-    _check_keys(
-        est_obj, ("default_ratio", "sample_size", "per_language", "exact_endpoint"), "estimator"
-    )
-    estimator = EstimatorSettings(
-        default_ratio=float(est_obj.get("default_ratio", DEFAULT_TOKENS_PER_CHAR)),
-        sample_size=int(est_obj.get("sample_size", DEFAULT_SAMPLE_SIZE)),
-        per_language=bool(est_obj.get("per_language", True)),
-        exact_endpoint=est_obj.get("exact_endpoint"),
-    )
-
-    customs = []
-    for entry in obj.get("custom_templates", []) or []:
-        _check_keys(
-            entry,
-            ("id", "file", "language", "framing", "extraction", "completion_prefix", "stop"),
-            "custom_templates",
+    customs = tuple(
+        _section(
+            CustomTemplateSettings,
+            {key: value for key, value in dict(entry).items() if key != "id"},
+            f"custom_templates[{i}]",
+            base_dir,
+            template_id=str(entry["id"]),
         )
-        customs.append(
-            CustomTemplateSettings(
-                template_id=str(entry["id"]),
-                file=resolve(entry["file"]),
-                language=str(entry.get("language", "en")),
-                framing=str(entry.get("framing", "mistral_inst")),
-                extraction=str(entry.get("extraction", "tagged")),
-                completion_prefix=str(entry.get("completion_prefix", "")),
-                stop=tuple(entry["stop"]) if entry.get("stop") is not None else None,
-            )
-        )
-
-    backend_obj = dict(obj.get("backend", {}))
-    _check_keys(
-        backend_obj,
-        (
-            "kind",
-            "endpoint",
-            "auth_token_env",
-            "model",
-            "max_in_flight",
-            "max_output_tokens",
-            "max_retries",
-            "timeout_s",
-            "retry_backoff_s",
-            "mock",
-        ),
-        "backend",
-    )
-    backend = BackendConfig(
-        endpoint=str(backend_obj.get("endpoint", "")),
-        auth_token_env=str(backend_obj.get("auth_token_env", "")),
-        model=str(backend_obj.get("model", "")),
-        max_in_flight=int(backend_obj.get("max_in_flight", 4)),
-        max_output_tokens=int(backend_obj.get("max_output_tokens", 1024)),
-        max_retries=int(backend_obj.get("max_retries", 3)),
-        timeout_s=float(backend_obj.get("timeout_s", 120.0)),
-        retry_backoff_s=float(backend_obj.get("retry_backoff_s", 0.5)),
-    )
-
-    post_obj = dict(obj.get("postprocess", {}))
-    _check_keys(post_obj, ("regime", "pattern_file"), "postprocess")
-    postprocess = PostprocessSettings(
-        regime=post_obj.get("regime"),
-        pattern_file=resolve(post_obj["pattern_file"]) if post_obj.get("pattern_file") else None,
-    )
-
-    filter_obj = dict(obj.get("filter", {}))
-    _check_keys(
-        filter_obj,
-        ("scorer", "threshold", "external_scores", "external_name", "vote_k"),
-        "filter",
-    )
-    filter_settings = FilterSettings(
-        scorer=str(filter_obj.get("scorer", "ask_llm")),
-        threshold=float(filter_obj.get("threshold", 0.6)),
-        external_scores=resolve(filter_obj["external_scores"])
-        if filter_obj.get("external_scores")
-        else None,
-        external_name=str(filter_obj.get("external_name", "external")),
-        vote_k=int(filter_obj.get("vote_k", 8)),
+        for i, entry in enumerate(top.pop("custom_templates", None) or [])
     )
 
     mix = None
-    if obj.get("mix"):
-        mix_obj = dict(obj["mix"])
-        _check_keys(mix_obj, ("sources", "unit", "target", "seed"), "mix")
+    mix_obj = top.pop("mix", None)
+    if mix_obj:
+        mix_obj = dict(mix_obj)
         sources = tuple(
-            MixSourceSettings(
-                name=str(s["name"]),
-                manifest=resolve(s["manifest"]),
-                weight=float(s.get("weight", 1.0)),
-            )
-            for s in mix_obj.get("sources", [])
+            _section(MixSourceSettings, s, f"mix.sources[{i}]", base_dir)
+            for i, s in enumerate(mix_obj.pop("sources", []))
         )
-        mix = MixSettings(
-            sources=sources,
-            unit=str(mix_obj.get("unit", "tokens")),
-            target=float(mix_obj["target"]) if mix_obj.get("target") is not None else None,
-            seed=int(mix_obj["seed"]) if mix_obj.get("seed") is not None else None,
-        )
+        mix = _section(MixSettings, mix_obj, "mix", base_dir, sources=sources)
 
-    template_selection = obj.get("template", "qa_opt_en")
+    template_selection = top.pop("template", PipelineConfig.template_id)
     if isinstance(template_selection, Mapping):
         template_id = ""
         template_by_lang = tuple(
@@ -449,23 +368,21 @@ def config_from_obj(obj: Mapping, base_dir: Path) -> PipelineConfig:
         template_id = str(template_selection)
         template_by_lang = ()
 
-    return PipelineConfig(
+    return _section(
+        PipelineConfig,
+        top,
+        "config",
+        base_dir,
         config_dir=base_dir,
-        work_dir=resolve(obj.get("work_dir", "out")),
-        input_manifest=resolve(obj["input_manifest"]) if obj.get("input_manifest") else None,
-        languages=tuple(obj.get("languages", DEFAULT_LANGUAGES)),
-        seed=int(obj.get("seed", 0)),
         split=split,
         estimator=estimator,
         template_id=template_id,
         template_by_lang=template_by_lang,
-        custom_templates=tuple(customs),
-        temperature=float(obj.get("temperature", 0.7)),
-        backend_kind=str(backend_obj.get("kind", "mock")),
+        custom_templates=customs,
+        backend_kind=backend_kind,
         backend=backend,
-        mock_backend=dict(backend_obj.get("mock", {})),
+        mock_backend=mock_backend,
         postprocess=postprocess,
         filter=filter_settings,
         mix=mix,
-        shard_size=int(obj.get("shard_size", 50_000)),
     )

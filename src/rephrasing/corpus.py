@@ -233,10 +233,6 @@ class ShardManifest:
         return sum(s.docs for s in self.shards)
 
     @property
-    def total_chars(self) -> int:
-        return sum(s.chars for s in self.shards)
-
-    @property
     def total_est_tokens(self) -> float:
         return sum(s.est_tokens for s in self.shards)
 

@@ -56,6 +56,7 @@ from .inference import (
     resume,
     run_batch,
     schedule,
+    with_retries,
 )
 from .mixing import MixSource, MixSpec, execute_mix
 from .postprocess import (
@@ -150,14 +151,19 @@ def _exact_counter(cfg: PipelineConfig) -> Iterator[Callable[[str], int] | None]
     interface: POST {"text": ...} -> {"tokens": n}.
 
     Yields None when no endpoint is configured.  Every count goes over
-    one keep-alive client, closed on exit.
+    one keep-alive client, closed on exit, and transient errors are
+    retried like every other backend request.
     """
     if not cfg.estimator.exact_endpoint:
         yield None
         return
     client = JsonClient(cfg.estimator.exact_endpoint, timeout_s=60.0)
+
+    def count(text: str) -> int:
+        return int(with_retries(lambda: client.post({"text": text}), cfg.backend)["tokens"])
+
     try:
-        yield lambda text: int(client.post({"text": text})["tokens"])
+        yield count
     finally:
         client.close()
 
@@ -427,7 +433,9 @@ def stage_postprocess(cfg: PipelineConfig) -> dict:
                 audit.append(
                     {"doc_id": doc_id, "index": passage.index, "reason": passage.rejection}
                 )
-        lang, meta = doc_info.get(doc_id, ("en", {}))
+        if doc_id not in doc_info:
+            continue
+        lang, meta = doc_info[doc_id]
         doc, drop_reason = assemble_document(
             cleaned,
             lang=lang,
@@ -441,6 +449,13 @@ def stage_postprocess(cfg: PipelineConfig) -> dict:
             audit.append({"doc_id": doc_id, "index": None, "reason": drop_reason})
         else:
             docs_out.append(doc)
+
+    missing = sorted((processed_docs | failed_docs) - doc_info.keys())
+    if missing:
+        raise StageError(
+            f"input changed since preprocess: {len(missing)} document(s) from rephrase "
+            f"are not in it, e.g. {missing[:5]}; rerun from preprocess"
+        )
 
     # Documents whose every passage failed inference never reach the
     # groupby above; account for them so input = emitted + dropped.

@@ -37,7 +37,6 @@ OPTION_NEGATIVE = "no"
 
 SCORER_ASK_LLM = "ask_llm"
 SCORER_ASK_LLM_VOTE = "ask_llm_vote"
-SCORER_EXTERNAL = "external"
 
 
 class QualityError(Exception):

@@ -43,14 +43,6 @@ class SplitConfig:
                 f"need 0 < min_tokens < max_tokens, got {self.min_tokens}/{self.max_tokens}"
             )
 
-    def to_obj(self) -> dict:
-        return {
-            "max_tokens": self.max_tokens,
-            "min_tokens": self.min_tokens,
-            "linebreak": self.linebreak,
-            "sentence_end": self.sentence_end,
-        }
-
 
 @dataclass(frozen=True)
 class Passage:

@@ -44,6 +44,16 @@ class TestExitCodes:
         assert run(["rephrase", "-c", path]) == 2
         assert "data error" in capsys.readouterr().err
 
+    def test_malformed_line_in_directory_shard_exits_2(self, tmp_path, capsys):
+        path = write_fixture_config(tmp_path, make_docs(3), extra={"input_manifest": "input"})
+        shard = next((tmp_path / "input").glob("*.jsonl"))
+        with shard.open("a", encoding="utf-8") as handle:
+            handle.write("{not json\n")
+        assert run(["preprocess", "-c", path]) == 2
+        err = capsys.readouterr().err
+        assert "data error" in err
+        assert shard.name in err
+
     def test_filter_without_scores_exits_2_listing_ids(self, tmp_path, capsys):
         path = write_fixture_config(tmp_path, make_docs(5, seed=4))
         assert run(["preprocess", "-c", path]) == 0

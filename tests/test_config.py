@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+import re
+
 import pytest
 import yaml
 
+from rephrasing.cli import main
 from rephrasing.config import ConfigError, load_config
 
 from conftest import make_docs, write_fixture_config
@@ -39,22 +42,47 @@ def test_unknown_key_rejected(tmp_path):
         load_config(path)
 
 
-def test_regime_template_mismatch_rejected(tmp_path):
+def test_postprocess_regime_refused_as_unknown(tmp_path):
+    # The regime is always derived from the selected templates.
     path = write_fixture_config(
-        tmp_path, make_docs(3), extra={"postprocess": {"regime": "legacy"}}
+        tmp_path, make_docs(3), template="qa", extra={"postprocess": {"regime": "legacy"}}
     )
-    with pytest.raises(ConfigError, match="regime"):
+    with pytest.raises(ConfigError, match=r"unknown key\(s\) in postprocess: \['regime'\]"):
         load_config(path)
 
 
-def test_regime_explicit_match_accepted(tmp_path):
-    path = write_fixture_config(
-        tmp_path,
-        make_docs(3),
-        template="qa",
-        extra={"postprocess": {"regime": "legacy"}},
+@pytest.mark.parametrize(
+    "where, extra",
+    [
+        # Each was reshaped by the loader into a value with another meaning.
+        ("config.languages", {"languages": "en"}),
+        ("config.seed", {"seed": 1.9}),
+        ("estimator.per_language", {"estimator": {"per_language": "false"}}),
+        ("estimator.exact_endpoint", {"estimator": {"exact_endpoint": 12}}),
+        ("config.input_manifest", {"input_manifest": ""}),
+        (
+            "custom_templates[0].stop",
+            {"custom_templates": [{"id": "c1", "file": "c.txt", "stop": "STOP"}]},
+        ),
+    ],
+)
+def test_mistyped_value_refused(tmp_path, capsys, where, extra):
+    (tmp_path / "c.txt").write_text("{text}", encoding="utf-8")
+    path = write_fixture_config(tmp_path, make_docs(3), extra=extra)
+    with pytest.raises(ConfigError, match=re.escape(f"{where}: expected ")):
+        load_config(path)
+    assert main(["preprocess", "-c", str(path)]) == 1
+    assert where in capsys.readouterr().err
+
+
+def test_fingerprints_pinned(tmp_path):
+    # Manifests and checkpoints written by earlier versions carry these;
+    # a loader change that moves them would make every resume start over.
+    assert load_config(write_fixture_config(tmp_path, make_docs(3))).fingerprint() == (
+        "4d6691d1a42ffd36"
     )
-    assert load_config(path).regime() == "legacy"
+    legacy = write_fixture_config(tmp_path, make_docs(3), template="qa", name="qa.yaml")
+    assert load_config(legacy).fingerprint() == "e84d8fefd6bbb711"
 
 
 def test_missing_file(tmp_path):
@@ -112,7 +140,7 @@ def test_custom_template_loaded_and_fingerprinted(tmp_path):
         },
     )
     cfg = load_config(path)
-    assert cfg.template().body == body
+    assert cfg.registry().get("qa_custom").body == body
     fingerprint = cfg.fingerprint()
     template_file.write_text(body + " ", encoding="utf-8")
     assert load_config(path).fingerprint() != fingerprint

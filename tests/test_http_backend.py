@@ -274,20 +274,20 @@ class TestCompletionWire:
         assert [bool(r["payload"].get("echo")) for r in server.state["requests"]] == [True] * 4
 
 
+def tokenizer_config(tmp_path, exact_endpoint: str):
+    return write_fixture_config(
+        tmp_path,
+        make_docs(20, seed=12),
+        extra={
+            "estimator": {"default_ratio": 0.5, "sample_size": 10, "exact_endpoint": exact_endpoint},
+            "backend": {"retry_backoff_s": 0},
+        },
+    )
+
+
 class TestExactTokenizerWire:
     def test_calibration_uses_endpoint(self, server, tmp_path):
-        docs = make_docs(20, seed=12)
-        config_path = write_fixture_config(
-            tmp_path,
-            docs,
-            extra={
-                "estimator": {
-                    "default_ratio": 0.5,
-                    "sample_size": 10,
-                    "exact_endpoint": endpoint(server, "/tokenize"),
-                }
-            },
-        )
+        config_path = tokenizer_config(tmp_path, endpoint(server, "/tokenize"))
         cfg = load_config(config_path)
         report = stage_preprocess(cfg)
         assert report["estimator"]["calibrated"] is True
@@ -301,19 +301,16 @@ class TestExactTokenizerWire:
         assert len(set(client_ports(server))) == 1
         assert report["calibration_fallback"] is None
 
+    def test_transient_error_is_retried(self, server, tmp_path):
+        server.state["fail_next"] = 1
+        config_path = tokenizer_config(tmp_path, endpoint(server, "/tokenize"))
+        report = stage_preprocess(load_config(config_path))
+        assert report["estimator"]["calibrated"] is True
+        assert report["calibration_fallback"] is None
+        assert len(server.state["requests"]) == 11
+
     def test_refused_endpoint_fallback_is_reported(self, tmp_path, caplog):
-        docs = make_docs(20, seed=12)
-        config_path = write_fixture_config(
-            tmp_path,
-            docs,
-            extra={
-                "estimator": {
-                    "default_ratio": 0.5,
-                    "sample_size": 10,
-                    "exact_endpoint": "http://127.0.0.1:9/tokenize",
-                }
-            },
-        )
+        config_path = tokenizer_config(tmp_path, "http://127.0.0.1:9/tokenize")
         with caplog.at_level(logging.WARNING, logger="rephrasing.tokens"):
             report = stage_preprocess(load_config(config_path))
         assert report["estimator"]["calibrated"] is False

@@ -6,7 +6,7 @@ import pytest
 
 from rephrasing import pipeline
 from rephrasing.config import load_config
-from rephrasing.corpus import ShardManifest, iter_corpus
+from rephrasing.corpus import ShardManifest, iter_corpus, write_corpus
 from rephrasing.pipeline import (
     StageError,
     run_all,
@@ -100,6 +100,27 @@ class TestPreprocess:
         assert {p.lang for p in passages} == set(lang_by_doc.values())
         for passage in passages:
             assert passage.lang == lang_by_doc[passage.doc_id]
+
+    @pytest.mark.parametrize("form", ["directory", "single_shard"])
+    def test_input_forms_match_manifest(self, tmp_path, form):
+        docs = make_docs(30, seed=3)
+        shard_size = 10 if form == "directory" else 1000
+        input_dir = tmp_path / "input"
+        write_corpus(docs, input_dir, stage="input", fingerprint="input", shard_size=shard_size)
+        shards = ShardManifest.load(input_dir / "manifest.json").shards
+        assert len(shards) == (3 if form == "directory" else 1)
+        source = "input" if form == "directory" else f"input/{shards[0].path}"
+        outputs = {}
+        for name, input_manifest in (("manifest", "input/manifest.json"), (form, source)):
+            extra = {"input_manifest": input_manifest, "work_dir": name}
+            cfg = load_config(write_fixture_config(tmp_path, docs, extra=extra, name=f"{name}.yaml"))
+            stage_preprocess(cfg)
+            passages = cfg.work_dir / "passages"
+            written = [cfg.work_dir / "calibration.json", passages / "manifest.json"]
+            written += passages.glob("*.jsonl")
+            outputs[name] = {path.name: path.read_bytes() for path in written}
+        assert "passages-00000.jsonl" in outputs["manifest"]
+        assert outputs[form] == outputs["manifest"]
 
     def test_missing_input(self, tmp_path):
         path = write_fixture_config(tmp_path, make_docs(1))
@@ -273,6 +294,23 @@ class TestPostprocess:
             assert doc.provenance.template_id == "qa_opt_en"
             assert doc.provenance.model_id == "mock-model"
             assert "Question:" in doc.text
+
+    def test_documents_missing_from_input_refused(self, tmp_path):
+        docs = make_docs(20, seed=7)
+        cfg = load_config(write_fixture_config(tmp_path, docs))
+        stage_preprocess(cfg)
+        stage_rephrase(cfg)
+        # The input loses its German documents after rephrase.
+        for path in (tmp_path / "input").iterdir():
+            path.unlink()
+        kept = [d for d in docs if d.lang != "de"]
+        write_corpus(kept, tmp_path / "input", stage="input", fingerprint="input")
+        with pytest.raises(StageError, match="input changed since preprocess") as exc_info:
+            stage_postprocess(cfg)
+        german = sorted(d.id for d in docs if d.lang == "de")
+        assert f"{len(german)} document(s)" in str(exc_info.value)
+        assert german[0] in str(exc_info.value)
+        assert not (cfg.work_dir / "rephrased" / "manifest.json").exists()
 
     def test_legacy_regime_end_to_end(self, tmp_path):
         path = write_fixture_config(
