@@ -32,6 +32,7 @@ from .prompts import (
     LEGACY,
     MISTRAL_INST,
     TAGGED,
+    PromptError,
     PromptTemplate,
     TemplateRegistry,
     default_stop,
@@ -72,12 +73,18 @@ class CustomTemplateSettings:
             raise ConfigError(
                 f"custom template {self.template_id!r}: unknown extraction {self.extraction!r}"
             )
+        try:
+            body = self.file.read_bytes().decode("utf-8")
+        except OSError as exc:
+            raise ConfigError(
+                f"custom template {self.template_id!r}: cannot read {self.file}: {exc.strerror}"
+            ) from exc
         return PromptTemplate(
             template_id=self.template_id,
             language=self.language,
             framing=self.framing,
             extraction=self.extraction,
-            body=self.file.read_bytes().decode("utf-8"),
+            body=body,
             stop=self.stop if self.stop is not None else default_stop(self.framing, self.extraction),
             completion_prefix=self.completion_prefix,
         )
@@ -175,6 +182,8 @@ class PipelineConfig:
                 raise ConfigError(
                     f"template selection covers no template for language(s) {sorted(missing)}"
                 )
+        if self.shard_size < 1:
+            raise ConfigError(f"shard_size must be at least 1, got {self.shard_size}")
         if self.backend_kind not in ("mock", "http"):
             raise ConfigError(f"unknown backend kind {self.backend_kind!r}")
         if self.backend_kind == "http" and not self.backend.endpoint:
@@ -272,7 +281,7 @@ def load_config(path: Path | str) -> PipelineConfig:
     try:
         cfg = config_from_obj(obj, path.parent)
         cfg.validate()
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, PromptError) as exc:
         raise ConfigError(f"invalid config {path}: {exc}") from exc
     return cfg
 

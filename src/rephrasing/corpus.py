@@ -8,10 +8,11 @@ units of work and every type here is immutable after construction.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import BinaryIO, Iterable, Iterator, Mapping, Sequence
 
 from .tokens import TokenEstimator
 
@@ -132,18 +133,33 @@ class ShardReader:
     def __iter__(self) -> Iterator[Document]:
         with self.path.open("r", encoding="utf-8") as handle:
             for lineno, raw in enumerate(handle, start=1):
-                self.n_lines = lineno
-                line = raw.rstrip("\n")
-                try:
-                    obj = json.loads(line)
-                    if not isinstance(obj, dict):
-                        raise CorpusError("line is not a JSON object")
-                    doc = doc_from_obj(obj)
-                    doc.validate(self.languages)
-                except (json.JSONDecodeError, KeyError, CorpusError, TypeError) as exc:
-                    self.errors.append(LineError(lineno, str(exc), line[:200]))
-                    continue
-                yield doc
+                doc = self._parse(lineno, raw.rstrip("\n"))
+                if doc is not None:
+                    yield doc
+
+    def located(self) -> Iterator[tuple[int, int, Document]]:
+        """Iterate as above, with the byte offset and length of each
+        document's line, for ``read_document_at``."""
+        offset = 0
+        with self.path.open("rb") as handle:
+            for lineno, raw in enumerate(handle, start=1):
+                doc = self._parse(lineno, raw.decode("utf-8").rstrip("\r\n"))
+                if doc is not None:
+                    yield offset, len(raw), doc
+                offset += len(raw)
+
+    def _parse(self, lineno: int, line: str) -> Document | None:
+        self.n_lines = lineno
+        try:
+            obj = json.loads(line)
+            if not isinstance(obj, dict):
+                raise CorpusError("line is not a JSON object")
+            doc = doc_from_obj(obj)
+            doc.validate(self.languages)
+        except (json.JSONDecodeError, KeyError, CorpusError, TypeError) as exc:
+            self.errors.append(LineError(lineno, str(exc), line[:200]))
+            return None
+        return doc
 
     def summary(self) -> str:
         if not self.errors:
@@ -158,6 +174,16 @@ class ShardReader:
 def load_shard(path: Path | str, languages: Sequence[str] | None = DEFAULT_LANGUAGES) -> ShardReader:
     """Open a shard for streaming; parse errors collect on the reader."""
     return ShardReader(path, languages)
+
+
+def read_document_at(handle: BinaryIO, offset: int, length: int) -> Document:
+    """The document on the shard line at ``offset`` of ``length`` bytes.
+
+    Both come from ``ShardReader.located``, which has already validated
+    the line, so ``handle`` may be unbuffered (``buffering=0``).
+    """
+    handle.seek(offset)
+    return doc_from_obj(json.loads(handle.read(length).decode("utf-8")))
 
 
 @dataclass(frozen=True)
@@ -287,27 +313,27 @@ def write_corpus(
     shard_size: int = 50_000,
     basename: str = "shard",
 ) -> ShardManifest:
-    """Write a document stream as size-bounded shards plus a manifest."""
+    """Write a document stream as size-bounded shards plus a manifest.
+
+    Each document goes straight into the open shard, and a new shard
+    starts every ``shard_size`` documents, so memory holds one document
+    plus the open shard's ids (for its duplicate check), never a shard of
+    documents.  An empty stream still gets one empty shard.  The manifest
+    is saved only after the stream is exhausted; an exception from the
+    stream deletes the open shard and leaves no manifest.
+    """
+    if shard_size < 1:
+        raise ValueError(f"shard_size must be at least 1, got {shard_size}")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest = ShardManifest(stage=stage, fingerprint=fingerprint)
-    batch: list[Document] = []
-    index = 0
-
-    def flush() -> None:
-        nonlocal index, batch
-        if not batch and index > 0:
-            return
-        entry = write_shard(batch, out_dir / f"{basename}-{index:05d}.jsonl", estimator)
-        manifest.shards.append(entry)
-        index += 1
-        batch = []
-
-    for doc in docs:
-        batch.append(doc)
-        if len(batch) >= shard_size:
-            flush()
-    flush()
+    stream = iter(docs)
+    head = next(stream, None)
+    while head is not None or not manifest.shards:
+        shard = () if head is None else itertools.islice(itertools.chain((head,), stream), shard_size)
+        path = out_dir / f"{basename}-{len(manifest.shards):05d}.jsonl"
+        manifest.shards.append(write_shard(shard, path, estimator))
+        head = next(stream, None)
     manifest.save(out_dir / "manifest.json")
     return manifest
 

@@ -33,7 +33,7 @@ import time
 import urllib.parse
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Sequence, TypeVar
+from typing import Callable, Iterable, Mapping, Sequence, Sized, TypeVar
 
 from .prompts import RenderedPrompt
 
@@ -595,36 +595,53 @@ def _run_one(job: RephraseJob, backend: CompletionBackend, cfg: BackendConfig) -
 
 def pull_map(
     fn: Callable[[T], R],
-    items: Sequence[T],
+    items: Iterable[T],
     max_workers: int,
     on_done: Callable[[R], None] | None = None,
 ) -> list[R]:
     """Apply ``fn`` to every item on at most ``max_workers`` threads.
 
-    Each thread takes the next item in sequence order under one lock,
-    so at most ``max_workers`` calls run at once and items start in
-    order.  ``on_done(result)`` runs on the worker thread under that
-    same lock, so its calls never overlap.  The first exception -- from
-    ``fn``, from ``on_done``, or an interrupt in the joining thread --
-    stops the pool from taking more items; results that finish after it
-    are dropped without ``on_done``, and the exception is re-raised once
+    Each thread pulls the next item from ``items`` under a pull lock,
+    so items are taken lazily and in order, and at most ``max_workers``
+    are taken and unfinished at once: an iterator streams through
+    without being held.  Results, errors and ``on_done(result)`` take a
+    second lock, so a pull (which may parse its item) and the recording
+    of a result (which may write a checkpoint) never wait on each other;
+    ``on_done`` runs on the worker thread and its calls never overlap.
+    The first exception -- from ``fn``, from ``on_done``, from the
+    iterator itself, or an interrupt in the joining thread -- stops the
+    pool from pulling more items; results that finish after it are
+    dropped without ``on_done``, and the exception is re-raised once
     every thread has been joined.  Results come back in item order.
     """
-    results: list = [None] * len(items)
+    source = iter(items)
+    # Grown under pull_lock, filled in under lock: list.append and item
+    # assignment are each atomic.
+    results: list = []
+    pull_lock = threading.Lock()
     lock = threading.Lock()
     errors: list[BaseException] = []
-    taken = 0
+    exhausted = False
 
     def work() -> None:
-        nonlocal taken
+        nonlocal exhausted
         while True:
-            with lock:
-                if errors or taken == len(items):
+            with pull_lock:
+                if errors or exhausted:
                     return
-                index = taken
-                taken += 1
+                try:
+                    item = next(source)
+                except StopIteration:
+                    exhausted = True
+                    return
+                except BaseException as exc:
+                    with lock:
+                        errors.append(exc)
+                    return
+                index = len(results)
+                results.append(None)
             try:
-                result = fn(items[index])
+                result = fn(item)
             except BaseException as exc:
                 with lock:
                     errors.append(exc)
@@ -642,7 +659,8 @@ def pull_map(
                         errors.append(exc)
                         return
 
-    threads = [threading.Thread(target=work) for _ in range(min(max_workers, len(items)))]
+    workers = min(max_workers, len(items)) if isinstance(items, Sized) else max_workers
+    threads = [threading.Thread(target=work) for _ in range(workers)]
     for thread in threads:
         thread.start()
     try:

@@ -4,20 +4,25 @@ Each source gets a quota proportional to its weight.  Sources larger
 than their quota contribute a seeded random subset; smaller ones are
 used multiple times (full passes plus a seeded remainder subset).  The
 drawn pool is shuffled globally with the same seed, so a (spec, seed)
-pair fully determines the output shards.
+pair fully determines the output shards.  The pool holds references to
+documents, which are read back one at a time as the shards are written.
 """
 
 from __future__ import annotations
 
+import bisect
 import random
+from array import array
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import BinaryIO, Callable, Iterable, Iterator, Mapping, Sequence
 
 from .corpus import (
+    CorpusError,
     Document,
     ShardManifest,
-    iter_corpus,
+    load_shard,
+    read_document_at,
     write_corpus,
 )
 from .tokens import TokenEstimator
@@ -168,6 +173,70 @@ def _drawn_doc(doc: Document, source_name: str, pass_index: int) -> Document:
     )
 
 
+# Shard files kept open at once while drawn documents are read back;
+# they are unbuffered, so each costs a file descriptor and no memory.
+MAX_OPEN_SHARDS = 32
+
+
+class _SourceIndex:
+    """Where every source document sits, and what it weighs, in flat arrays.
+
+    Documents are numbered across all sources in spec order.  Per
+    document the index keeps the byte offset and length of its shard
+    line and its weight (20 bytes); the shard that holds document ``i``
+    is the last one starting at or before ``i``.
+    """
+
+    def __init__(self) -> None:
+        self.offsets = array("q")
+        self.lengths = array("I")
+        self.weights = array("d")
+        self.shard_paths: list[Path] = []
+        self.shard_sources: list[str] = []
+        self.shard_starts: list[int] = []
+
+    def __len__(self) -> int:
+        return len(self.offsets)
+
+    def add_source(
+        self,
+        name: str,
+        manifest: ShardManifest,
+        base_dir: Path,
+        weigh: Callable[[Document], float],
+        languages: Sequence[str] | None,
+    ) -> None:
+        for path in manifest.shard_paths(base_dir):
+            self.shard_paths.append(path)
+            self.shard_sources.append(name)
+            self.shard_starts.append(len(self.offsets))
+            reader = load_shard(path, languages)
+            for offset, length, doc in reader.located():
+                self.offsets.append(offset)
+                self.lengths.append(length)
+                self.weights.append(weigh(doc))
+            if reader.errors:
+                raise CorpusError(reader.summary())
+
+    def drawn(self, refs: Iterable[int], passes: int) -> Iterator[Document]:
+        """Read each ``index * passes + pass`` reference back as its drawn document."""
+        handles: dict[int, BinaryIO] = {}
+        try:
+            for ref in refs:
+                index, pass_index = divmod(ref, passes)
+                shard = bisect.bisect_right(self.shard_starts, index) - 1
+                handle = handles.get(shard)
+                if handle is None:
+                    if len(handles) == MAX_OPEN_SHARDS:
+                        handles.pop(next(iter(handles))).close()
+                    handle = handles[shard] = self.shard_paths[shard].open("rb", buffering=0)
+                doc = read_document_at(handle, self.offsets[index], self.lengths[index])
+                yield _drawn_doc(doc, self.shard_sources[shard], pass_index)
+        finally:
+            for handle in handles.values():
+                handle.close()
+
+
 def execute_mix(
     spec: MixSpec,
     out_dir: Path | str,
@@ -177,11 +246,23 @@ def execute_mix(
     shard_size: int = 50_000,
     languages: Sequence[str] | None = None,
 ) -> tuple[ShardManifest, MixReport]:
-    """Draw documents per plan, shuffle globally, write mixed shards."""
+    """Draw documents per plan, shuffle globally, write mixed shards.
+
+    The draw and the shuffle work on references, not documents: one walk
+    of each source records where its documents sit and what they weigh,
+    and each drawn document is one integer, ``index * passes + pass``, in
+    a flat array (8 bytes).  ``random.shuffle`` permutes by length and seed
+    alone, so shuffling references draws exactly what shuffling the
+    documents did.  The mixed shards are then written from the shuffled
+    references, each document read back by its offset, so memory holds
+    the references and one document at a time.
+    """
     est = estimator or TokenEstimator()
     manifests = {s.name: ShardManifest.load(s.manifest_path) for s in spec.sources}
     plan = plan_mix(spec, manifests)
     draws = {d.name: d for d in plan.draws}
+    # Pass indices run up to full_passes (the remainder's pass).
+    passes = 1 + max(d.full_passes for d in plan.draws)
 
     def doc_weight(doc: Document) -> float:
         if spec.unit == UNIT_DOCUMENTS:
@@ -189,37 +270,38 @@ def execute_mix(
         return est.estimate_text(doc.text, doc.lang)
 
     report = MixReport(spec.unit, spec.seed)
-    pool: list[Document] = []
+    catalog = _SourceIndex()
+    pool = array("q")
     for source in spec.sources:
-        manifest = manifests[source.name]
+        first = len(catalog)
         base_dir = Path(source.manifest_path).parent
-        docs = list(iter_corpus(manifest, base_dir, languages))
+        catalog.add_source(source.name, manifests[source.name], base_dir, doc_weight, languages)
         draw = draws[source.name]
 
-        taken: list[Document] = []
+        taken_from = len(pool)
         for pass_index in range(draw.full_passes):
-            taken.extend(_drawn_doc(doc, source.name, pass_index) for doc in docs)
+            pool.extend(i * passes + pass_index for i in range(first, len(catalog)))
         if draw.remainder > 0:
-            shuffled = docs[:]
+            shuffled = array("q", range(first, len(catalog)))
             random.Random(f"{spec.seed}|{source.name}").shuffle(shuffled)
             realized = 0.0
-            for doc in shuffled:
+            for i in shuffled:
                 if realized >= draw.remainder:
                     break
-                taken.append(_drawn_doc(doc, source.name, draw.full_passes))
-                realized += doc_weight(doc)
+                pool.append(i * passes + draw.full_passes)
+                realized += catalog.weights[i]
+            del shuffled
 
         report.per_source[source.name] = {
-            "docs": len(taken),
-            "tokens": sum(doc_weight(d) for d in taken),
+            "docs": len(pool) - taken_from,
+            "tokens": sum(catalog.weights[pool[j] // passes] for j in range(taken_from, len(pool))),
             "quota": draw.quota,
             "full_passes": draw.full_passes,
         }
-        pool.extend(taken)
 
     random.Random(f"{spec.seed}|shuffle").shuffle(pool)
     manifest = write_corpus(
-        pool,
+        catalog.drawn(pool, passes),
         out_dir,
         stage="mixed",
         fingerprint=fingerprint,

@@ -22,11 +22,12 @@ from __future__ import annotations
 
 import itertools
 import json
+import shutil
 import time
 from collections import Counter
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator
 
 from .config import PipelineConfig
 from .corpus import (
@@ -68,7 +69,7 @@ from .postprocess import (
     load_marker_patterns,
 )
 from .prompts import TemplateRegistry, render
-from .quality import askllm_score, ingest_external_scores, threshold_filter, write_scores
+from .quality import ThresholdFilter, askllm_score, ingest_external_scores, write_scores
 from .splitting import Passage, split_document
 from .tokens import TokenEstimator, calibrate
 
@@ -99,6 +100,29 @@ def _read_jsonl(path: Path) -> Iterator[dict]:
 def _write_report(obj: dict, path: Path) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(obj, indent=2, ensure_ascii=False) + "\n", encoding="utf-8")
+
+
+@contextmanager
+def _replacing(out_dir: Path) -> Iterator[Path]:
+    """Yield an empty temporary directory that replaces ``out_dir`` on success.
+
+    A stage that raises leaves ``out_dir`` as it was and no temporary
+    directory behind.
+    """
+    tmp = out_dir.with_name(out_dir.name + ".tmp")
+    old = out_dir.with_name(out_dir.name + ".old")
+    for stale in (tmp, old):
+        shutil.rmtree(stale, ignore_errors=True)
+    tmp.mkdir(parents=True)
+    try:
+        yield tmp
+    except BaseException:
+        shutil.rmtree(tmp, ignore_errors=True)
+        raise
+    if out_dir.exists():
+        out_dir.rename(old)
+    tmp.rename(out_dir)
+    shutil.rmtree(old, ignore_errors=True)
 
 
 def resolve_input_manifest(cfg: PipelineConfig) -> tuple[ShardManifest, Path]:
@@ -366,16 +390,24 @@ def stage_rephrase(cfg: PipelineConfig, *, on_result=None) -> dict:
     return report
 
 
-def _doc_info(cfg: PipelineConfig) -> dict[str, tuple[str, Mapping[str, str]]]:
+def _absent_from_input(cfg: PipelineConfig, doc_ids: set[str]) -> set[str]:
     manifest_in, base_dir = resolve_input_manifest(cfg)
-    return {
-        doc.id: (doc.lang, doc.meta)
-        for doc in iter_corpus(manifest_in, base_dir, cfg.languages)
-    }
+    for doc in iter_corpus(manifest_in, base_dir, cfg.languages):
+        doc_ids.discard(doc.id)
+    return doc_ids
 
 
 def stage_postprocess(cfg: PipelineConfig) -> dict:
-    """Clean completions, filter passages, and reassemble documents."""
+    """Clean completions, filter passages, and reassemble documents.
+
+    Completions come grouped by document in input order, so one walk of
+    the input merge-joins each document with its completions, and each
+    reassembled document goes straight into its shard.  Memory holds one
+    document's completions plus the ids of documents with a failed
+    passage.  Output is written to a temporary directory that replaces
+    ``rephrased/`` only when every completed or failed document was found
+    in the input.
+    """
     started = time.monotonic()
     estimator = load_estimator(cfg)
     registry = cfg.registry()
@@ -388,14 +420,13 @@ def stage_postprocess(cfg: PipelineConfig) -> dict:
     completions_path = rephrase_dir / "completions.jsonl"
     if not completions_path.is_file():
         raise StageError(f"missing completions {completions_path}; run rephrase first")
+    manifest_in, base_dir = resolve_input_manifest(cfg)
 
-    doc_info = _doc_info(cfg)
-    audit: list[dict] = []
     rejection_counts: Counter = Counter()
     doc_drop_counts: Counter = Counter()
-    docs_out: list[Document] = []
     passages_in = 0
     accepted = 0
+    docs_in = 0
 
     def cleaned_stream() -> Iterator[tuple[str, RephraseResult, CleanedPassage]]:
         nonlocal passages_in
@@ -412,92 +443,114 @@ def stage_postprocess(cfg: PipelineConfig) -> dict:
                 completion_prefix=registry.get(result.key.template_id).completion_prefix,
             )
 
-    failed_path = rephrase_dir / "failed.jsonl"
-    failed_docs: set[str] = set()
-    if failed_path.is_file():
-        for obj in _read_jsonl(failed_path):
-            key = JobKey.from_obj(obj["key"])
-            audit.append({"doc_id": key.doc_id, "index": key.index, "reason": AUDIT_INFERENCE_FAILED})
-            failed_docs.add(key.doc_id)
+    with _replacing(cfg.work_dir / "rephrased") as out_dir, (out_dir / "audit.jsonl").open(
+        "w", encoding="utf-8"
+    ) as audit_out:
 
-    processed_docs: set[str] = set()
-    for doc_id, group in itertools.groupby(cleaned_stream(), key=lambda item: item[0]):
-        rows = list(group)
-        processed_docs.add(doc_id)
-        cleaned = [c for _, _, c in rows]
-        for passage in cleaned:
-            if passage.accepted:
-                accepted += 1
-            else:
-                rejection_counts[passage.rejection] += 1
-                audit.append(
-                    {"doc_id": doc_id, "index": passage.index, "reason": passage.rejection}
+        def audit(doc_id: str, index: int | None, reason: str) -> None:
+            record = {"doc_id": doc_id, "index": index, "reason": reason}
+            audit_out.write(json.dumps(record, ensure_ascii=False) + "\n")
+
+        failed_path = rephrase_dir / "failed.jsonl"
+        # Documents with a failed passage not yet met in the input.
+        failed_docs: set[str] = set()
+        if failed_path.is_file():
+            for obj in _read_jsonl(failed_path):
+                key = JobKey.from_obj(obj["key"])
+                audit(key.doc_id, key.index, AUDIT_INFERENCE_FAILED)
+                failed_docs.add(key.doc_id)
+        # Failed documents none of whose passages completed.
+        without_passages: list[str] = []
+
+        def assembled() -> Iterator[Document]:
+            nonlocal accepted, docs_in
+            groups = itertools.groupby(cleaned_stream(), key=lambda item: item[0])
+            head = next(groups, None)
+            for doc in iter_corpus(manifest_in, base_dir, cfg.languages):
+                failed = doc.id in failed_docs
+                failed_docs.discard(doc.id)
+                if head is None or head[0] != doc.id:
+                    if failed:
+                        without_passages.append(doc.id)
+                        docs_in += 1
+                    continue
+                rows = list(head[1])
+                head = next(groups, None)
+                docs_in += 1
+                cleaned = [c for _, _, c in rows]
+                for passage in cleaned:
+                    if passage.accepted:
+                        accepted += 1
+                    else:
+                        rejection_counts[passage.rejection] += 1
+                        audit(doc.id, passage.index, passage.rejection)
+                out, drop_reason = assemble_document(
+                    cleaned,
+                    lang=doc.lang,
+                    meta=doc.meta,
+                    provenance=Provenance.rephrased(
+                        rows[0][1].key.template_id, cfg.backend.model or rows[0][1].model_id
+                    ),
                 )
-        if doc_id not in doc_info:
-            continue
-        lang, meta = doc_info[doc_id]
-        doc, drop_reason = assemble_document(
-            cleaned,
-            lang=lang,
-            meta=meta,
-            provenance=Provenance.rephrased(
-                rows[0][1].key.template_id, cfg.backend.model or rows[0][1].model_id
-            ),
+                if out is None:
+                    doc_drop_counts[drop_reason] += 1
+                    audit(doc.id, None, drop_reason)
+                else:
+                    yield out
+            if head is not None or failed_docs:
+                # Error path only: a second walk names exactly the absent ids.
+                unjoined = set() if head is None else {head[0], *(doc_id for doc_id, _ in groups)}
+                missing = sorted(failed_docs | _absent_from_input(cfg, unjoined))
+                if not missing:
+                    raise StageError(
+                        "input changed since preprocess: its documents are no longer in the "
+                        "order rephrase saw them; rerun from preprocess"
+                    )
+                raise StageError(
+                    f"input changed since preprocess: {len(missing)} document(s) from rephrase "
+                    f"are not in it, e.g. {missing[:5]}; rerun from preprocess"
+                )
+
+        manifest = write_corpus(
+            assembled(),
+            out_dir,
+            stage="rephrased",
+            fingerprint=cfg.fingerprint(),
+            estimator=estimator,
+            shard_size=cfg.shard_size,
         )
-        if doc is None:
-            doc_drop_counts[drop_reason] += 1
-            audit.append({"doc_id": doc_id, "index": None, "reason": drop_reason})
-        else:
-            docs_out.append(doc)
+        # Documents whose every passage failed inference never met a
+        # completion; account for them so input = emitted + dropped.
+        for doc_id in sorted(without_passages):
+            doc_drop_counts[DOC_DROP_NO_PASSAGES] += 1
+            audit(doc_id, None, DOC_DROP_NO_PASSAGES)
 
-    missing = sorted((processed_docs | failed_docs) - doc_info.keys())
-    if missing:
-        raise StageError(
-            f"input changed since preprocess: {len(missing)} document(s) from rephrase "
-            f"are not in it, e.g. {missing[:5]}; rerun from preprocess"
-        )
-
-    # Documents whose every passage failed inference never reach the
-    # groupby above; account for them so input = emitted + dropped.
-    for doc_id in sorted(failed_docs - processed_docs):
-        doc_drop_counts[DOC_DROP_NO_PASSAGES] += 1
-        audit.append({"doc_id": doc_id, "index": None, "reason": DOC_DROP_NO_PASSAGES})
-
-    out_dir = cfg.work_dir / "rephrased"
-    manifest = write_corpus(
-        docs_out,
-        out_dir,
-        stage="rephrased",
-        fingerprint=cfg.fingerprint(),
-        estimator=estimator,
-        shard_size=cfg.shard_size,
-    )
-    _write_jsonl(iter(audit), out_dir / "audit.jsonl")
-
-    docs_in = len({a["doc_id"] for a in audit} | {d.id for d in docs_out})
-    report = {
-        "stage": "postprocess",
-        "regime": regime,
-        "input_docs": docs_in,
-        "emitted_docs": len(docs_out),
-        "dropped_docs": dict(doc_drop_counts),
-        "passages_in": passages_in,
-        "passages_accepted": accepted,
-        "passage_rejections": dict(rejection_counts),
-        "emitted_est_tokens": manifest.total_est_tokens,
-        "seconds": round(time.monotonic() - started, 3),
-    }
-    _write_report(report, out_dir / "report.json")
+        report = {
+            "stage": "postprocess",
+            "regime": regime,
+            "input_docs": docs_in,
+            "emitted_docs": manifest.total_docs,
+            "dropped_docs": dict(doc_drop_counts),
+            "passages_in": passages_in,
+            "passages_accepted": accepted,
+            "passage_rejections": dict(rejection_counts),
+            "emitted_est_tokens": manifest.total_est_tokens,
+            "seconds": round(time.monotonic() - started, 3),
+        }
+        _write_report(report, out_dir / "report.json")
     return report
 
 
 def stage_score(cfg: PipelineConfig, manifest_path: Path | None = None) -> dict:
-    """Score documents with the informative-signal prompt."""
+    """Score documents with the informative-signal prompt.
+
+    Documents stream from the corpus into the request pool, which pulls
+    each one only when a slot is free; memory holds the scores.
+    """
     started = time.monotonic()
     estimator = load_estimator(cfg)
     manifest, base_dir = _select_corpus(cfg, manifest_path)
 
-    docs = list(iter_corpus(manifest, base_dir, cfg.languages))
     backend = make_backend(cfg)
     try:
         scores = pull_map(
@@ -509,7 +562,7 @@ def stage_score(cfg: PipelineConfig, manifest_path: Path | None = None) -> dict:
                 vote_k=cfg.filter.vote_k,
                 backend_cfg=cfg.backend,
             ),
-            docs,
+            iter_corpus(manifest, base_dir, cfg.languages),
             cfg.backend.max_in_flight,
         )
     finally:
@@ -552,7 +605,12 @@ def stage_filter(
     manifest_path: Path | None = None,
     threshold: float | None = None,
 ) -> dict:
-    """Keep documents scoring strictly above the threshold."""
+    """Keep documents scoring strictly above the threshold.
+
+    Kept documents stream into a temporary directory that replaces
+    ``filtered/`` only when every document had a score, so a refused run
+    leaves ``filtered/`` as it was; memory holds the score table.
+    """
     started = time.monotonic()
     estimator = load_estimator(cfg)
     manifest, base_dir = _select_corpus(cfg, manifest_path)
@@ -568,26 +626,24 @@ def stage_filter(
         # resulting error names every unscored document.
         scores = ingest_external_scores(scores_path) if scores_path.is_file() else {}
 
-    docs = iter_corpus(manifest, base_dir, cfg.languages)
-    kept, filter_report = threshold_filter(docs, scores, threshold, estimator)
-
-    out_dir = cfg.work_dir / "filtered"
-    out_manifest = write_corpus(
-        kept,
-        out_dir,
-        stage="filtered",
-        fingerprint=cfg.fingerprint(),
-        estimator=estimator,
-        shard_size=cfg.shard_size,
-    )
-    report = {
-        "stage": "filter",
-        "scorer": cfg.filter.scorer,
-        **filter_report.to_obj(),
-        "emitted_est_tokens": out_manifest.total_est_tokens,
-        "seconds": round(time.monotonic() - started, 3),
-    }
-    _write_report(report, out_dir / "report.json")
+    kept = ThresholdFilter(iter_corpus(manifest, base_dir, cfg.languages), scores, threshold, estimator)
+    with _replacing(cfg.work_dir / "filtered") as out_dir:
+        out_manifest = write_corpus(
+            kept,
+            out_dir,
+            stage="filtered",
+            fingerprint=cfg.fingerprint(),
+            estimator=estimator,
+            shard_size=cfg.shard_size,
+        )
+        report = {
+            "stage": "filter",
+            "scorer": cfg.filter.scorer,
+            **kept.report.to_obj(),
+            "emitted_est_tokens": out_manifest.total_est_tokens,
+            "seconds": round(time.monotonic() - started, 3),
+        }
+        _write_report(report, out_dir / "report.json")
     return report
 
 

@@ -13,7 +13,7 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .corpus import Document
 from .inference import (
@@ -171,37 +171,58 @@ class FilterReport:
         }
 
 
+class ThresholdFilter:
+    """Stream the documents whose score is strictly greater than the threshold.
+
+    Iterating yields the kept documents in input order and holds none of
+    them.  Every document must have a score: once the input is exhausted,
+    missing ids abort with ``MissingScoresError`` listing all of them, so
+    the operator can re-queue them; otherwise ``report`` holds the counts.
+    """
+
+    def __init__(
+        self,
+        docs: Iterable[Document],
+        scores: Mapping[str, float],
+        threshold: float,
+        estimator: TokenEstimator | None = None,
+    ):
+        self.docs = docs
+        self.scores = scores
+        self.threshold = threshold
+        self.estimator = estimator or TokenEstimator()
+        self.report: FilterReport | None = None
+
+    def __iter__(self) -> Iterator[Document]:
+        missing: list[str] = []
+        kept = dropped = 0
+        kept_tokens = dropped_tokens = 0.0
+        for doc in self.docs:
+            score = self.scores.get(doc.id)
+            if score is None:
+                missing.append(doc.id)
+                continue
+            if score > self.threshold:
+                kept += 1
+                kept_tokens += self.estimator.estimate_text(doc.text, doc.lang)
+                yield doc
+            else:
+                dropped += 1
+                dropped_tokens += self.estimator.estimate_text(doc.text, doc.lang)
+        if missing:
+            raise MissingScoresError(missing)
+        self.report = FilterReport(self.threshold, kept, dropped, kept_tokens, dropped_tokens)
+
+
 def threshold_filter(
     docs: Iterable[Document],
     scores: Mapping[str, float],
     threshold: float,
     estimator: TokenEstimator | None = None,
 ) -> tuple[list[Document], FilterReport]:
-    """Keep documents whose score is strictly greater than the threshold.
-
-    Every document must have a score; missing ids abort with the full
-    list so the operator can re-queue them.
-    """
-    est = estimator or TokenEstimator()
-    kept: list[Document] = []
-    missing: list[str] = []
-    n_dropped = 0
-    kept_tokens = 0.0
-    dropped_tokens = 0.0
-    for doc in docs:
-        score = scores.get(doc.id)
-        if score is None:
-            missing.append(doc.id)
-            continue
-        if score > threshold:
-            kept.append(doc)
-            kept_tokens += est.estimate_text(doc.text, doc.lang)
-        else:
-            n_dropped += 1
-            dropped_tokens += est.estimate_text(doc.text, doc.lang)
-    if missing:
-        raise MissingScoresError(missing)
-    return kept, FilterReport(threshold, len(kept), n_dropped, kept_tokens, dropped_tokens)
+    """``ThresholdFilter`` collected into a list, with its report."""
+    kept = ThresholdFilter(docs, scores, threshold, estimator)
+    return list(kept), kept.report
 
 
 def write_scores(scores: Iterable[ScoredDocument], path: Path | str) -> int:

@@ -39,6 +39,28 @@ class TestExitCodes:
         assert run(["preprocess", "-c", bad]) == 1
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "config_text",
+        [
+            "template: nope\n",
+            "template: {en: qa_opt_en, de: nope, es: qa_opt_es, it: qa_opt_it}\n",
+        ],
+        ids=["single", "per_language"],
+    )
+    def test_unknown_template_exits_1(self, tmp_path, capsys, config_text):
+        config = tmp_path / "config.yaml"
+        config.write_text(config_text, encoding="utf-8")
+        assert run(["preprocess", "-c", config]) == 1
+        assert "config error: " in capsys.readouterr().err
+
+    def test_missing_custom_template_file_exits_1(self, tmp_path, capsys):
+        config = tmp_path / "config.yaml"
+        config.write_text("custom_templates: [{id: c, file: missing.txt}]\n", encoding="utf-8")
+        assert run(["preprocess", "-c", config]) == 1
+        err = capsys.readouterr().err
+        assert "config error: custom template 'c'" in err
+        assert "missing.txt" in err
+
     def test_missing_stage_input_exits_2(self, tmp_path, capsys):
         path = write_fixture_config(tmp_path, make_docs(3))
         assert run(["rephrase", "-c", path]) == 2

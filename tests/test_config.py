@@ -146,6 +146,32 @@ def test_custom_template_loaded_and_fingerprinted(tmp_path):
     assert load_config(path).fingerprint() != fingerprint
 
 
+def test_missing_custom_template_file_is_a_config_error(tmp_path):
+    path = write_fixture_config(
+        tmp_path, make_docs(3), extra={"custom_templates": [{"id": "c", "file": "missing.txt"}]}
+    )
+    with pytest.raises(ConfigError, match="custom template 'c'") as exc_info:
+        load_config(path)
+    assert str(tmp_path / "missing.txt") in str(exc_info.value)
+
+
+@pytest.mark.parametrize(
+    "template",
+    ["nope", {"en": "qa_opt_en", "de": "nope", "es": "qa_opt_es", "it": "qa_opt_it"}],
+    ids=["single", "per_language"],
+)
+def test_unknown_template_is_a_config_error(tmp_path, template):
+    path = write_fixture_config(tmp_path, make_docs(3), extra={"template": template})
+    with pytest.raises(ConfigError, match="unknown template 'nope'"):
+        load_config(path)
+
+
+def test_shard_size_below_one_refused(tmp_path):
+    path = write_fixture_config(tmp_path, make_docs(3), extra={"shard_size": 0})
+    with pytest.raises(ConfigError, match="shard_size must be at least 1"):
+        load_config(path)
+
+
 def test_custom_template_stop_override(tmp_path):
     template_file = tmp_path / "c.txt"
     template_file.write_text("X {text} Y\n<text>", encoding="utf-8")

@@ -14,6 +14,7 @@ from rephrasing.corpus import (
     doc_to_json,
     iter_corpus,
     load_shard,
+    read_document_at,
     stats_table,
     stats_to_obj,
     write_corpus,
@@ -122,6 +123,51 @@ class TestManifest:
         assert manifest.total_docs == 0
         assert len(manifest.shards) == 1
 
+
+    def test_write_corpus_streams_into_open_shard(self, tmp_path):
+        written = []
+
+        def stream():
+            for doc in make_docs(6):
+                # Everything pulled before this document is already in a
+                # shard file or in the open one, never held back.
+                written.append(sum(1 for _ in tmp_path.glob("shard-*.jsonl")))
+                yield doc
+
+        manifest = write_corpus(stream(), tmp_path, stage="input", fingerprint="fp", shard_size=3)
+        # Six documents at three a shard: two shards, no empty third one.
+        assert [s.docs for s in manifest.shards] == [3, 3]
+        assert written == [0, 1, 1, 1, 2, 2]
+
+    def test_stream_error_leaves_no_manifest_and_no_open_shard(self, tmp_path):
+        def stream():
+            yield from make_docs(4)
+            raise CorpusError("broken input")
+
+        with pytest.raises(CorpusError, match="broken input"):
+            write_corpus(stream(), tmp_path, stage="input", fingerprint="fp", shard_size=3)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["shard-00000.jsonl"]
+
+    def test_duplicate_id_within_shard_aborts(self, tmp_path):
+        docs = make_docs(2)
+        with pytest.raises(CorpusError, match="duplicate document id"):
+            write_corpus(docs + docs, tmp_path, stage="input", fingerprint="fp", shard_size=10)
+        assert not (tmp_path / "manifest.json").exists()
+
+
+class TestReadByOffset:
+    def test_offsets_read_back_every_document(self, tmp_path):
+        docs = make_docs(5)
+        path = tmp_path / "s.jsonl"
+        # One Windows line ending in the middle.
+        lines = [doc_to_json(d) + "\n" for d in docs]
+        lines[2] = lines[2][:-1] + "\r\n"
+        path.write_bytes("".join(lines).encode("utf-8"))
+        spans = list(load_shard(path).located())
+        assert [doc for _, _, doc in spans] == list(load_shard(path)) == docs
+        with path.open("rb", buffering=0) as handle:
+            for offset, length, doc in reversed(spans):
+                assert read_document_at(handle, offset, length) == doc
 
 class TestStats:
     def test_one_doc_400_chars_ratio_quarter(self, tmp_path, quarter_estimator):

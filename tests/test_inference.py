@@ -24,6 +24,7 @@ from rephrasing.inference import (
     RephraseJob,
     RephraseResult,
     load_checkpoint,
+    pull_map,
     resume,
     run_batch,
     schedule,
@@ -196,6 +197,93 @@ class TestRunBatch:
         assert 1 < backend.peak <= cfg.max_in_flight
         assert max(overlaps) == 1
         assert len(seen) == 64
+        assert threading.active_count() == threads_before
+
+
+class TestPullMapOverIterator:
+    """pull_map pulls from a plain iterator lazily, under its lock."""
+
+    def test_results_in_item_order(self):
+        # More workers than cores and a short switch interval, so pulls
+        # and result writes interleave as much as they can.
+        calls = []
+
+        def fn(i):
+            calls.append(i)
+            time.sleep(0.0001 * (i % 3))
+            return i * 10
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            results = pull_map(fn, iter(range(2000)), 32)
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == [i * 10 for i in range(2000)]
+        assert sorted(calls) == list(range(2000))
+
+    def test_at_most_max_workers_taken_and_unfinished(self):
+        lock = threading.Lock()
+        unfinished = 0
+        peak = 0
+
+        def items():
+            nonlocal unfinished, peak
+            for i in range(60):
+                with lock:
+                    unfinished += 1
+                    peak = max(peak, unfinished)
+                yield i
+
+        def fn(i):
+            nonlocal unfinished
+            time.sleep(0.001)
+            with lock:
+                unfinished -= 1
+            return i
+
+        assert pull_map(fn, items(), 4) == list(range(60))
+        assert 1 < peak <= 4
+
+    def test_nothing_pulled_after_first_error(self):
+        pulled = []
+
+        def items():
+            for i in range(100):
+                pulled.append(i)
+                yield i
+
+        def fn(i):
+            if i == 2:
+                raise ValueError("boom")
+            # The other two workers finish well after the error is recorded.
+            time.sleep(0.2)
+            return i
+
+        threads_before = threading.active_count()
+        with pytest.raises(ValueError, match="boom"):
+            pull_map(fn, items(), 3)
+        assert pulled == [0, 1, 2]
+        assert threading.active_count() == threads_before
+
+    def test_iterator_error_stops_pool_and_is_reraised(self):
+        class ShardBroken(Exception):
+            pass
+
+        done = []
+
+        def items():
+            yield from range(5)
+            raise ShardBroken("bad line")
+
+        def fn(i):
+            done.append(i)
+            return i
+
+        threads_before = threading.active_count()
+        with pytest.raises(ShardBroken, match="bad line"):
+            pull_map(fn, items(), 3, on_done=lambda result: None)
+        assert sorted(done) == list(range(5))
         assert threading.active_count() == threads_before
 
 

@@ -19,7 +19,7 @@ from rephrasing.pipeline import (
     stage_stats,
 )
 from rephrasing.inference import BackendError, CompletionBackend
-from rephrasing.quality import MissingScoresError
+from rephrasing.quality import MissingScoresError, ingest_external_scores
 
 from conftest import QA_LEGACY_RULES, make_docs, write_fixture_config
 
@@ -250,6 +250,64 @@ class TestStreamingRephrase:
             stage_rephrase(cfg)
 
 
+def corpus_bytes(out_dir) -> bytes:
+    """Every shard of a stage output, concatenated in manifest order."""
+    manifest = ShardManifest.load(out_dir / "manifest.json")
+    return b"".join(path.read_bytes() for path in manifest.shard_paths(out_dir))
+
+
+def report_without_seconds(path) -> dict:
+    report = json.loads(path.read_text(encoding="utf-8"))
+    report.pop("seconds")
+    return report
+
+
+class TestStreamingStages:
+    """Postprocess, filter and mix write the same documents at any shard size."""
+
+    def test_shard_size_leaves_outputs_byte_identical(self, tmp_path, backends):
+        docs = make_docs(40, seed=21)
+        outputs = []
+        for shard_size in (3, 10_000):
+            name = f"work_{shard_size}"
+            sources = [("original", "input", 1.0), ("rephrased", f"{name}/rephrased", 2.0)]
+            sources.append(("filtered", f"{name}/filtered", 1.0))
+            mix = {
+                "unit": "tokens",
+                # Large enough to draw every source more than once.
+                "target": 200_000.0,
+                "sources": [
+                    {"name": source, "manifest": f"{directory}/manifest.json", "weight": weight}
+                    for source, directory, weight in sources
+                ],
+            }
+            path = write_fixture_config(
+                tmp_path,
+                docs,
+                extra={"shard_size": shard_size, "work_dir": name, "mix": mix},
+                name=f"{name}.yaml",
+            )
+            reports = run_all(load_config(path))
+            assert reports["rephrase"]["failed"] > 0
+            assert all(row["full_passes"] > 0 for row in reports["mix"]["per_source"].values())
+            work = tmp_path / name
+            stages = ("rephrased", "filtered", "mixed")
+            if shard_size == 3:
+                assert all(len(list((work / stage).glob("shard-*.jsonl"))) > 1 for stage in stages)
+            outputs.append(
+                {
+                    **{stage: corpus_bytes(work / stage) for stage in stages},
+                    **{
+                        f"{stage} report": report_without_seconds(work / stage / "report.json")
+                        for stage in stages
+                    },
+                    "audit": (work / "rephrased" / "audit.jsonl").read_bytes(),
+                    "scores": (work / "scores" / "scores.jsonl").read_bytes(),
+                }
+            )
+        assert outputs[0] == outputs[1]
+
+
 class TestBackendClosed:
     def test_rephrase_and_score_close_their_backend(self, cfg, backends):
         stage_preprocess(cfg)
@@ -311,6 +369,23 @@ class TestPostprocess:
         assert f"{len(german)} document(s)" in str(exc_info.value)
         assert german[0] in str(exc_info.value)
         assert not (cfg.work_dir / "rephrased" / "manifest.json").exists()
+
+    def test_reordered_input_refused_leaving_output(self, tmp_path):
+        docs = make_docs(20, seed=7)
+        cfg = load_config(write_fixture_config(tmp_path, docs))
+        stage_preprocess(cfg)
+        stage_rephrase(cfg)
+        stage_postprocess(cfg)
+        rephrased = cfg.work_dir / "rephrased"
+        before = {path.name: path.read_bytes() for path in rephrased.iterdir()}
+        # Same documents, reversed: the merge join cannot follow it.
+        for path in (tmp_path / "input").iterdir():
+            path.unlink()
+        write_corpus(docs[::-1], tmp_path / "input", stage="input", fingerprint="input")
+        with pytest.raises(StageError, match="no longer in the order"):
+            stage_postprocess(cfg)
+        assert {path.name: path.read_bytes() for path in rephrased.iterdir()} == before
+        assert not (cfg.work_dir / "rephrased.tmp").exists()
 
     def test_legacy_regime_end_to_end(self, tmp_path):
         path = write_fixture_config(
@@ -400,20 +475,37 @@ class TestScoreAndFilter:
     def test_filter_keeps_strictly_above(self, cfg):
         stage_preprocess(cfg)
         stage_rephrase(cfg)
-        stage_postprocess(cfg)
+        post = stage_postprocess(cfg)
         stage_score(cfg)
         report = stage_filter(cfg)
-        assert report["kept"] + report["dropped"] == report["kept"] + report["dropped"]
+        assert report["kept"] > 0 and report["dropped"] > 0
+        assert report["kept"] + report["dropped"] == post["emitted_docs"]
         manifest = ShardManifest.load(cfg.work_dir / "filtered" / "manifest.json")
         assert manifest.total_docs == report["kept"]
+        scores = ingest_external_scores(cfg.work_dir / "scores" / "scores.jsonl")
+        kept = list(iter_corpus(manifest, cfg.work_dir / "filtered"))
+        assert len(kept) == report["kept"]
+        assert all(scores[doc.id] > report["threshold"] for doc in kept)
 
     def test_filter_without_scores_lists_missing_ids(self, cfg):
         stage_preprocess(cfg)
         stage_rephrase(cfg)
         stage_postprocess(cfg)
+        stage_score(cfg)
+        stage_filter(cfg)
+        filtered = cfg.work_dir / "filtered"
+        before = {path.name: path.read_bytes() for path in filtered.iterdir()}
+        (cfg.work_dir / "scores" / "scores.jsonl").unlink()
         with pytest.raises(MissingScoresError) as exc_info:
             stage_filter(cfg)
-        assert exc_info.value.doc_ids
+        rephrased = ShardManifest.load(cfg.work_dir / "rephrased" / "manifest.json")
+        ids = [doc.id for doc in iter_corpus(rephrased, cfg.work_dir / "rephrased")]
+        assert ids and exc_info.value.doc_ids == ids
+        # The refused run leaves the earlier output as it was.
+        assert {path.name: path.read_bytes() for path in filtered.iterdir()} == before
+        assert sorted(path.name for path in cfg.work_dir.iterdir() if "filtered" in path.name) == [
+            "filtered"
+        ]
 
     def test_external_scorer(self, tmp_path):
         docs = make_docs(6, seed=1)
