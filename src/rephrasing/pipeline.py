@@ -102,6 +102,14 @@ def _write_report(obj: dict, path: Path) -> None:
     path.write_text(json.dumps(obj, indent=2, ensure_ascii=False) + "\n", encoding="utf-8")
 
 
+def _restore(out_dir: Path) -> None:
+    """Put back an output that a run stopped between the two renames of
+    ``_replacing`` left only as ``<out_dir>.old``."""
+    old = out_dir.with_name(out_dir.name + ".old")
+    if old.is_dir() and not out_dir.exists():
+        old.rename(out_dir)
+
+
 @contextmanager
 def _replacing(out_dir: Path) -> Iterator[Path]:
     """Yield an empty temporary directory that replaces ``out_dir`` on success.
@@ -109,6 +117,7 @@ def _replacing(out_dir: Path) -> Iterator[Path]:
     A stage that raises leaves ``out_dir`` as it was and no temporary
     directory behind.
     """
+    _restore(out_dir)
     tmp = out_dir.with_name(out_dir.name + ".tmp")
     old = out_dir.with_name(out_dir.name + ".old")
     for stale in (tmp, old):
@@ -545,11 +554,14 @@ def stage_score(cfg: PipelineConfig, manifest_path: Path | None = None) -> dict:
     """Score documents with the informative-signal prompt.
 
     Documents stream from the corpus into the request pool, which pulls
-    each one only when a slot is free; memory holds the scores.
+    each one only when a slot is free; memory holds the scores.  The
+    corpus is checked in full before the first request, so a bad line
+    late in it costs no paid request.
     """
     started = time.monotonic()
     estimator = load_estimator(cfg)
     manifest, base_dir = _select_corpus(cfg, manifest_path)
+    manifest.verify(base_dir, cfg.languages)
 
     backend = make_backend(cfg)
     try:
@@ -594,6 +606,7 @@ def _select_corpus(
         if not manifest_path.is_file():
             raise StageError(f"manifest not found: {manifest_path}")
         return ShardManifest.load(manifest_path), manifest_path.parent
+    _restore(cfg.work_dir / "rephrased")
     rephrased = cfg.work_dir / "rephrased" / "manifest.json"
     if rephrased.is_file():
         return _require_manifest(rephrased, cfg, "rephrased"), rephrased.parent
@@ -661,22 +674,24 @@ def stage_mix(cfg: PipelineConfig) -> dict:
         target=cfg.mix.target,
         seed=cfg.seed if cfg.mix.seed is None else cfg.mix.seed,
     )
-    manifest, mix_report = execute_mix(
-        spec,
-        cfg.work_dir / "mixed",
-        fingerprint=cfg.fingerprint(),
-        estimator=estimator,
-        shard_size=cfg.shard_size,
-        languages=None,
-    )
-    report = {
-        "stage": "mix",
-        **mix_report.to_obj(),
-        "docs": manifest.total_docs,
-        "est_tokens": manifest.total_est_tokens,
-        "seconds": round(time.monotonic() - started, 3),
-    }
-    _write_report(report, cfg.work_dir / "mixed" / "report.json")
+    # A source may be an earlier mix in mixed/, which is read until the end.
+    with _replacing(cfg.work_dir / "mixed") as out_dir:
+        manifest, mix_report = execute_mix(
+            spec,
+            out_dir,
+            fingerprint=cfg.fingerprint(),
+            estimator=estimator,
+            shard_size=cfg.shard_size,
+            languages=None,
+        )
+        report = {
+            "stage": "mix",
+            **mix_report.to_obj(),
+            "docs": manifest.total_docs,
+            "est_tokens": manifest.total_est_tokens,
+            "seconds": round(time.monotonic() - started, 3),
+        }
+        _write_report(report, out_dir / "report.json")
     return {**report, "table": mix_report.table()}
 
 
@@ -703,6 +718,7 @@ def stage_stats(cfg: PipelineConfig) -> dict:
         except StageError:
             pass
         for name in ("rephrased", "filtered", "mixed"):
+            _restore(cfg.work_dir / name)
             path = cfg.work_dir / name / "manifest.json"
             if path.is_file():
                 manifest = ShardManifest.load(path)

@@ -106,6 +106,13 @@ class TestPlanMix:
 
 
 class TestExecuteMix:
+    def test_source_in_output_directory_refused(self, tmp_path):
+        spec = MixSpec(sources=(make_source(tmp_path, "a", 10), make_source(tmp_path, "b", 10)))
+        before = (tmp_path / "b" / "shard-00000.jsonl").read_bytes()
+        with pytest.raises(MixError, match="'b' is in the output directory"):
+            execute_mix(spec, tmp_path / "b", estimator=EST)
+        assert (tmp_path / "b" / "shard-00000.jsonl").read_bytes() == before
+
     def test_one_to_one_ratio_within_one_percent(self, tmp_path):
         # Subset sampling on both sides: target below both sizes.
         spec = MixSpec(

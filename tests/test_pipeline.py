@@ -1,12 +1,13 @@
 from __future__ import annotations
 
 import json
+import shutil
 
 import pytest
 
-from rephrasing import pipeline
+from rephrasing import mixing, pipeline
 from rephrasing.config import load_config
-from rephrasing.corpus import ShardManifest, iter_corpus, write_corpus
+from rephrasing.corpus import CorpusError, ShardManifest, iter_corpus, write_corpus
 from rephrasing.pipeline import (
     StageError,
     run_all,
@@ -35,18 +36,22 @@ class _Stop(Exception):
 
 class _SpyBackend(CompletionBackend):
     """Wraps the configured backend, fails every prompt whose length is a
-    multiple of 7 for good, and records whether it was closed."""
+    multiple of 7 for good, and records its requests and whether it was
+    closed."""
 
     def __init__(self, inner: CompletionBackend):
         self.inner = inner
+        self.requests = 0
         self.closed = False
 
     def complete(self, prompt, **kwargs):
+        self.requests += 1
         if len(prompt) % 7 == 0:
             raise BackendError("scripted permanent failure")
         return self.inner.complete(prompt, **kwargs)
 
     def option_logprobs(self, prompt, options):
+        self.requests += 1
         return self.inner.option_logprobs(prompt, options)
 
     def close(self):
@@ -507,6 +512,49 @@ class TestScoreAndFilter:
             "filtered"
         ]
 
+    @pytest.mark.parametrize(
+        "bad_line",
+        ["not json", json.dumps({"id": "late-fr", "text": "Bonjour.", "lang": "fr"})],
+        ids=["malformed", "unknown_language"],
+    )
+    def test_bad_line_in_last_shard_refused_before_any_request(self, tmp_path, backends, bad_line):
+        cfg = load_config(
+            write_fixture_config(tmp_path, make_docs(20, seed=7), extra={"shard_size": 4})
+        )
+        stage_preprocess(cfg)
+        stage_rephrase(cfg)
+        stage_postprocess(cfg)
+        rephrased = cfg.work_dir / "rephrased"
+        shards = ShardManifest.load(rephrased / "manifest.json").shard_paths(rephrased)
+        assert len(shards) > 1
+        with shards[-1].open("a", encoding="utf-8") as handle:
+            handle.write(bad_line + "\n")
+        with pytest.raises(CorpusError, match=shards[-1].name):
+            stage_score(cfg)
+        assert backends[0].requests > 0
+        assert sum(backend.requests for backend in backends[1:]) == 0
+        assert not (cfg.work_dir / "scores").exists()
+
+    def test_score_and_filter_restore_output_left_as_old(self, cfg):
+        stage_preprocess(cfg)
+        stage_rephrase(cfg)
+        post = stage_postprocess(cfg)
+        stage_score(cfg)
+        stage_filter(cfg)
+        work = cfg.work_dir
+        filtered = {path.name: path.read_bytes() for path in (work / "filtered").iterdir()}
+        # A run stopped between the two renames of the directory swap.
+        for name in ("rephrased", "filtered"):
+            (work / name).rename(work / f"{name}.old")
+        # Score puts the rephrased corpus back and reads it, not the input.
+        assert stage_score(cfg)["docs"] == post["emitted_docs"]
+        assert (work / "rephrased" / "manifest.json").is_file()
+        (work / "scores" / "scores.jsonl").unlink()
+        with pytest.raises(MissingScoresError):
+            stage_filter(cfg)
+        assert {path.name: path.read_bytes() for path in (work / "filtered").iterdir()} == filtered
+        assert not list(work.glob("*.old")) and not list(work.glob("*.tmp"))
+
     def test_external_scorer(self, tmp_path):
         docs = make_docs(6, seed=1)
         scores_path = tmp_path / "fwe.jsonl"
@@ -561,6 +609,81 @@ class TestMixAndStats:
         assert set(report["per_source"]) == {"original", "rephrased"}
         manifest = ShardManifest.load(cfg.work_dir / "mixed" / "manifest.json")
         assert manifest.total_docs == sum(r["docs"] for r in report["per_source"].values())
+
+    def test_remix_of_earlier_mix_in_place(self, tmp_path):
+        def mix_config(name, sources):
+            mix = {
+                "unit": "tokens",
+                "sources": [
+                    {"name": source, "manifest": manifest, "weight": 1.0}
+                    for source, manifest in sources
+                ],
+            }
+            return load_config(
+                write_fixture_config(
+                    tmp_path, make_docs(30, seed=3), extra={"shard_size": 4, "mix": mix}, name=name
+                )
+            )
+
+        cfg = mix_config(
+            "first.yaml",
+            [("original", "input/manifest.json"), ("rephrased", "work/rephrased/manifest.json")],
+        )
+        stage_preprocess(cfg)
+        stage_rephrase(cfg)
+        stage_postprocess(cfg)
+        stage_mix(cfg)
+        mixed = cfg.work_dir / "mixed"
+        shutil.copytree(mixed, tmp_path / "earlier")
+        # Mixing the earlier mix from a copy gives the expected shards ...
+        from_copy = mix_config(
+            "copy.yaml", [("original", "input/manifest.json"), ("earlier", "earlier/manifest.json")]
+        )
+        expected = stage_mix(from_copy)
+        expected_bytes = corpus_bytes(mixed)
+        shutil.rmtree(mixed)
+        shutil.copytree(tmp_path / "earlier", mixed)
+        # ... and mixing it from mixed/, which the output replaces, gives the same.
+        in_place = mix_config(
+            "in_place.yaml",
+            [("original", "input/manifest.json"), ("earlier", "work/mixed/manifest.json")],
+        )
+        report = stage_mix(in_place)
+        assert corpus_bytes(mixed) == expected_bytes
+        assert report["per_source"] == expected["per_source"]
+        assert len(ShardManifest.load(mixed / "manifest.json").shards) > 1
+
+    def test_failed_mix_leaves_earlier_output(self, tmp_path, monkeypatch):
+        mix = {
+            "unit": "documents",
+            "sources": [
+                {"name": "original", "manifest": "input/manifest.json", "weight": 1.0},
+                {"name": "rephrased", "manifest": "work/rephrased/manifest.json", "weight": 1.0},
+            ],
+        }
+        cfg = load_config(write_fixture_config(tmp_path, make_docs(20, seed=5), extra={"mix": mix}))
+        stage_preprocess(cfg)
+        stage_rephrase(cfg)
+        stage_postprocess(cfg)
+        stage_mix(cfg)
+        mixed = cfg.work_dir / "mixed"
+        before = {path.name: path.read_bytes() for path in mixed.iterdir()}
+        read_document_at = mixing.read_document_at
+        reads = 0
+
+        def fail_on_fifth_read(*args):
+            nonlocal reads
+            reads += 1
+            if reads == 5:
+                raise OSError("scripted read failure")
+            return read_document_at(*args)
+
+        # The mix fails while it writes its shards.
+        monkeypatch.setattr(mixing, "read_document_at", fail_on_fifth_read)
+        with pytest.raises(OSError, match="scripted"):
+            stage_mix(cfg)
+        assert {path.name: path.read_bytes() for path in mixed.iterdir()} == before
+        assert not (cfg.work_dir / "mixed.tmp").exists()
 
     def test_stats_table_and_reconciliation(self, cfg):
         stage_preprocess(cfg)
