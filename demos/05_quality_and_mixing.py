@@ -13,7 +13,7 @@ from pathlib import Path
 from rephrasing.corpus import Document, write_corpus
 from rephrasing.inference import MockBackend
 from rephrasing.mixing import MixSource, MixSpec, execute_mix, plan_mix
-from rephrasing.quality import askllm_score, threshold_filter
+from rephrasing.quality import askllm_score, askllm_score_first, threshold_filter
 from rephrasing.tokens import TokenEstimator
 
 est = TokenEstimator(tokens_per_char=0.25, calibrated=True)
@@ -29,9 +29,12 @@ docs = [
     Document("sci", "An essay on astronomy and stellar lifecycles. " * 5, "en"),
     Document("spam", "buy now limited offer click here but also " * 5, "en"),
 ]
+# The first document fixes the scorer (log-probabilities here, votes on
+# a backend without them); every later document is scored the same way.
+first = askllm_score_first(docs[0], backend, est, model_id="demo")
 scores = {}
 for doc in docs:
-    scored = askllm_score(doc, backend, est, model_id="demo")
+    scored = first if doc is docs[0] else askllm_score(doc, backend, est, scorer=first.scorer)
     scores[doc.id] = scored.score
     print(f"{doc.id:5} score {scored.score:.3f}  ({scored.scorer})")
 

@@ -39,7 +39,13 @@ from .postprocess import (
     filter_verdict,
 )
 from .prompts import PromptTemplate, RenderedPrompt, TemplateRegistry, list_templates, render
-from .quality import ScoredDocument, askllm_score, score_from_logprobs, threshold_filter
+from .quality import (
+    ScoredDocument,
+    askllm_score,
+    askllm_score_first,
+    score_from_logprobs,
+    threshold_filter,
+)
 from .splitting import Passage, SplitConfig, merge_chunks, split_document
 from .tokens import TokenEstimator, calibrate
 

@@ -27,6 +27,7 @@ import yaml
 
 from .corpus import DEFAULT_LANGUAGES
 from .inference import BackendConfig, parse_endpoint
+from .mixing import UNIT_DOCUMENTS, UNIT_TOKENS
 from .prompts import (
     EOS_BY_FRAMING,
     LEGACY,
@@ -37,6 +38,7 @@ from .prompts import (
     TemplateRegistry,
     default_stop,
 )
+from .quality import SCORER_ASK_LLM, SCORER_EXTERNAL
 from .splitting import SplitConfig
 from .tokens import DEFAULT_SAMPLE_SIZE, DEFAULT_TOKENS_PER_CHAR
 
@@ -184,6 +186,23 @@ class PipelineConfig:
                 )
         if self.shard_size < 1:
             raise ConfigError(f"shard_size must be at least 1, got {self.shard_size}")
+        choices = [("filter.scorer", self.filter.scorer, (SCORER_ASK_LLM, SCORER_EXTERNAL))]
+        if self.mix is not None:
+            choices.append(("mix.unit", self.mix.unit, (UNIT_TOKENS, UNIT_DOCUMENTS)))
+        for key, value, allowed in choices:
+            if value not in allowed:
+                raise ConfigError(f"{key}: expected one of {list(allowed)}, got {value!r}")
+        for key, value in (
+            ("filter.vote_k", self.filter.vote_k),
+            ("estimator.sample_size", self.estimator.sample_size),
+        ):
+            if value < 1:
+                raise ConfigError(f"{key}: must be at least 1, got {value}")
+        if self.filter.scorer == SCORER_EXTERNAL and self.filter.external_scores is None:
+            raise ConfigError("filter.external_scores: required when filter.scorer is external")
+        for i, source in enumerate(self.mix.sources if self.mix else ()):
+            if source.weight <= 0:
+                raise ConfigError(f"mix.sources[{i}].weight: must be above 0, got {source.weight}")
         if self.backend_kind not in ("mock", "http"):
             raise ConfigError(f"unknown backend kind {self.backend_kind!r}")
         if self.backend_kind == "http" and not self.backend.endpoint:

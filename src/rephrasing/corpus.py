@@ -8,6 +8,7 @@ units of work and every type here is immutable after construction.
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import json
 from dataclasses import dataclass, field
@@ -292,8 +293,13 @@ class ShardManifest:
         base = Path(base_dir)
         return [base / s.path for s in self.shards]
 
-    def verify(self, base_dir: Path | str, languages: Sequence[str] | None = DEFAULT_LANGUAGES) -> None:
-        """Check that every listed shard exists, parses, and matches its count."""
+    def verify(self, base_dir: Path | str, languages: Sequence[str] | None = DEFAULT_LANGUAGES) -> str:
+        """Check that every listed shard exists, parses, and matches its count.
+
+        Returns the sha256 of the shards' bytes in manifest order, which
+        names the corpus's content.
+        """
+        digest = hashlib.sha256()
         for entry, path in zip(self.shards, self.shard_paths(base_dir)):
             reader = load_shard(path, languages)
             n = sum(1 for _ in reader)
@@ -301,6 +307,11 @@ class ShardManifest:
                 raise CorpusError(f"shard {path}: {reader.summary()}")
             if n != entry.docs:
                 raise CorpusError(f"shard {path}: has {n} docs, manifest says {entry.docs}")
+            # Line by line, so the hash holds no more than the parse did.
+            with path.open("rb") as handle:
+                for line in handle:
+                    digest.update(line)
+        return digest.hexdigest()
 
 
 def write_corpus(
@@ -311,7 +322,6 @@ def write_corpus(
     fingerprint: str,
     estimator: TokenEstimator | None = None,
     shard_size: int = 50_000,
-    basename: str = "shard",
 ) -> ShardManifest:
     """Write a document stream as size-bounded shards plus a manifest.
 
@@ -331,7 +341,7 @@ def write_corpus(
     head = next(stream, None)
     while head is not None or not manifest.shards:
         shard = () if head is None else itertools.islice(itertools.chain((head,), stream), shard_size)
-        path = out_dir / f"{basename}-{len(manifest.shards):05d}.jsonl"
+        path = out_dir / f"shard-{len(manifest.shards):05d}.jsonl"
         manifest.shards.append(write_shard(shard, path, estimator))
         head = next(stream, None)
     manifest.save(out_dir / "manifest.json")
@@ -342,14 +352,13 @@ def iter_corpus(
     manifest: ShardManifest,
     base_dir: Path | str,
     languages: Sequence[str] | None = DEFAULT_LANGUAGES,
-    *,
-    strict: bool = True,
 ) -> Iterator[Document]:
-    """Stream every document of a manifest in shard order."""
+    """Stream every document of a manifest in shard order; a bad line
+    raises ``CorpusError`` once its shard is read."""
     for path in manifest.shard_paths(base_dir):
         reader = load_shard(path, languages)
         yield from reader
-        if strict and reader.errors:
+        if reader.errors:
             raise CorpusError(reader.summary())
 
 

@@ -33,7 +33,7 @@ import time
 import urllib.parse
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Sequence, Sized, TypeVar
+from typing import Callable, Hashable, Iterable, Mapping, Sequence, Sized, TypeVar
 
 from .prompts import RenderedPrompt
 
@@ -466,13 +466,19 @@ def schedule(jobs: Sequence[RephraseJob], bucket_size: int = 64) -> ExecutionPla
 _CHECKPOINT_HEADER = "header"
 _CHECKPOINT_RESULT = "result"
 
+# A ledger record: ``key`` names the work it records, ``failed`` marks
+# work to redo on resume, and ``to_obj`` / a ``from_obj`` parser carry
+# it to and from its JSON line.  Rephrase records ``RephraseResult``s,
+# score ``quality.ScoredDocument``s.
+L = TypeVar("L")
+
 
 class CheckpointWriter:
-    """Append-only completion ledger, one JSON line per finished job.
+    """Append-only ledger of paid results, one JSON line per record.
 
-    The first line pins the config fingerprint; appending to a ledger
-    written under a different fingerprint aborts.  Appends are
-    serialized and flushed so a preemption loses at most one record.
+    The first line pins the fingerprint; appending to a ledger written
+    under a different fingerprint aborts.  Appends are serialized and
+    flushed so a preemption loses at most one record.
     """
 
     def __init__(self, path: Path | str, fingerprint: str):
@@ -489,7 +495,7 @@ class CheckpointWriter:
             self._handle.write(json.dumps(header) + "\n")
             self._handle.flush()
 
-    def append(self, result: RephraseResult) -> None:
+    def append(self, result) -> None:
         record = {"kind": _CHECKPOINT_RESULT, **result.to_obj()}
         line = json.dumps(record, ensure_ascii=False) + "\n"
         with self._lock:
@@ -522,17 +528,23 @@ def _verify_checkpoint_header(path: Path, fingerprint: str) -> None:
         )
 
 
-def load_checkpoint(path: Path | str, fingerprint: str) -> dict[JobKey, RephraseResult]:
-    """Replayable results from a checkpoint; empty when the file is absent.
+def load_checkpoint(
+    path: Path | str,
+    fingerprint: str,
+    parse: Callable[[Mapping], L] = RephraseResult.from_obj,
+) -> dict[Hashable, L]:
+    """Records of a ledger by key, each parsed by ``parse``; empty when
+    the file is absent.
 
     A truncated final line (crash mid-write) is ignored; later records
-    win over earlier ones for the same key.
+    win over earlier ones for the same key, so a job that failed and
+    then succeeded replays its success.
     """
     path = Path(path)
     if not path.exists() or path.stat().st_size == 0:
         return {}
     _verify_checkpoint_header(path, fingerprint)
-    results: dict[JobKey, RephraseResult] = {}
+    records: dict[Hashable, L] = {}
     with path.open("r", encoding="utf-8") as handle:
         for lineno, line in enumerate(handle):
             if lineno == 0:
@@ -543,18 +555,22 @@ def load_checkpoint(path: Path | str, fingerprint: str) -> dict[JobKey, Rephrase
                 continue
             if obj.get("kind") != _CHECKPOINT_RESULT:
                 continue
-            result = RephraseResult.from_obj(obj)
-            results[result.key] = result
-    return results
+            record = parse(obj)
+            records[record.key] = record
+    return records
 
 
-def resume(checkpoint_path: Path | str, fingerprint: str) -> dict[JobKey, RephraseResult]:
-    """Results a run can replay from the checkpoint instead of re-issuing.
+def resume(
+    checkpoint_path: Path | str,
+    fingerprint: str,
+    parse: Callable[[Mapping], L] = RephraseResult.from_obj,
+) -> dict[Hashable, L]:
+    """Records a run can replay from the ledger instead of re-issuing.
 
-    Failed records are left out, so those jobs run again.
+    Failed records are left out, so that work runs again.
     """
-    recorded = load_checkpoint(checkpoint_path, fingerprint)
-    return {key: res for key, res in recorded.items() if not res.failed}
+    recorded = load_checkpoint(checkpoint_path, fingerprint, parse)
+    return {key: record for key, record in recorded.items() if not record.failed}
 
 
 def _run_one(job: RephraseJob, backend: CompletionBackend, cfg: BackendConfig) -> RephraseResult:

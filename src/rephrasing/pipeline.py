@@ -10,12 +10,17 @@ Work directory layout::
     work_dir/
       calibration.json          token estimator (ratio, sample, seed)
       passages/                 split passages + manifest
-      rephrase/                 checkpoint, raw completions, failed jobs
+      rephrase/                 checkpoint.jsonl, completions.jsonl, failed.jsonl
       rephrased/                reassembled documents, audit shard, report
-      scores/                   quality scores
+      scores/                   checkpoint.jsonl, scores.jsonl, report
       filtered/                 threshold-filtered corpus
       mixed/                    mixed corpus
       stats/                    corpus overview table (text + JSON)
+
+Every paid backend call lands in a ``checkpoint.jsonl`` ledger as it
+finishes; rephrase and score write it with one ``CheckpointWriter`` and
+replay it with one ``resume``, so a stopped run re-issues only the calls
+it had not recorded.
 """
 
 from __future__ import annotations
@@ -45,6 +50,7 @@ from .corpus import (
 )
 from .inference import (
     FINISH_LENGTH,
+    CheckpointMismatchError,
     CheckpointWriter,
     CompletionBackend,
     HttpBackend,
@@ -69,7 +75,14 @@ from .postprocess import (
     load_marker_patterns,
 )
 from .prompts import TemplateRegistry, render
-from .quality import ThresholdFilter, askllm_score, ingest_external_scores, write_scores
+from .quality import (
+    SCORER_EXTERNAL,
+    ScoredDocument,
+    ThresholdFilter,
+    askllm_score,
+    askllm_score_first,
+    ingest_external_scores,
+)
 from .splitting import Passage, split_document
 from .tokens import TokenEstimator, calibrate
 
@@ -553,43 +566,68 @@ def stage_postprocess(cfg: PipelineConfig) -> dict:
 def stage_score(cfg: PipelineConfig, manifest_path: Path | None = None) -> dict:
     """Score documents with the informative-signal prompt.
 
-    Documents stream from the corpus into the request pool, which pulls
-    each one only when a slot is free; memory holds the scores.  The
-    corpus is checked in full before the first request, so a bad line
-    late in it costs no paid request.
+    The corpus is checked in full before the first request, so a bad
+    line late in it costs no paid request.  Documents then stream into
+    the request pool, which pulls each one only when a slot is free, and
+    each score is appended to the ledger ``scores/checkpoint.jsonl`` as
+    it lands, so a stopped run resumes without re-issuing a scored
+    document.  One scorer serves the whole run: the replayed scores', or
+    else the one the first document gets before the pool starts.  Memory
+    holds the scores, which ``scores.jsonl`` lists in corpus order.
     """
     started = time.monotonic()
     estimator = load_estimator(cfg)
     manifest, base_dir = _select_corpus(cfg, manifest_path)
-    manifest.verify(base_dir, cfg.languages)
+    corpus_digest = manifest.verify(base_dir, cfg.languages)
+
+    out_dir = cfg.work_dir / "scores"
+    out_dir.mkdir(parents=True, exist_ok=True)
+    ledger_path = out_dir / "checkpoint.jsonl"
+    # Documents keep their ids through rephrasing, so only the corpus
+    # bytes tell whose scores a ledger holds; another corpus starts afresh.
+    fingerprint = f"{cfg.fingerprint()}-{corpus_digest[:16]}"
+    try:
+        replay = resume(ledger_path, fingerprint, ScoredDocument.from_obj)
+    except CheckpointMismatchError:
+        ledger_path.unlink()
+        replay = {}
+    docs = iter_corpus(manifest, base_dir, cfg.languages)
+    scoring = {"vote_k": cfg.filter.vote_k, "backend_cfg": cfg.backend}
 
     backend = make_backend(cfg)
     try:
-        scores = pull_map(
-            lambda doc: askllm_score(
-                doc,
-                backend,
-                estimator,
-                model_id=cfg.backend.model or "mock",
-                vote_k=cfg.filter.vote_k,
-                backend_cfg=cfg.backend,
-            ),
-            iter_corpus(manifest, base_dir, cfg.languages),
-            cfg.backend.max_in_flight,
-        )
+        with CheckpointWriter(ledger_path, fingerprint) as ledger:
+            head = None if replay else next(docs, None)
+            if head is not None:
+                model_id = cfg.backend.model or cfg.backend_kind
+                first = askllm_score_first(head, backend, estimator, model_id=model_id, **scoring)
+                ledger.append(first)
+                replay[first.doc_id] = first
+                docs = itertools.chain((head,), docs)
+            scorer = next(iter(replay.values())).scorer if replay else ""
+
+            def score(doc: Document) -> ScoredDocument:
+                return replay.get(doc.id) or askllm_score(
+                    doc, backend, estimator, scorer=scorer, **scoring
+                )
+
+            def record(scored: ScoredDocument) -> None:
+                if scored.doc_id not in replay:
+                    ledger.append(scored)
+
+            scores = pull_map(score, docs, cfg.backend.max_in_flight, record)
     finally:
         backend.close()
 
-    out_dir = cfg.work_dir / "scores"
-    write_scores(scores, out_dir / "scores.jsonl")
-    values = [s.score for s in scores]
+    _write_jsonl((s.to_obj() for s in scores), out_dir / "scores.jsonl.tmp")
+    (out_dir / "scores.jsonl.tmp").replace(out_dir / "scores.jsonl")
     report = {
         "stage": "score",
         "docs": len(scores),
-        "scorers": sorted({s.scorer for s in scores}),
-        "mean_score": sum(values) / len(values) if values else 0.0,
-        "min_score": min(values, default=0.0),
-        "max_score": max(values, default=0.0),
+        "scorers": [scorer] if scores else [],
+        "mean_score": sum(s.score for s in scores) / len(scores) if scores else 0.0,
+        "min_score": min((s.score for s in scores), default=0.0),
+        "max_score": max((s.score for s in scores), default=0.0),
         "seconds": round(time.monotonic() - started, 3),
     }
     _write_report(report, out_dir / "report.json")
@@ -629,9 +667,7 @@ def stage_filter(
     manifest, base_dir = _select_corpus(cfg, manifest_path)
     threshold = cfg.filter.threshold if threshold is None else threshold
 
-    if cfg.filter.scorer == "external":
-        if cfg.filter.external_scores is None:
-            raise StageError("filter.scorer is external but no external_scores file is set")
+    if cfg.filter.scorer == SCORER_EXTERNAL:
         scores = ingest_external_scores(cfg.filter.external_scores)
     else:
         scores_path = cfg.work_dir / "scores" / "scores.jsonl"

@@ -2,7 +2,9 @@
 
 Documents are judged by prompting an LLM with the informative-signal
 question and normalizing the log-probabilities of the affirmative and
-negative options at the ``Choice:`` position.  Externally computed
+negative options at the ``Choice:`` position, or by sampled votes when
+the backend gives no log-probabilities; one run uses one of the two
+for every document.  Externally computed
 scores (an educational-value classifier, for instance) can be ingested
 from score shards and thresholded the same way.
 """
@@ -11,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -37,6 +40,8 @@ OPTION_NEGATIVE = "no"
 
 SCORER_ASK_LLM = "ask_llm"
 SCORER_ASK_LLM_VOTE = "ask_llm_vote"
+# filter.scorer value: threshold the scores in filter.external_scores.
+SCORER_EXTERNAL = "external"
 
 
 class QualityError(Exception):
@@ -53,11 +58,20 @@ class MissingScoresError(QualityError):
         super().__init__(f"missing scores for {len(self.doc_ids)} document(s): {shown}{more}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ScoredDocument:
+    """One document's score, and a record of the score ledger.
+
+    A run builds its ``scorer`` string once and every score shares it;
+    ``from_obj`` interns it, so replayed scores share one string too.
+    """
+
     doc_id: str
     score: float
     scorer: str
+
+    # A score is never recorded failed: scoring errors stop the stage.
+    failed = False
 
     def __post_init__(self) -> None:
         if self.score < 0:
@@ -65,12 +79,17 @@ class ScoredDocument:
         if self.scorer.startswith(SCORER_ASK_LLM) and not 0.0 <= self.score <= 1.0:
             raise QualityError(f"ask-llm score for {self.doc_id!r} outside [0, 1]")
 
+    @property
+    def key(self) -> str:
+        return self.doc_id
+
     def to_obj(self) -> dict:
         return {"doc_id": self.doc_id, "score": self.score, "scorer": self.scorer}
 
     @staticmethod
     def from_obj(obj: Mapping) -> "ScoredDocument":
-        return ScoredDocument(str(obj["doc_id"]), float(obj["score"]), str(obj["scorer"]))
+        scorer = sys.intern(str(obj["scorer"]))
+        return ScoredDocument(str(obj["doc_id"]), float(obj["score"]), scorer)
 
 
 def score_from_logprobs(lp_affirmative: float, lp_negative: float) -> float:
@@ -110,47 +129,64 @@ def askllm_score(
     backend: CompletionBackend,
     estimator: TokenEstimator,
     *,
-    model_id: str = "",
+    scorer: str,
     vote_k: int = 8,
-    vote_temperature: float = 0.0,
     backend_cfg: BackendConfig = BackendConfig(),
 ) -> ScoredDocument:
-    """Score one document from option log-probabilities.
+    """Score one document under the run's ``scorer``.
 
-    Backends without log-probability support (a non-transient
-    ``BackendError`` from ``option_logprobs``) fall back to ``vote_k``
-    sampled completions, with the affirmative fraction as the score; the
-    scorer tag records which path produced the number so runs are never
-    silently mixed.  Transient and auth errors propagate instead: the
-    backend retries each log-probability request itself, and each vote
-    request is retried under ``backend_cfg``.
+    An ``ask_llm_vote:`` scorer takes the affirmative fraction of
+    ``vote_k`` completions at temperature 0, each retried under
+    ``backend_cfg``; an ``ask_llm:`` scorer normalizes the option
+    log-probabilities, which the backend retries itself.  Every error
+    propagates: the scorer never changes within a run.
     """
     if not doc.text.strip():
         raise QualityError(f"cannot score empty document {doc.id!r}")
     prompt = render_scoring_prompt(truncate_for_scoring(doc.text, estimator, doc.lang))
-    options = [OPTION_AFFIRMATIVE, OPTION_NEGATIVE]
-    try:
-        lp_yes, lp_no = backend.option_logprobs(prompt, options)
-    except (AuthError, TransientBackendError):
-        raise
-    except BackendError:
+    if scorer.startswith(SCORER_ASK_LLM_VOTE):
         votes = 0
         for _ in range(vote_k):
             completion = with_retries(
-                lambda: backend.complete(
-                    prompt,
-                    temperature=vote_temperature,
-                    stop=("\n",),
-                    max_tokens=8,
-                ),
+                lambda: backend.complete(prompt, temperature=0.0, stop=("\n",), max_tokens=8),
                 backend_cfg,
             )
             if completion.text.strip().lower().startswith(OPTION_AFFIRMATIVE):
                 votes += 1
-        return ScoredDocument(doc.id, votes / vote_k, f"{SCORER_ASK_LLM_VOTE}:{model_id}")
-    return ScoredDocument(
-        doc.id, score_from_logprobs(lp_yes, lp_no), f"{SCORER_ASK_LLM}:{model_id}"
-    )
+        return ScoredDocument(doc.id, votes / vote_k, scorer)
+    lp_yes, lp_no = backend.option_logprobs(prompt, [OPTION_AFFIRMATIVE, OPTION_NEGATIVE])
+    return ScoredDocument(doc.id, score_from_logprobs(lp_yes, lp_no), scorer)
+
+
+def askllm_score_first(
+    doc: Document,
+    backend: CompletionBackend,
+    estimator: TokenEstimator,
+    *,
+    model_id: str,
+    vote_k: int = 8,
+    backend_cfg: BackendConfig = BackendConfig(),
+) -> ScoredDocument:
+    """Score a run's first document, which fixes the run's scorer.
+
+    The scorer is ``ask_llm:<model_id>`` when the backend gives option
+    log-probabilities, and ``ask_llm_vote:<model_id>`` when it refuses
+    them with a permanent ``BackendError``; that refused request is the
+    only one the choice costs.  Transient and auth errors propagate, so
+    a busy backend never switches a run to voting.
+    """
+
+    def score(scorer: str) -> ScoredDocument:
+        return askllm_score(
+            doc, backend, estimator, scorer=scorer, vote_k=vote_k, backend_cfg=backend_cfg
+        )
+
+    try:
+        return score(f"{SCORER_ASK_LLM}:{model_id}")
+    except (AuthError, TransientBackendError):
+        raise
+    except BackendError:
+        return score(f"{SCORER_ASK_LLM_VOTE}:{model_id}")
 
 
 @dataclass(frozen=True)
@@ -223,17 +259,6 @@ def threshold_filter(
     """``ThresholdFilter`` collected into a list, with its report."""
     kept = ThresholdFilter(docs, scores, threshold, estimator)
     return list(kept), kept.report
-
-
-def write_scores(scores: Iterable[ScoredDocument], path: Path | str) -> int:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    n = 0
-    with path.open("w", encoding="utf-8") as handle:
-        for score in scores:
-            handle.write(json.dumps(score.to_obj(), ensure_ascii=False) + "\n")
-            n += 1
-    return n
 
 
 def ingest_external_scores(path: Path | str) -> dict[str, float]:

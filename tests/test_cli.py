@@ -6,7 +6,9 @@ from pathlib import Path
 
 import pytest
 
+from rephrasing import pipeline
 from rephrasing.cli import main
+from rephrasing.inference import BackendError
 
 from conftest import make_docs, write_fixture_config
 
@@ -86,6 +88,52 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "missing scores" in err
         assert "doc-" in err
+
+    @pytest.mark.parametrize(
+        "extra, where",
+        [
+            ({"filter": {"scorer": "externl", "threshold": 0.6}}, "filter.scorer"),
+            (
+                {
+                    "mix": {
+                        "unit": "token",
+                        "sources": [{"name": "original", "manifest": "input/manifest.json"}],
+                    }
+                },
+                "mix.unit",
+            ),
+        ],
+        ids=["scorer", "mix_unit"],
+    )
+    def test_run_all_refuses_bad_choice_before_any_work(self, tmp_path, capsys, extra, where):
+        path = write_fixture_config(tmp_path, make_docs(5, seed=4), extra=extra)
+        assert run(["run-all", "-c", path]) == 1
+        assert f"{where}: expected one of" in capsys.readouterr().err
+        assert not (tmp_path / "work").exists()
+
+    def test_logprob_failure_in_logprob_run_exits_3(self, tmp_path, capsys, monkeypatch):
+        make = pipeline.make_backend
+        calls = []
+
+        def make_failing_later(cfg):
+            backend = make(cfg)
+            option_logprobs = backend.option_logprobs
+
+            def fail_after_first(prompt, options):
+                calls.append(prompt)
+                if len(calls) > 1:
+                    raise BackendError("logprobs no longer served")
+                return option_logprobs(prompt, options)
+
+            backend.option_logprobs = fail_after_first
+            return backend
+
+        path = write_fixture_config(tmp_path, make_docs(5, seed=4))
+        for command in ("preprocess", "rephrase", "postprocess"):
+            assert run([command, "-c", path]) == 0
+        monkeypatch.setattr(pipeline, "make_backend", make_failing_later)
+        assert run(["score", "-c", path]) == 3
+        assert "backend error: logprobs no longer served" in capsys.readouterr().err
 
     def test_auth_failure_exits_3(self, tmp_path, capsys):
         path = write_fixture_config(

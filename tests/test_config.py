@@ -75,6 +75,43 @@ def test_mistyped_value_refused(tmp_path, capsys, where, extra):
     assert where in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "where, extra",
+    [
+        # Each was accepted and failed, or changed a result's meaning, later.
+        ("filter.scorer", {"filter": {"scorer": "externl", "threshold": 0.6}}),
+        ("mix.unit", {"mix": {"unit": "token", "sources": []}}),
+        ("filter.vote_k", {"filter": {"scorer": "ask_llm", "vote_k": 0}}),
+        ("estimator.sample_size", {"estimator": {"default_ratio": 0.25, "sample_size": 0}}),
+        ("filter.external_scores", {"filter": {"scorer": "external", "threshold": 2.5}}),
+        (
+            "mix.sources[0].weight",
+            {"mix": {"sources": [{"name": "o", "manifest": "input/manifest.json", "weight": 0}]}},
+        ),
+    ],
+)
+def test_out_of_range_value_refused(tmp_path, capsys, where, extra):
+    path = write_fixture_config(tmp_path, make_docs(3), extra=extra)
+    with pytest.raises(ConfigError, match=re.escape(f"{where}: ")):
+        load_config(path)
+    assert main(["preprocess", "-c", str(path)]) == 1
+    assert f"config error: {where}: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [
+        {"filter": {"scorer": "external", "threshold": 2.5, "external_scores": "s.jsonl"}},
+        {"mix": {"unit": "documents", "sources": []}},
+        {"filter": {"scorer": "ask_llm", "vote_k": 1}},
+        {"estimator": {"sample_size": 1}},
+    ],
+    ids=["external", "documents", "one_vote", "one_sample"],
+)
+def test_in_range_values_accepted(tmp_path, extra):
+    load_config(write_fixture_config(tmp_path, make_docs(3), extra=extra))
+
+
 def test_fingerprints_pinned(tmp_path):
     # Manifests and checkpoints written by earlier versions carry these;
     # a loader change that moves them would make every resume start over.

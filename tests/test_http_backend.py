@@ -24,7 +24,7 @@ from rephrasing.inference import (
 )
 from rephrasing.pipeline import stage_preprocess
 from rephrasing.prompts import RenderedPrompt
-from rephrasing.quality import askllm_score
+from rephrasing.quality import askllm_score_first
 
 from conftest import make_docs, write_fixture_config
 
@@ -268,7 +268,7 @@ class TestCompletionWire:
     def test_echo_503_retried_scorer_stays_logprob(self, server, backend_for, quarter_estimator):
         server.state["fail_next"] = 1
         doc = Document("d1", "informative text about the world.", "en")
-        scored = askllm_score(doc, backend_for(server), quarter_estimator, model_id="m")
+        scored = askllm_score_first(doc, backend_for(server), quarter_estimator, model_id="m")
         assert scored.scorer == "ask_llm:m"
         assert scored.score == 0.5
         assert [bool(r["payload"].get("echo")) for r in server.state["requests"]] == [True] * 4

@@ -24,13 +24,21 @@ N = 150
 # index (measured on CPython 3.11, rounded up):
 # - postprocess: the ids of documents with a failed passage, a set of at
 #   most one entry per document (about 165 bytes an entry);
-# - score: one ScoredDocument per scored document (about 255 bytes);
+# - score: one ScoredDocument per scored document (about 120 bytes with
+#   its id and score); score_resumed, which replays every document from
+#   the ledger, adds the replay table (about 145 bytes in all);
 # - filter: the score table, one id -> score entry per document (about
 #   105 bytes);
 # - mix: offset, length and weight of every source document (20 bytes,
 #   two sources here) and one 8-byte reference per drawn document, plus
 #   an 8-byte shuffle slot per document of the source being drawn.
-INDEX_BYTES_PER_DOC = {"postprocess": 170, "score": 300, "filter": 150, "mix": 80}
+INDEX_BYTES_PER_DOC = {
+    "postprocess": 170,
+    "score": 300,
+    "filter": 150,
+    "mix": 80,
+    "score_resumed": 300,
+}
 # Per-shard manifest entries, dict and list growth steps.
 SLACK_BYTES = 64 * 1024
 
@@ -76,7 +84,7 @@ def traced_peaks(tmp_path, n_docs: int) -> dict[str, int]:
     for stage in INDEX_BYTES_PER_DOC:
         tracemalloc.start()
         try:
-            getattr(pipeline, f"stage_{stage}")(cfg)
+            getattr(pipeline, f"stage_{stage.removesuffix('_resumed')}")(cfg)
             peaks[stage] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -19,7 +19,7 @@ from rephrasing.pipeline import (
     stage_score,
     stage_stats,
 )
-from rephrasing.inference import BackendError, CompletionBackend
+from rephrasing.inference import BackendError, CheckpointWriter, CompletionBackend, MockBackend
 from rephrasing.quality import MissingScoresError, ingest_external_scores
 
 from conftest import QA_LEGACY_RULES, make_docs, write_fixture_config
@@ -578,6 +578,162 @@ class TestScoreAndFilter:
         # Filter the input corpus directly (no rephrased output yet).
         report = stage_filter(cfg, manifest_path=cfg.input_manifest)
         assert report["kept"] == 3  # scores 3, 4, 5 are > 2.5
+
+
+def scored_ids(path) -> list[str]:
+    """Doc ids of a score ledger's records, in append order."""
+    with path.open(encoding="utf-8") as handle:
+        return [obj["doc_id"] for obj in map(json.loads, handle) if obj["kind"] == "result"]
+
+
+class TestScoreLedger:
+    """Score appends each result to scores/checkpoint.jsonl and resumes from it."""
+
+    @pytest.fixture
+    def rephrased(self, cfg):
+        stage_preprocess(cfg)
+        stage_rephrase(cfg)
+        stage_postprocess(cfg)
+        return cfg
+
+    @pytest.fixture
+    def issued(self, monkeypatch):
+        """Ids of the documents score sends after fixing its scorer."""
+        ids = []
+        score = pipeline.askllm_score
+
+        def spy(doc, *args, **kwargs):
+            ids.append(doc.id)
+            return score(doc, *args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "askllm_score", spy)
+        return ids
+
+    @pytest.mark.parametrize("at", ["first", "middle", "last_but_one"])
+    def test_stop_at_kth_result_then_resume_is_byte_identical(
+        self, rephrased, backends, issued, monkeypatch, at
+    ):
+        cfg = rephrased
+        scores_dir = cfg.work_dir / "scores"
+        reference = stage_score(cfg)
+        expected = (scores_dir / "scores.jsonl").read_bytes()
+        shutil.rmtree(scores_dir)
+        n = reference["docs"]
+        k = {"first": 1, "middle": n // 2, "last_but_one": n - 1}[at]
+
+        append = CheckpointWriter.append
+        appended = []
+
+        def stop_at_k(writer, record):
+            append(writer, record)
+            appended.append(record)
+            if len(appended) == k:
+                raise _Stop()
+
+        monkeypatch.setattr(CheckpointWriter, "append", stop_at_k)
+        with pytest.raises(_Stop):
+            stage_score(cfg)
+        monkeypatch.setattr(CheckpointWriter, "append", append)
+        recorded = scored_ids(scores_dir / "checkpoint.jsonl")
+        assert recorded == [r.doc_id for r in appended]
+        assert not (scores_dir / "scores.jsonl").exists()
+
+        issued.clear()
+        before = sum(b.requests for b in backends)
+        resumed = stage_score(cfg)
+        all_ids = list(ingest_external_scores(scores_dir / "scores.jsonl"))
+        rephrased_dir = cfg.work_dir / "rephrased"
+        corpus = ShardManifest.load(rephrased_dir / "manifest.json")
+        assert all_ids == [doc.id for doc in iter_corpus(corpus, rephrased_dir)]
+        assert sorted(issued) == sorted(set(all_ids) - set(recorded))
+        # The mock backend answers each document with one log-prob request.
+        assert sum(b.requests for b in backends) - before == n - k
+        assert (scores_dir / "scores.jsonl").read_bytes() == expected
+        assert {**resumed, "seconds": 0} == {**reference, "seconds": 0}
+
+    def test_second_score_issues_no_request(self, rephrased, backends):
+        first = stage_score(rephrased)
+        scores = (rephrased.work_dir / "scores" / "scores.jsonl").read_bytes()
+        assert backends[-1].requests == first["docs"]
+        second = stage_score(rephrased)
+        assert backends[-1].requests == 0
+        assert (rephrased.work_dir / "scores" / "scores.jsonl").read_bytes() == scores
+        assert {**second, "seconds": 0} == {**first, "seconds": 0}
+
+    def test_score_input_after_rephrased_replays_nothing(self, rephrased, backends):
+        stage_score(rephrased)
+        input_report = stage_score(rephrased, manifest_path=rephrased.input_manifest)
+        # Same ids, other text: every input document is scored afresh.
+        assert backends[-1].requests == input_report["docs"] == 50
+        fresh = rephrased.work_dir / "fresh"
+        fresh_cfg = load_config(write_fixture_config(fresh, make_docs(50, seed=7)))
+        stage_preprocess(fresh_cfg)
+        stage_score(fresh_cfg, manifest_path=rephrased.input_manifest)
+        assert (rephrased.work_dir / "scores" / "scores.jsonl").read_bytes() == (
+            fresh / "work" / "scores" / "scores.jsonl"
+        ).read_bytes()
+
+    def test_backend_without_logprobs_scores_every_document_by_vote(self, rephrased, monkeypatch):
+        class NoLogprobs(MockBackend):
+            logprob_requests = 0
+
+            def option_logprobs(self, prompt, options):
+                self.logprob_requests += 1
+                raise BackendError("unsupported")
+
+        backend = NoLogprobs(default_response="yes\n")
+        monkeypatch.setattr(pipeline, "make_backend", lambda cfg: backend)
+        report = stage_score(rephrased)
+        scores = [
+            json.loads(line)
+            for line in (rephrased.work_dir / "scores" / "scores.jsonl").read_text().splitlines()
+        ]
+        assert report["scorers"] == ["ask_llm_vote:mock-model"]
+        assert {s["scorer"] for s in scores} == {"ask_llm_vote:mock-model"}
+        assert report["docs"] == len(scores) > 1
+        # Only the first document asks for log-probabilities.
+        assert backend.logprob_requests == 1
+        assert backend.calls == rephrased.filter.vote_k * len(scores)
+
+    def test_logprob_failure_fails_stage_and_keeps_ledger(self, rephrased, monkeypatch):
+        cfg = rephrased
+        rephrased_dir = cfg.work_dir / "rephrased"
+        docs = list(iter_corpus(ShardManifest.load(rephrased_dir / "manifest.json"), rephrased_dir))
+        refused = docs[len(docs) // 2]
+
+        class OneRefused(MockBackend):
+            def option_logprobs(self, prompt, options):
+                if refused.text[:200] in prompt:
+                    raise BackendError("prompt refused")
+                return super().option_logprobs(prompt, options)
+
+        monkeypatch.setattr(pipeline, "make_backend", lambda cfg: OneRefused())
+        with pytest.raises(BackendError, match="prompt refused"):
+            stage_score(cfg)
+        ledger = cfg.work_dir / "scores" / "checkpoint.jsonl"
+        recorded = scored_ids(ledger)
+        assert recorded and refused.id not in recorded
+        assert all(
+            obj["scorer"] == "ask_llm:mock-model"
+            for obj in map(json.loads, ledger.read_text(encoding="utf-8").splitlines()[1:])
+        )
+
+        monkeypatch.setattr(pipeline, "make_backend", lambda cfg: MockBackend())
+        report = stage_score(cfg)
+        assert report["scorers"] == ["ask_llm:mock-model"]
+        assert scored_ids(ledger)[: len(recorded)] == recorded
+
+    def test_http_backend_without_model_labels_scores_http(self, tmp_path, monkeypatch):
+        path = write_fixture_config(
+            tmp_path,
+            make_docs(5, seed=3),
+            extra={"backend": {"kind": "http", "endpoint": "http://127.0.0.1:9/v1/completions"}},
+        )
+        cfg = load_config(path)
+        stage_preprocess(cfg)
+        monkeypatch.setattr(pipeline, "make_backend", lambda cfg: MockBackend())
+        report = stage_score(cfg, manifest_path=cfg.input_manifest)
+        assert report["scorers"] == ["ask_llm:http"]
 
 
 class TestMixAndStats:

@@ -10,22 +10,24 @@ from rephrasing.corpus import Document
 from rephrasing.inference import (
     BackendConfig,
     BackendError,
+    CheckpointWriter,
     Completion,
     CompletionBackend,
     MockBackend,
     TransientBackendError,
+    load_checkpoint,
 )
 from rephrasing.quality import (
     MissingScoresError,
     QualityError,
     ScoredDocument,
     askllm_score,
+    askllm_score_first,
     ingest_external_scores,
     render_scoring_prompt,
     score_from_logprobs,
     threshold_filter,
     truncate_for_scoring,
-    write_scores,
 )
 
 
@@ -87,9 +89,16 @@ class TestAskLlmScore:
 
     def test_logprob_path(self, quarter_estimator):
         backend = MockBackend(logprob_rules=[("informative", math.log(0.3), math.log(0.1))])
-        scored = askllm_score(self.doc(), backend, quarter_estimator, model_id="m")
+        scored = askllm_score(self.doc(), backend, quarter_estimator, scorer="ask_llm:m")
         assert math.isclose(scored.score, 0.75, rel_tol=1e-12)
         assert scored.scorer == "ask_llm:m"
+
+    def test_first_document_picks_log_probs_when_given(self, quarter_estimator):
+        backend = MockBackend(logprob_rules=[("informative", math.log(0.3), math.log(0.1))])
+        scored = askllm_score_first(self.doc(), backend, quarter_estimator, model_id="m")
+        assert math.isclose(scored.score, 0.75, rel_tol=1e-12)
+        assert scored.scorer == "ask_llm:m"
+        assert backend.calls == 0
 
     def test_voting_fallback_tagged_distinctly(self, quarter_estimator):
         class NoLogprobs(CompletionBackend):
@@ -99,9 +108,21 @@ class TestAskLlmScore:
             def option_logprobs(self, prompt, options):
                 raise BackendError("unsupported")
 
-        scored = askllm_score(self.doc(), NoLogprobs(), quarter_estimator, model_id="m", vote_k=4)
+        scored = askllm_score_first(
+            self.doc(), NoLogprobs(), quarter_estimator, model_id="m", vote_k=4
+        )
         assert scored.score == 1.0
         assert scored.scorer == "ask_llm_vote:m"
+
+    def test_permanent_logprob_error_never_switches_to_voting(self, quarter_estimator):
+        class NoLogprobs(MockBackend):
+            def option_logprobs(self, prompt, options):
+                raise BackendError("unsupported")
+
+        backend = NoLogprobs(default_response="yes\n")
+        with pytest.raises(BackendError, match="unsupported"):
+            askllm_score(self.doc(), backend, quarter_estimator, scorer="ask_llm:m")
+        assert backend.calls == 0
 
     def test_vote_requests_retried(self, quarter_estimator):
         class NoLogprobs(MockBackend):
@@ -110,7 +131,7 @@ class TestAskLlmScore:
 
         backend = NoLogprobs(default_response="yes\n", fail_first=1)
         scored = askllm_score(
-            self.doc(), backend, quarter_estimator, model_id="m", vote_k=4,
+            self.doc(), backend, quarter_estimator, scorer="ask_llm_vote:m", vote_k=4,
             backend_cfg=BackendConfig(retry_backoff_s=0.0),
         )
         assert scored.score == 1.0
@@ -123,12 +144,14 @@ class TestAskLlmScore:
 
         backend = Busy(default_response="yes\n")
         with pytest.raises(TransientBackendError):
-            askllm_score(self.doc(), backend, quarter_estimator, model_id="m")
+            askllm_score_first(self.doc(), backend, quarter_estimator, model_id="m")
         assert backend.calls == 0
 
     def test_empty_document_rejected(self, quarter_estimator):
         with pytest.raises(QualityError):
-            askllm_score(Document("d", " ", "en"), MockBackend(), quarter_estimator)
+            askllm_score(
+                Document("d", " ", "en"), MockBackend(), quarter_estimator, scorer="ask_llm:m"
+            )
         with pytest.raises(QualityError):
             ScoredDocument("d", 1.5, "ask_llm:m")
 
@@ -220,6 +243,19 @@ class TestScoreIO:
 
     def test_write_then_load_round_trip(self, tmp_path):
         scores = [ScoredDocument("a", 0.5, "ask_llm:m"), ScoredDocument("b", 0.25, "ask_llm:m")]
+        ledger = tmp_path / "checkpoint.jsonl"
+        with CheckpointWriter(ledger, "fp") as writer:
+            for score in scores:
+                writer.append(score)
+        replayed = load_checkpoint(ledger, "fp", ScoredDocument.from_obj)
+        assert list(replayed.values()) == scores
+        # One scorer string serves every replayed score.
+        assert replayed["a"].scorer is replayed["b"].scorer
         path = tmp_path / "scores.jsonl"
-        assert write_scores(scores, path) == 2
+        path.write_text("".join(json.dumps(s.to_obj()) + "\n" for s in scores), encoding="utf-8")
         assert ingest_external_scores(path) == {"a": 0.5, "b": 0.25}
+
+    def test_scored_document_has_no_instance_dict(self):
+        scored = ScoredDocument("a", 0.5, "ask_llm:m")
+        assert not hasattr(scored, "__dict__")
+        assert scored.key == "a" and scored.failed is False
