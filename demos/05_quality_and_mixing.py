@@ -29,7 +29,7 @@ docs = [
     Document("sci", "An essay on astronomy and stellar lifecycles. " * 5, "en"),
     Document("spam", "buy now limited offer click here but also " * 5, "en"),
 ]
-# The first document fixes the scorer (log-probabilities here, votes on
+# The first document fixes the scorer (log-probabilities here, a vote on
 # a backend without them); every later document is scored the same way.
 first = askllm_score_first(docs[0], backend, est, model_id="demo")
 scores = {}

@@ -102,7 +102,6 @@ class FilterSettings:
     scorer: str = "ask_llm"
     threshold: float = 0.6
     external_scores: Path | None = None
-    vote_k: int = 8
 
 
 @dataclass(frozen=True)
@@ -192,12 +191,10 @@ class PipelineConfig:
         for key, value, allowed in choices:
             if value not in allowed:
                 raise ConfigError(f"{key}: expected one of {list(allowed)}, got {value!r}")
-        for key, value in (
-            ("filter.vote_k", self.filter.vote_k),
-            ("estimator.sample_size", self.estimator.sample_size),
-        ):
-            if value < 1:
-                raise ConfigError(f"{key}: must be at least 1, got {value}")
+        if self.estimator.sample_size < 1:
+            raise ConfigError(
+                f"estimator.sample_size: must be at least 1, got {self.estimator.sample_size}"
+            )
         if self.filter.scorer == SCORER_EXTERNAL and self.filter.external_scores is None:
             raise ConfigError("filter.external_scores: required when filter.scorer is external")
         for i, source in enumerate(self.mix.sources if self.mix else ()):
@@ -254,10 +251,10 @@ class PipelineConfig:
             "filter": {
                 "scorer": self.filter.scorer,
                 "threshold": self.filter.threshold,
-                # No longer a setting; the constant keeps the fingerprints of
+                # No longer settings; the constants keep the fingerprints of
                 # existing manifests and checkpoints valid.
                 "external_name": "external",
-                "vote_k": self.filter.vote_k,
+                "vote_k": 8,
             },
             "mix": None
             if self.mix is None

@@ -383,6 +383,8 @@ class HttpBackend(CompletionBackend):
             timeout_s=cfg.timeout_s,
             headers={"Authorization": f"Bearer {token}"} if token else None,
         )
+        # (prompt's last line, option) -> the option's token count after it.
+        self._option_spans: dict[tuple[str, str], int] = {}
 
     def close(self) -> None:
         self._client.close()
@@ -426,18 +428,40 @@ class HttpBackend(CompletionBackend):
         return n, logprobs
 
     def option_logprobs(self, prompt, options):
-        """One echo request for the prompt and one per option.
+        """One echo request per option, plus one for the bare prompt
+        the first time its last line is seen.
 
+        An option's score sums the echoed log-probabilities of the
+        tokens after the prompt's ``n(prompt)``.  The option's token
+        count ``n(prompt + option) - n(prompt)`` depends only on the
+        text after the prompt's last newline, and ASK-LLM prompts all end
+        in the same template line, so it is learned from one bare-prompt
+        echo and memoised per (last line, option).  A later prompt is
+        scored from its option echoes alone if every option implies the
+        same prompt length of at least one token; otherwise its bare
+        prompt is echoed too and the counts are learned again.  Token
+        counts decide, never log-probability values: a batching server
+        may echo a shared prefix with slightly different values.
+
+        The memo is a plain dict: each read and write is atomic, and
+        threads that learn the same line at once write the same counts.
         Each request is retried on its own, so transient failures spread
         over the requests never add up to the retry budget of one.
         """
-        base_tokens, _ = self._prompt_tokens(prompt)
-        scores = []
-        for option in options:
-            n, logprobs = self._prompt_tokens(prompt + option)
-            span = logprobs[base_tokens:n]
-            scores.append(sum(lp for lp in span if lp is not None))
-        return scores
+        line = prompt[prompt.rfind("\n") + 1 :]
+        spans = [self._option_spans.get((line, option)) for option in options]
+        learn = None in spans
+        base = self._prompt_tokens(prompt)[0] if learn else 0
+        echoes = [self._prompt_tokens(prompt + option) for option in options]
+        if not learn:
+            starts = {n - k for (n, _), k in zip(echoes, spans)}
+            base = starts.pop() if len(starts) == 1 else 0
+            if base < 1:
+                base, learn = self._prompt_tokens(prompt)[0], True
+        if learn:
+            for option, (n, _) in zip(options, echoes):
+                self._option_spans[line, option] = n - base
+        return [sum(lp for lp in logprobs[base:n] if lp is not None) for n, logprobs in echoes]
 
 
 @dataclass(frozen=True)

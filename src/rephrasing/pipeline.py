@@ -359,6 +359,7 @@ def stage_rephrase(cfg: PipelineConfig, *, on_result=None) -> dict:
     failed_tmp = out_dir / "failed.jsonl.tmp"
 
     totals: Counter = Counter()
+    attempts: Counter = Counter()
     backend = make_backend(cfg)
     try:
         with CheckpointWriter(checkpoint_path, fingerprint) as checkpoint, done_tmp.open(
@@ -377,6 +378,8 @@ def stage_rephrase(cfg: PipelineConfig, *, on_result=None) -> dict:
                     on_result=on_result,
                 )
                 totals.update(jobs=len(jobs), replayed=len(replayed))
+                totals["tag_collisions"] += sum(job.prompt.tag_collision for job in jobs)
+                attempts.update(r.attempts for r in results)
                 for r in results:
                     line = json.dumps(r.to_obj(), ensure_ascii=False) + "\n"
                     if r.failed:
@@ -404,6 +407,9 @@ def stage_rephrase(cfg: PipelineConfig, *, on_result=None) -> dict:
         "done": totals["done"],
         "failed": totals["failed"],
         "length_capped": totals["length_capped"],
+        "tag_collisions": totals["tag_collisions"],
+        # Tries per result, replayed ones included: {"1": n, "2": m, ...}.
+        "attempts": {str(k): attempts[k] for k in sorted(attempts)},
         "output_est_tokens": output_tokens,
         "tokens_per_s": round(output_tokens / wall, 1) if wall > 0 else 0.0,
         "seconds": round(wall, 6),
@@ -592,7 +598,6 @@ def stage_score(cfg: PipelineConfig, manifest_path: Path | None = None) -> dict:
         ledger_path.unlink()
         replay = {}
     docs = iter_corpus(manifest, base_dir, cfg.languages)
-    scoring = {"vote_k": cfg.filter.vote_k, "backend_cfg": cfg.backend}
 
     backend = make_backend(cfg)
     try:
@@ -600,7 +605,9 @@ def stage_score(cfg: PipelineConfig, manifest_path: Path | None = None) -> dict:
             head = None if replay else next(docs, None)
             if head is not None:
                 model_id = cfg.backend.model or cfg.backend_kind
-                first = askllm_score_first(head, backend, estimator, model_id=model_id, **scoring)
+                first = askllm_score_first(
+                    head, backend, estimator, model_id=model_id, backend_cfg=cfg.backend
+                )
                 ledger.append(first)
                 replay[first.doc_id] = first
                 docs = itertools.chain((head,), docs)
@@ -608,7 +615,7 @@ def stage_score(cfg: PipelineConfig, manifest_path: Path | None = None) -> dict:
 
             def score(doc: Document) -> ScoredDocument:
                 return replay.get(doc.id) or askllm_score(
-                    doc, backend, estimator, scorer=scorer, **scoring
+                    doc, backend, estimator, scorer=scorer, backend_cfg=cfg.backend
                 )
 
             def record(scored: ScoredDocument) -> None:

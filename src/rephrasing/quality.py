@@ -2,9 +2,9 @@
 
 Documents are judged by prompting an LLM with the informative-signal
 question and normalizing the log-probabilities of the affirmative and
-negative options at the ``Choice:`` position, or by sampled votes when
-the backend gives no log-probabilities; one run uses one of the two
-for every document.  Externally computed
+negative options at the ``Choice:`` position, or by one vote at
+temperature 0 when the backend gives no log-probabilities; one run uses
+one of the two for every document.  Externally computed
 scores (an educational-value classifier, for instance) can be ingested
 from score shards and thresholded the same way.
 """
@@ -130,14 +130,14 @@ def askllm_score(
     estimator: TokenEstimator,
     *,
     scorer: str,
-    vote_k: int = 8,
     backend_cfg: BackendConfig = BackendConfig(),
 ) -> ScoredDocument:
     """Score one document under the run's ``scorer``.
 
-    An ``ask_llm_vote:`` scorer takes the affirmative fraction of
-    ``vote_k`` completions at temperature 0, each retried under
-    ``backend_cfg``; an ``ask_llm:`` scorer normalizes the option
+    An ``ask_llm_vote:`` scorer sends one completion at temperature 0,
+    retried under ``backend_cfg``, and scores 1.0 when it answers the
+    affirmative option and 0.0 otherwise: further votes at temperature 0
+    would only repeat it.  An ``ask_llm:`` scorer normalizes the option
     log-probabilities, which the backend retries itself.  Every error
     propagates: the scorer never changes within a run.
     """
@@ -145,15 +145,12 @@ def askllm_score(
         raise QualityError(f"cannot score empty document {doc.id!r}")
     prompt = render_scoring_prompt(truncate_for_scoring(doc.text, estimator, doc.lang))
     if scorer.startswith(SCORER_ASK_LLM_VOTE):
-        votes = 0
-        for _ in range(vote_k):
-            completion = with_retries(
-                lambda: backend.complete(prompt, temperature=0.0, stop=("\n",), max_tokens=8),
-                backend_cfg,
-            )
-            if completion.text.strip().lower().startswith(OPTION_AFFIRMATIVE):
-                votes += 1
-        return ScoredDocument(doc.id, votes / vote_k, scorer)
+        completion = with_retries(
+            lambda: backend.complete(prompt, temperature=0.0, stop=("\n",), max_tokens=8),
+            backend_cfg,
+        )
+        vote = completion.text.strip().lower().startswith(OPTION_AFFIRMATIVE)
+        return ScoredDocument(doc.id, float(vote), scorer)
     lp_yes, lp_no = backend.option_logprobs(prompt, [OPTION_AFFIRMATIVE, OPTION_NEGATIVE])
     return ScoredDocument(doc.id, score_from_logprobs(lp_yes, lp_no), scorer)
 
@@ -164,7 +161,6 @@ def askllm_score_first(
     estimator: TokenEstimator,
     *,
     model_id: str,
-    vote_k: int = 8,
     backend_cfg: BackendConfig = BackendConfig(),
 ) -> ScoredDocument:
     """Score a run's first document, which fixes the run's scorer.
@@ -177,9 +173,7 @@ def askllm_score_first(
     """
 
     def score(scorer: str) -> ScoredDocument:
-        return askllm_score(
-            doc, backend, estimator, scorer=scorer, vote_k=vote_k, backend_cfg=backend_cfg
-        )
+        return askllm_score(doc, backend, estimator, scorer=scorer, backend_cfg=backend_cfg)
 
     try:
         return score(f"{SCORER_ASK_LLM}:{model_id}")

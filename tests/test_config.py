@@ -42,6 +42,13 @@ def test_unknown_key_rejected(tmp_path):
         load_config(path)
 
 
+def test_vote_k_refused_as_unknown(tmp_path):
+    # A vote-scored document costs one request at temperature 0.
+    path = write_fixture_config(tmp_path, make_docs(3), extra={"filter": {"vote_k": 8}})
+    with pytest.raises(ConfigError, match=r"unknown key\(s\) in filter: \['vote_k'\]"):
+        load_config(path)
+
+
 def test_postprocess_regime_refused_as_unknown(tmp_path):
     # The regime is always derived from the selected templates.
     path = write_fixture_config(
@@ -81,7 +88,7 @@ def test_mistyped_value_refused(tmp_path, capsys, where, extra):
         # Each was accepted and failed, or changed a result's meaning, later.
         ("filter.scorer", {"filter": {"scorer": "externl", "threshold": 0.6}}),
         ("mix.unit", {"mix": {"unit": "token", "sources": []}}),
-        ("filter.vote_k", {"filter": {"scorer": "ask_llm", "vote_k": 0}}),
+        ("backend.endpoint", {"backend": {"kind": "http", "endpoint": "ftp://example.org/v1"}}),
         ("estimator.sample_size", {"estimator": {"default_ratio": 0.25, "sample_size": 0}}),
         ("filter.external_scores", {"filter": {"scorer": "external", "threshold": 2.5}}),
         (
@@ -103,10 +110,9 @@ def test_out_of_range_value_refused(tmp_path, capsys, where, extra):
     [
         {"filter": {"scorer": "external", "threshold": 2.5, "external_scores": "s.jsonl"}},
         {"mix": {"unit": "documents", "sources": []}},
-        {"filter": {"scorer": "ask_llm", "vote_k": 1}},
         {"estimator": {"sample_size": 1}},
     ],
-    ids=["external", "documents", "one_vote", "one_sample"],
+    ids=["external", "documents", "one_sample"],
 )
 def test_in_range_values_accepted(tmp_path, extra):
     load_config(write_fixture_config(tmp_path, make_docs(3), extra=extra))

@@ -2,27 +2,34 @@
 
 from __future__ import annotations
 
+import importlib.util
 import json
 import logging
+import re
 import socket
+import sys
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
 
 import pytest
 
+from rephrasing import pipeline
 from rephrasing.config import load_config
 from rephrasing.corpus import Document
 from rephrasing.inference import (
     AuthError,
     BackendConfig,
+    CompletionBackend,
     HttpBackend,
     JobKey,
     RephraseJob,
     TransientBackendError,
+    pull_map,
     run_batch,
 )
-from rephrasing.pipeline import stage_preprocess
+from rephrasing.pipeline import stage_preprocess, stage_score
 from rephrasing.prompts import RenderedPrompt
 from rephrasing.quality import askllm_score_first
 
@@ -90,15 +97,16 @@ class _Handler(BaseHTTPRequestHandler):
 
         prompt = payload["prompt"]
         if payload.get("echo"):
-            # Echoed prompt logprobs: -0.5 per whitespace token.
-            tokens = prompt.split()
+            # Echoed prompt logprobs: -0.5 per whitespace token, unless a
+            # test sets its own "tokenize" and "logprob(position, token)".
+            tokens = state.get("tokenize", str.split)(prompt)
+            logprob = state.get("logprob", lambda i, token: -0.5)
+            logprobs = [None] + [logprob(i, token) for i, token in enumerate(tokens) if i]
             self._reply(
                 200,
                 {
                     "usage": {"prompt_tokens": len(tokens)},
-                    "choices": [
-                        {"text": "", "logprobs": {"token_logprobs": [None] + [-0.5] * (len(tokens) - 1)}}
-                    ],
+                    "choices": [{"text": "", "logprobs": {"token_logprobs": logprobs}}],
                 },
             )
             return
@@ -272,6 +280,168 @@ class TestCompletionWire:
         assert scored.scorer == "ask_llm:m"
         assert scored.score == 0.5
         assert [bool(r["payload"].get("echo")) for r in server.state["requests"]] == [True] * 4
+
+
+# Words and punctuation, as the benchmark's stub endpoint counts tokens.
+WORDS = re.compile(r"\w+|[^\w\s]").findall
+OPTIONS = [" yes", " no"]
+
+
+def echo_requests(server) -> list[str]:
+    return [r["payload"]["prompt"] for r in server.state["requests"] if r["payload"].get("echo")]
+
+
+def scoring_prompts(n: int, last_line: str = "Choice:") -> list[str]:
+    return [f"judge document {i}: {'word ' * i}\n\n{last_line}" for i in range(n)]
+
+
+class TestOptionSpanMemo:
+    @pytest.fixture(autouse=True)
+    def positional_logprobs(self, server):
+        # A token's logprob depends on its position, so a span that is
+        # one token off scores differently.
+        server.state["tokenize"] = WORDS
+        server.state["logprob"] = lambda i, token: -0.1 * (i % 7) - 0.01 * len(token)
+
+    def three_request_scores(self, server, backend_for, prompts, options):
+        """Each prompt through a fresh backend, which echoes the bare prompt."""
+        before = len(echo_requests(server))
+        scores = [backend_for(server).option_logprobs(p, options) for p in prompts]
+        assert len(echo_requests(server)) - before == (len(options) + 1) * len(prompts)
+        return scores
+
+    @pytest.mark.parametrize(
+        "options", [OPTIONS, [" yes please", " no thanks"], ["yes", "no"]], ids=["one", "two", "glued"]
+    )
+    def test_n_prompts_send_2n_plus_1_echoes(self, server, backend_for, options):
+        prompts = scoring_prompts(6)
+        backend = backend_for(server)
+        scores = [backend.option_logprobs(p, options) for p in prompts]
+        assert len(echo_requests(server)) == 2 * len(prompts) + 1
+        assert len({tuple(s) for s in scores}) > 1
+        assert scores == self.three_request_scores(server, backend_for, prompts, options)
+
+    def test_new_last_line_learns_again(self, server, backend_for):
+        backend = backend_for(server)
+        choice, answer = scoring_prompts(3), scoring_prompts(2, "Answer:")
+        for prompt in choice[:2] + answer + choice[2:]:
+            backend.option_logprobs(prompt, OPTIONS)
+        assert echo_requests(server) == [
+            choice[0], choice[0] + " yes", choice[0] + " no",
+            choice[1] + " yes", choice[1] + " no",
+            answer[0], answer[0] + " yes", answer[0] + " no",
+            answer[1] + " yes", answer[1] + " no",
+            choice[2] + " yes", choice[2] + " no",
+        ]
+
+    def test_threads_sharing_a_backend_each_learn_at_most_once(self, server, backend_for):
+        prompts = scoring_prompts(24)
+        backend = backend_for(server)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            scores = pull_map(lambda p: backend.option_logprobs(p, OPTIONS), prompts, 8)
+        finally:
+            sys.setswitchinterval(interval)
+        assert 2 * len(prompts) + 1 <= len(echo_requests(server)) <= 2 * len(prompts) + 8
+        assert scores == self.three_request_scores(server, backend_for, prompts, OPTIONS)
+
+    def test_option_counts_that_disagree_get_the_base_echo(self, server, backend_for):
+        # After "glue" this server counts " yes" as two tokens, so on
+        # the next prompt the spans learned there imply two different
+        # prompt lengths.
+        server.state["tokenize"] = lambda text: WORDS(text) + (
+            ["+"] if "glue" in text and text.endswith("yes") else []
+        )
+        glue = "judge the glue document\nChoice:"
+        prompts = [glue] + scoring_prompts(3)
+        backend = backend_for(server)
+        scores = [backend.option_logprobs(p, OPTIONS) for p in prompts]
+        # The first prompt after "glue" learns the spans again, so the
+        # ones after it cost two echoes each.
+        assert echo_requests(server) == [
+            glue, glue + " yes", glue + " no",
+            prompts[1] + " yes", prompts[1] + " no", prompts[1],
+            prompts[2] + " yes", prompts[2] + " no",
+            prompts[3] + " yes", prompts[3] + " no",
+        ]
+        assert scores == self.three_request_scores(server, backend_for, prompts, OPTIONS)
+
+
+def http_score_config(tmp_path, docs, url: str, name: str = "config", **backend) -> Path:
+    settings = {"kind": "http", "endpoint": url, "model": "m", "retry_backoff_s": 0.0}
+    extra = {"work_dir": f"work_{name}", "backend": {**settings, **backend}}
+    return write_fixture_config(tmp_path, docs, extra=extra, name=f"{name}.yaml")
+
+
+def test_resumed_score_learns_at_most_once_per_slot(server, tmp_path):
+    server.state["tokenize"] = WORDS
+    cfg = load_config(http_score_config(tmp_path, make_docs(16, seed=5), endpoint(server), max_in_flight=4))
+    stage_preprocess(cfg)
+    scores_dir = cfg.work_dir / "scores"
+    docs = stage_score(cfg)["docs"]
+    assert len(echo_requests(server)) == 2 * docs + 1
+    expected = (scores_dir / "scores.jsonl").read_bytes()
+
+    # Keep the ledger's header and first score: the resumed run starts
+    # its pool at once, and each of its 4 threads may learn the spans.
+    ledger = scores_dir / "checkpoint.jsonl"
+    ledger.write_text("".join(ledger.read_text().splitlines(keepends=True)[:2]))
+    server.state["requests"].clear()
+    stage_score(cfg)
+    assert 2 * (docs - 1) + 1 <= len(echo_requests(server)) <= 2 * (docs - 1) + 4
+    assert (scores_dir / "scores.jsonl").read_bytes() == expected
+
+
+class _FreshBackendPerDocument(CompletionBackend):
+    """Scores every document through a new HttpBackend: three echo requests each."""
+
+    def __init__(self, cfg: BackendConfig):
+        self.cfg = cfg
+
+    def option_logprobs(self, prompt, options):
+        backend = HttpBackend(self.cfg)
+        try:
+            return backend.option_logprobs(prompt, options)
+        finally:
+            backend.close()
+
+
+def test_scoring_against_the_benchmark_stub(tmp_path, monkeypatch):
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "stub.py"
+    spec = importlib.util.spec_from_file_location("perfbench_stub", path)
+    bench_stub = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_stub)
+    docs = make_docs(12, seed=31)
+    # The stub answers the first try at each prompt of these with a 503;
+    # the first is the document that learns the option spans.
+    for i in (0, 5):
+        doc = docs[i]
+        docs[i] = Document(doc.id, f"{bench_stub.BUSY_MARKER} {doc.text}", doc.lang, doc.meta)
+
+    with bench_stub.Stub() as stub:
+
+        def score(name: str) -> tuple[bytes, int, dict]:
+            cfg = load_config(http_score_config(tmp_path, docs, stub.url, name))
+            stage_preprocess(cfg)
+            before = stub.stats()
+            report = stage_score(cfg)
+            after = stub.stats()
+            sent = {key: after[key] - before[key] for key in ("requests", "errors_503")}
+            return (cfg.work_dir / "scores" / "scores.jsonl").read_bytes(), report["docs"], sent
+
+        scores, scored, sent = score("memo")
+        assert scored == len(docs)
+        # Base echo, yes and no for the first document; yes and no for the second.
+        assert sent["errors_503"] == 3 + 2
+        assert sent["requests"] == 2 * scored + 1 + sent["errors_503"]
+
+        monkeypatch.setattr(pipeline, "make_backend", lambda cfg: _FreshBackendPerDocument(cfg.backend))
+        reference, _, sent = score("fresh")
+        # Only the second busy document's bare prompt is new to the stub.
+        assert sent == {"requests": 3 * scored + 1, "errors_503": 1}
+    assert scores == reference
+    assert len({json.loads(line)["score"] for line in scores.splitlines()}) == scored
 
 
 def tokenizer_config(tmp_path, exact_endpoint: str):

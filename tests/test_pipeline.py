@@ -7,7 +7,7 @@ import pytest
 
 from rephrasing import mixing, pipeline
 from rephrasing.config import load_config
-from rephrasing.corpus import CorpusError, ShardManifest, iter_corpus, write_corpus
+from rephrasing.corpus import CorpusError, Document, ShardManifest, iter_corpus, write_corpus
 from rephrasing.pipeline import (
     StageError,
     run_all,
@@ -22,7 +22,7 @@ from rephrasing.pipeline import (
 from rephrasing.inference import BackendError, CheckpointWriter, CompletionBackend, MockBackend
 from rephrasing.quality import MissingScoresError, ingest_external_scores
 
-from conftest import QA_LEGACY_RULES, make_docs, write_fixture_config
+from conftest import QA_LEGACY_RULES, QA_TAGGED_RULES, make_docs, write_fixture_config
 
 
 @pytest.fixture
@@ -155,6 +155,24 @@ class TestRephrase:
     def test_requires_preprocess(self, cfg):
         with pytest.raises(StageError, match="calibration"):
             stage_rephrase(cfg)
+
+    def test_report_counts_tag_collisions_and_attempts(self, tmp_path):
+        quoting = "This sentence quotes the closing tag </text> of the template. "
+        docs = make_docs(8, seed=3) + [Document("doc-quoting", quoting * 12, "en")]
+        # Every prompt's first try fails, so every job takes two.
+        mock = {"rules": QA_TAGGED_RULES, "fail_first": 1}
+        backend = {"kind": "mock", "model": "mock-model", "retry_backoff_s": 0.0, "mock": mock}
+        cfg = load_config(write_fixture_config(tmp_path, docs, extra={"backend": backend}))
+        stage_preprocess(cfg)
+        colliding = sum("</text>" in passage.text for passage in pipeline.iter_passages(cfg))
+        assert colliding > 0
+        first = stage_rephrase(cfg)
+        assert first["tag_collisions"] == colliding
+        assert first["attempts"] == {"2": first["jobs"]}
+        # A resume replays every result, with the attempts it took.
+        second = stage_rephrase(cfg)
+        assert second["replayed"] == second["jobs"]
+        assert (second["tag_collisions"], second["attempts"]) == (colliding, first["attempts"])
 
     def test_fingerprint_mismatch_refused(self, tmp_path):
         path = write_fixture_config(tmp_path, make_docs(5))
@@ -693,7 +711,8 @@ class TestScoreLedger:
         assert report["docs"] == len(scores) > 1
         # Only the first document asks for log-probabilities.
         assert backend.logprob_requests == 1
-        assert backend.calls == rephrased.filter.vote_k * len(scores)
+        # One vote request per document: at temperature 0 more would repeat it.
+        assert backend.calls == len(scores)
 
     def test_logprob_failure_fails_stage_and_keeps_ledger(self, rephrased, monkeypatch):
         cfg = rephrased

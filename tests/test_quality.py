@@ -108,9 +108,7 @@ class TestAskLlmScore:
             def option_logprobs(self, prompt, options):
                 raise BackendError("unsupported")
 
-        scored = askllm_score_first(
-            self.doc(), NoLogprobs(), quarter_estimator, model_id="m", vote_k=4
-        )
+        scored = askllm_score_first(self.doc(), NoLogprobs(), quarter_estimator, model_id="m")
         assert scored.score == 1.0
         assert scored.scorer == "ask_llm_vote:m"
 
@@ -131,11 +129,12 @@ class TestAskLlmScore:
 
         backend = NoLogprobs(default_response="yes\n", fail_first=1)
         scored = askllm_score(
-            self.doc(), backend, quarter_estimator, scorer="ask_llm_vote:m", vote_k=4,
+            self.doc(), backend, quarter_estimator, scorer="ask_llm_vote:m",
             backend_cfg=BackendConfig(retry_backoff_s=0.0),
         )
         assert scored.score == 1.0
-        assert backend.calls == 5
+        # One vote, sent twice: the scripted failure and its retry.
+        assert backend.calls == 2
 
     def test_transient_logprob_error_does_not_switch_to_voting(self, quarter_estimator):
         class Busy(MockBackend):
