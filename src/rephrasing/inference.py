@@ -1,13 +1,15 @@
 """Drive an external completion endpoint at high throughput.
 
-Jobs are sorted by prompt length for better device utilization and
-pulled in that order by at most ``max_in_flight`` worker threads.  Each
-finished job is appended to an append-only checkpoint and only then
-reported, so the checkpoint always holds exactly the results reported
-so far, and preempted runs resume without re-issuing them and still
-produce byte-identical output.  A stop discards at most
-``max_in_flight - 1`` in-flight results.  Transient backend errors are
-retried by one helper, ``with_retries``, wherever a request is sent.
+Jobs are sorted longest prompt first, so the short jobs fill the tail of
+a batch, and pulled in that order through ``max_in_flight`` request
+slots.  Each finished job is appended to an append-only checkpoint and
+only then reported, so the checkpoint always holds exactly the results
+reported so far, and preempted runs resume without re-issuing them and
+still produce byte-identical output.  A stop discards at most
+``max_in_flight - 1`` results of requests in flight, and sends no retry
+and no new job.  Transient backend errors are retried by one helper,
+``with_retries``, wherever a request is sent; on a pool thread a
+request waiting out its retry backoff gives its slot to the next job.
 Results always come back in the original job order regardless of
 scheduling.
 
@@ -88,13 +90,30 @@ def with_retries(request: Callable[[], T], cfg: BackendConfig) -> T:
     At most ``cfg.max_retries`` tries in all, sleeping
     ``cfg.retry_backoff_s * 2**(k - 1)`` after the k-th failed try.  Any
     other error, and the transient error of the last try, propagates.
+
+    On a ``pull_map`` worker thread a backoff holds no request slot: the
+    thread gives its slot up for the sleep, so that another request can
+    use it, and then takes the next free slot back, ahead of any new
+    item.  If the pool has stopped meanwhile, no retry is sent: the
+    thread raises ``_PoolStopped`` instead.  Anywhere else the thread
+    just sleeps.
     """
     for attempt in range(1, cfg.max_retries):
         try:
             return request()
         except TransientBackendError:
-            time.sleep(cfg.retry_backoff_s * 2 ** (attempt - 1))
+            _back_off(cfg.retry_backoff_s * 2 ** (attempt - 1))
     return request()
+
+
+def _back_off(seconds: float) -> None:
+    pool = getattr(_worker, "pool", None)
+    if pool is None:
+        time.sleep(seconds)
+        return
+    pool.release()
+    time.sleep(seconds)
+    pool.reclaim()
 
 
 @dataclass(frozen=True)
@@ -134,8 +153,11 @@ class RephraseResult:
     model_id: str = ""
     attempts: int = 1
     # Wall-clock only; excluded from serialization so resumed runs stay
-    # byte-identical to uninterrupted ones.
+    # byte-identical to uninterrupted ones.  ``busy_s`` is ``latency_s``
+    # less the time from each transient failure to the next try, when
+    # the job holds no request slot.
     latency_s: float = 0.0
+    busy_s: float = 0.0
 
     @property
     def failed(self) -> bool:
@@ -466,10 +488,12 @@ class HttpBackend(CompletionBackend):
 
 @dataclass(frozen=True)
 class ExecutionPlan:
-    """Jobs reordered by ascending prompt length, grouped into buckets.
+    """Jobs reordered longest prompt first, grouped into buckets.
 
-    ``order[k]`` is the original index of the k-th job to execute; the
-    permutation is inverted on output so results return in input order.
+    Longest first (LPT; Graham 1969) leaves the short jobs for the end,
+    so the slots finish close together.  ``order[k]`` is the original
+    index of the k-th job to execute; the permutation is inverted on
+    output so results return in input order.
     """
 
     order: tuple[int, ...]
@@ -479,7 +503,10 @@ class ExecutionPlan:
 def schedule(jobs: Sequence[RephraseJob], bucket_size: int = 64) -> ExecutionPlan:
     if not jobs:
         raise ValueError("cannot schedule an empty job collection")
-    order = tuple(sorted(range(len(jobs)), key=lambda i: len(jobs[i].prompt.text)))
+    # Stable: prompts of equal length keep their input order.
+    order = tuple(
+        sorted(range(len(jobs)), key=lambda i: len(jobs[i].prompt.text), reverse=True)
+    )
     buckets = tuple(
         (start, min(start + bucket_size, len(order)))
         for start in range(0, len(order), bucket_size)
@@ -502,7 +529,10 @@ class CheckpointWriter:
 
     The first line pins the fingerprint; appending to a ledger written
     under a different fingerprint aborts.  Appends are serialized and
-    flushed so a preemption loses at most one record.
+    flushed so a preemption loses at most one record.  Opening an
+    existing ledger cuts a partial last line, left by a kill in the
+    middle of an append, so that the next record starts a line of its
+    own instead of being glued onto it and lost with it.
     """
 
     def __init__(self, path: Path | str, fingerprint: str):
@@ -510,11 +540,12 @@ class CheckpointWriter:
         self.fingerprint = fingerprint
         self._lock = threading.Lock()
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        fresh = not self.path.exists() or self.path.stat().st_size == 0
-        if not fresh:
+        size = self.path.stat().st_size if self.path.exists() else 0
+        if size:
             _verify_checkpoint_header(self.path, fingerprint)
+            size = _cut_partial_line(self.path)
         self._handle = self.path.open("a", encoding="utf-8")
-        if fresh:
+        if not size:
             header = {"kind": _CHECKPOINT_HEADER, "fingerprint": fingerprint}
             self._handle.write(json.dumps(header) + "\n")
             self._handle.flush()
@@ -534,6 +565,24 @@ class CheckpointWriter:
 
     def __exit__(self, *exc) -> None:
         self.close()
+
+
+def _cut_partial_line(path: Path) -> int:
+    """Truncate ``path`` just after its last newline; returns its new size."""
+    with path.open("rb+") as handle:
+        end = handle.seek(0, os.SEEK_END)
+        keep = end
+        while keep > 0:
+            start = max(0, keep - 65536)
+            handle.seek(start)
+            newline = handle.read(keep - start).rfind(b"\n")
+            if newline >= 0:
+                keep = start + newline + 1
+                break
+            keep = start
+        if keep < end:
+            handle.truncate(keep)
+        return keep
 
 
 def _verify_checkpoint_header(path: Path, fingerprint: str) -> None:
@@ -600,95 +649,177 @@ def resume(
 def _run_one(job: RephraseJob, backend: CompletionBackend, cfg: BackendConfig) -> RephraseResult:
     start = time.monotonic()
     attempts = 0
+    # Time from each transient failure to the next try: the backoff and
+    # the wait for a slot after it.  Clocked only on the retry path.
+    failed_at = waited = 0.0
 
     def request() -> Completion:
-        nonlocal attempts
+        nonlocal attempts, failed_at, waited
         attempts += 1
-        return backend.complete(
-            job.prompt.text,
-            temperature=job.prompt.temperature,
-            stop=job.prompt.stop,
-            max_tokens=cfg.max_output_tokens,
-        )
+        if failed_at:
+            waited += time.monotonic() - failed_at
+        try:
+            return backend.complete(
+                job.prompt.text,
+                temperature=job.prompt.temperature,
+                stop=job.prompt.stop,
+                max_tokens=cfg.max_output_tokens,
+            )
+        except TransientBackendError:
+            failed_at = time.monotonic()
+            raise
 
     try:
         completion = with_retries(request, cfg)
     except AuthError:
         raise
     except BackendError as exc:
+        latency = time.monotonic() - start
         return RephraseResult(
             key=job.key,
             text=f"{type(exc).__name__}: {exc}",
             finish=FINISH_ERROR,
             attempts=attempts,
-            latency_s=time.monotonic() - start,
+            latency_s=latency,
+            busy_s=latency - waited,
         )
+    latency = time.monotonic() - start
     return RephraseResult(
         key=job.key,
         text=completion.text,
         finish=completion.finish,
         model_id=completion.model_id,
         attempts=attempts,
-        latency_s=time.monotonic() - start,
+        latency_s=latency,
+        busy_s=latency - waited,
     )
 
 
-def pull_map(
-    fn: Callable[[T], R],
-    items: Iterable[T],
-    max_workers: int,
-    on_done: Callable[[R], None] | None = None,
-) -> list[R]:
-    """Apply ``fn`` to every item on at most ``max_workers`` threads.
+class _PoolStopped(BaseException):
+    """Raised on a pool thread that wakes from a backoff after the pool
+    stopped, so that no retry is sent.  A ``BaseException``, like an
+    interrupt, so that an ``except Exception`` in ``fn`` cannot turn it
+    into a request sent after the stop."""
 
-    Each thread pulls the next item from ``items`` under a pull lock,
-    so items are taken lazily and in order, and at most ``max_workers``
-    are taken and unfinished at once: an iterator streams through
-    without being held.  Results, errors and ``on_done(result)`` take a
-    second lock, so a pull (which may parse its item) and the recording
-    of a result (which may write a checkpoint) never wait on each other;
-    ``on_done`` runs on the worker thread and its calls never overlap.
-    The first exception -- from ``fn``, from ``on_done``, from the
-    iterator itself, or an interrupt in the joining thread -- stops the
-    pool from pulling more items; results that finish after it are
-    dropped without ``on_done``, and the exception is re-raised once
-    every thread has been joined.  Results come back in item order.
+
+# On a pull_map worker thread, ``pool`` is the thread's _Pool.
+_worker = threading.local()
+
+
+class _Pool:
+    """The threads and request slots of one ``pull_map`` call.
+
+    Each of ``slots`` request slots is held by at most one thread, and
+    only a slot holder pulls an item or runs ``fn`` outside a backoff.
+    Slots change hands only when a backoff starts (``release``), when a
+    thread back from one waits for a slot (``reclaim``), and when a
+    thread exits, so a run without retries takes no lock per item
+    beyond the pull lock and the result lock.
     """
-    source = iter(items)
-    # Grown under pull_lock, filled in under lock: list.append and item
-    # assignment are each atomic.
-    results: list = []
-    pull_lock = threading.Lock()
-    lock = threading.Lock()
-    errors: list[BaseException] = []
-    exhausted = False
 
-    def work() -> None:
-        nonlocal exhausted
+    def __init__(self, fn, items, slots: int, on_done) -> None:
+        self.fn = fn
+        self.on_done = on_done
+        self.source = iter(items)
+        # Grown under ``pull``, filled in under ``lock``: list.append and
+        # item assignment are each atomic.
+        self.results: list = []
+        # The pull lock guards pulls, the slot counts below and
+        # ``threads``.  Threads that need a slot wait on ``slot_freed``,
+        # a condition on the same lock; taking the plain lock keeps the
+        # per-item path free of the condition's Python-level methods.
+        self.pull = threading.Lock()
+        self.slot_freed = threading.Condition(self.pull)
+        # Guards results, errors and on_done.
+        self.lock = threading.Lock()
+        self.errors: list[BaseException] = []
+        self.exhausted = False
+        self.free = 0  # slots no thread holds
+        self.waiting = 0  # threads back from a backoff, waiting for a slot
+        self.idle = 0  # spare threads waiting for a slot
+        self.threads = [threading.Thread(target=self.work, args=(True,)) for _ in range(slots)]
+        self.max_threads = 2 * slots
+
+    def run(self) -> list:
+        for thread in list(self.threads):
+            thread.start()
+        try:
+            # Spares are appended while this loop runs.  Each is appended
+            # and started by a live thread listed before it, so the loop
+            # reaches it only after it has started.
+            for thread in self.threads:
+                thread.join()
+        except BaseException as exc:
+            with self.lock:
+                self.errors.append(exc)
+            with self.pull:
+                self.slot_freed.notify_all()
+            for thread in self.threads:
+                thread.join()
+            raise
+        if self.errors:
+            raise self.errors[0]
+        return self.results
+
+    def work(self, held: bool) -> None:
+        """Run items until the pool is done, then free the slot held."""
+        _worker.pool = self
+        try:
+            held = self._work(held)
+        finally:
+            with self.pull:
+                if held:
+                    self.free += 1
+                self.slot_freed.notify_all()
+
+    def _work(self, held: bool) -> bool:
+        """Returns whether this thread still holds a slot."""
+        # Locals for the per-item path; none of these is rebound.
+        pull, lock, source, fn, on_done = self.pull, self.lock, self.source, self.fn, self.on_done
+        results, errors = self.results, self.errors
         while True:
-            with pull_lock:
-                if errors or exhausted:
-                    return
+            with pull:
+                if held and self.waiting > self.free:
+                    # A request back from its backoff goes before a new item.
+                    self.free += 1
+                    held = False
+                    self.slot_freed.notify_all()
+                while not held:
+                    if errors or self.exhausted:
+                        return False
+                    if self.free and not self.waiting:
+                        self.free -= 1
+                        held = True
+                    else:
+                        self.idle += 1
+                        self.slot_freed.wait()
+                        self.idle -= 1
+                if errors or self.exhausted:
+                    return True
                 try:
                     item = next(source)
                 except StopIteration:
-                    exhausted = True
-                    return
+                    self.exhausted = True
+                    return True
                 except BaseException as exc:
                     with lock:
                         errors.append(exc)
-                    return
+                    return True
                 index = len(results)
                 results.append(None)
+            # A backoff inside fn gives the slot up and takes one back
+            # (release, reclaim), so fn returns holding a slot.
             try:
                 result = fn(item)
+            except _PoolStopped:
+                return False
             except BaseException as exc:
                 with lock:
                     errors.append(exc)
-                return
+                return True
             with lock:
                 if errors:
-                    return
+                    return True
                 results[index] = result
                 if on_done is not None:
                     try:
@@ -697,24 +828,76 @@ def pull_map(
                         # Recorded before the lock is released, so no
                         # other result is reported after this one.
                         errors.append(exc)
-                        return
+                        return True
 
-    workers = min(max_workers, len(items)) if isinstance(items, Sized) else max_workers
-    threads = [threading.Thread(target=work) for _ in range(workers)]
-    for thread in threads:
-        thread.start()
-    try:
-        for thread in threads:
-            thread.join()
-    except BaseException as exc:
-        with lock:
-            errors.append(exc)
-        for thread in threads:
-            thread.join()
-        raise
-    if errors:
-        raise errors[0]
-    return results
+    def release(self) -> None:
+        """Give the calling thread's slot up for a backoff.
+
+        A thread back from its own backoff takes it first, then an idle
+        spare; failing both, a new spare is started while the pool has
+        fewer than ``max_threads`` threads.
+        """
+        spare = None
+        with self.pull:
+            self.free += 1
+            if (
+                self.free > self.waiting + self.idle
+                and len(self.threads) < self.max_threads
+                and not (self.errors or self.exhausted)
+            ):
+                spare = threading.Thread(target=self.work, args=(False,))
+                self.threads.append(spare)
+            self.slot_freed.notify_all()
+        if spare is not None:
+            spare.start()
+
+    def reclaim(self) -> None:
+        """Take the next free slot after a backoff, ahead of new items;
+        raise ``_PoolStopped`` instead once the pool has stopped."""
+        with self.pull:
+            self.waiting += 1
+            while not self.free and not self.errors:
+                self.slot_freed.wait()
+            self.waiting -= 1
+            if self.errors:
+                raise _PoolStopped
+            self.free -= 1
+            if self.free:
+                # Idle spares may take the slots no retry is waiting for.
+                self.slot_freed.notify_all()
+
+
+def pull_map(
+    fn: Callable[[T], R],
+    items: Iterable[T],
+    max_workers: int,
+    on_done: Callable[[R], None] | None = None,
+) -> list[R]:
+    """Apply ``fn`` to every item, with at most ``max_workers`` running.
+
+    ``max_workers`` request slots are held by worker threads, and only a
+    slot holder pulls the next item from ``items`` (under a pull lock)
+    or runs ``fn``.  Items are thus taken lazily and in order, and at
+    most ``max_workers`` are taken and unfinished at once, plus one for
+    each item whose request is waiting out a retry backoff: an iterator
+    streams through without being held.  A thread in a ``with_retries``
+    backoff gives its slot to a spare thread, which pulls the next item;
+    when the backoff ends the thread takes the next free slot, ahead of
+    any new item.  At most ``2 * max_workers`` threads run.
+
+    Results, errors and ``on_done(result)`` take a second lock, so a
+    pull (which may parse its item) and the recording of a result (which
+    may write a checkpoint) never wait on each other; ``on_done`` runs
+    on the worker thread and its calls never overlap.  The first
+    exception -- from ``fn``, from ``on_done``, from the iterator
+    itself, or an interrupt in the joining thread -- stops the pool: no
+    item is pulled and no retry is sent after it, results that finish
+    after it are dropped without ``on_done``, and the exception is
+    re-raised once every thread has been joined.  Results come back in
+    item order.
+    """
+    slots = min(max_workers, len(items)) if isinstance(items, Sized) else max_workers
+    return _Pool(fn, items, slots, on_done).run()
 
 
 def run_batch(
@@ -729,18 +912,19 @@ def run_batch(
 ) -> list[RephraseResult]:
     """Execute jobs with bounded concurrency; results in original order.
 
-    Jobs not in ``replayed`` are pulled in plan order by
-    ``min(cfg.max_in_flight, jobs to run)`` threads, so at most
-    ``cfg.max_in_flight`` requests are outstanding at any instant.  Each
+    Jobs not in ``replayed`` are pulled in plan order through ``pull_map``
+    with ``cfg.max_in_flight`` request slots, so at most
+    ``cfg.max_in_flight`` requests are outstanding at any instant, and a
+    job waiting out a retry backoff lends its slot to the next job.  Each
     finished job is appended to the checkpoint and then passed to
     ``on_result``, on the worker thread and serialised with every other
     append and ``on_result`` call.  The first exception, including one
-    raised by ``on_result``, stops the run from issuing more jobs and is
-    re-raised once the in-flight ones return; their results are
-    discarded unrecorded, so the checkpoint holds exactly the results
-    ``on_result`` saw, and a stop wastes at most ``cfg.max_in_flight - 1``
-    requests.  Every job key appears exactly once in the output, done or
-    failed.
+    raised by ``on_result``, stops the run from issuing more jobs and
+    retries and is re-raised once the in-flight ones return; their
+    results are discarded unrecorded, so the checkpoint holds exactly the
+    results ``on_result`` saw, and a stop wastes at most
+    ``cfg.max_in_flight - 1`` requests.  Every job key appears exactly
+    once in the output, done or failed.
     """
     if not jobs:
         return []

@@ -333,8 +333,8 @@ def stage_rephrase(cfg: PipelineConfig, *, on_result=None) -> dict:
     """Render prompts, drive the backend, and store raw completions.
 
     Works one passages shard at a time: render the shard's prompts (the
-    template comes from each passage's ``lang``), send them in ascending
-    prompt-length order, append the shard's results in passage order to
+    template comes from each passage's ``lang``), send them longest
+    prompt first, append the shard's results in passage order to
     ``completions.jsonl.tmp`` and ``failed.jsonl.tmp``, and drop them
     before the next shard.  Memory thus holds at most one shard of
     prompts and results, plus the checkpoint's not yet replayed results
@@ -344,6 +344,12 @@ def stage_rephrase(cfg: PipelineConfig, *, on_result=None) -> dict:
     Completed jobs land in an append-only checkpoint first, so a killed
     run resumes without re-issuing finished requests and reproduces the
     same output files byte for byte.
+
+    ``throughput.json`` reports, over the jobs issued in this run (not
+    the replayed ones), ``busy_s``, the time spent in requests summed
+    over jobs, retry backoffs left out since they hold no request slot;
+    ``latency_max_s``, the longest job from first try to result; and
+    ``slot_utilisation``, ``busy_s / (max_in_flight * seconds)``.
     """
     started = time.monotonic()
     estimator = load_estimator(cfg)
@@ -360,6 +366,7 @@ def stage_rephrase(cfg: PipelineConfig, *, on_result=None) -> dict:
 
     totals: Counter = Counter()
     attempts: Counter = Counter()
+    latency_max = 0.0
     backend = make_backend(cfg)
     try:
         with CheckpointWriter(checkpoint_path, fingerprint) as checkpoint, done_tmp.open(
@@ -381,6 +388,10 @@ def stage_rephrase(cfg: PipelineConfig, *, on_result=None) -> dict:
                 totals["tag_collisions"] += sum(job.prompt.tag_collision for job in jobs)
                 attempts.update(r.attempts for r in results)
                 for r in results:
+                    # Zero for replayed results, which carry no timing.
+                    totals["busy_s"] += r.busy_s
+                    if r.latency_s > latency_max:
+                        latency_max = r.latency_s
                     line = json.dumps(r.to_obj(), ensure_ascii=False) + "\n"
                     if r.failed:
                         failed_out.write(line)
@@ -412,6 +423,11 @@ def stage_rephrase(cfg: PipelineConfig, *, on_result=None) -> dict:
         "attempts": {str(k): attempts[k] for k in sorted(attempts)},
         "output_est_tokens": output_tokens,
         "tokens_per_s": round(output_tokens / wall, 1) if wall > 0 else 0.0,
+        "busy_s": round(totals["busy_s"], 6),
+        "latency_max_s": round(latency_max, 6),
+        "slot_utilisation": (
+            round(totals["busy_s"] / (cfg.backend.max_in_flight * wall), 6) if wall > 0 else 0.0
+        ),
         "seconds": round(wall, 6),
     }
     _write_report(report, out_dir / "throughput.json")

@@ -23,6 +23,7 @@ from rephrasing.inference import (
     MockRule,
     RephraseJob,
     RephraseResult,
+    TransientBackendError,
     load_checkpoint,
     pull_map,
     resume,
@@ -56,7 +57,8 @@ class TestSchedule:
     def test_sorted_by_length_restored_on_output(self):
         jobs = [make_job(0, 900), make_job(1, 100), make_job(2, 500)]
         plan = schedule(jobs)
-        assert list(plan.order) == [1, 2, 0]
+        # Longest first.
+        assert list(plan.order) == [0, 2, 1]
         results = run_batch(jobs, MockBackend(ECHO_RULES), CFG, plan=plan)
         assert [r.key.doc_id for r in results] == ["doc000", "doc001", "doc002"]
 
@@ -200,6 +202,109 @@ class TestRunBatch:
         assert threading.active_count() == threads_before
 
 
+class Recording(CompletionBackend):
+    """Records each request's job number in the order requests start, and
+    the most requests outstanding at once.
+
+    ``failures[i]`` of job i's first tries fail transiently (every job's
+    ``fail_first`` when absent), job i's tries take ``latency[i]`` seconds
+    (``default_latency`` when absent), and job i raises ``errors[i]``.
+    """
+
+    def __init__(self, *, fail_first=0, failures=None, latency=None, default_latency=0.0, errors=None):
+        self.fail_first = fail_first
+        self.failures = failures or {}
+        self.latency = latency or {}
+        self.default_latency = default_latency
+        self.errors = errors or {}
+        self.lock = threading.Lock()
+        self.started: list[int] = []
+        self.outstanding = 0
+        self.peak = 0
+        self.peak_threads = 0
+
+    def complete(self, prompt, *, temperature, stop, max_tokens):
+        job = int(prompt.split()[1])
+        with self.lock:
+            tries = self.started.count(job)
+            self.started.append(job)
+            self.outstanding += 1
+            self.peak = max(self.peak, self.outstanding)
+            self.peak_threads = max(self.peak_threads, threading.active_count())
+        try:
+            time.sleep(self.latency.get(job, self.default_latency))
+            if job in self.errors:
+                raise self.errors[job]
+            if tries < self.failures.get(job, self.fail_first):
+                raise TransientBackendError("busy")
+            return Completion(f"OK {job:03d}</text>", "stop_sequence")
+        finally:
+            with self.lock:
+                self.outstanding -= 1
+
+
+class TestBackoffFreesSlot:
+    """A job waiting out a retry backoff holds no request slot."""
+
+    def test_cap_holds_while_jobs_back_off(self):
+        backend = Recording(fail_first=2, default_latency=0.001)
+        cfg = BackendConfig(max_in_flight=3, max_retries=3, retry_backoff_s=0.002)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            results = run_batch(make_jobs(60), backend, cfg)
+        finally:
+            sys.setswitchinterval(interval)
+        assert [r.text for r in results] == [f"OK {i:03d}</text>" for i in range(60)]
+        assert all(r.attempts == 3 for r in results)
+        assert len(backend.started) == 180
+        assert backend.peak == cfg.max_in_flight
+
+    def test_other_job_finishes_during_backoff(self):
+        backend = Recording(failures={0: 1})
+        cfg = BackendConfig(max_in_flight=1, max_retries=2, retry_backoff_s=0.2)
+        done = []
+        results = run_batch(make_jobs(3), backend, cfg, on_result=lambda r: done.append(r.key.doc_id))
+        assert all(not r.failed for r in results)
+        assert done == ["doc001", "doc002", "doc000"]
+        assert backend.started == [0, 1, 2, 0]
+        assert backend.peak == 1
+
+    def test_woken_retry_takes_next_slot_before_new_job(self):
+        # Job 0 wakes while job 1 holds the only slot; job 2 waits for job 0.
+        backend = Recording(failures={0: 1}, latency={1: 0.3})
+        cfg = BackendConfig(max_in_flight=1, max_retries=2, retry_backoff_s=0.05)
+        results = run_batch(make_jobs(5), backend, cfg)
+        assert [r.attempts for r in results] == [2, 1, 1, 1, 1]
+        assert backend.started == [0, 1, 0, 2, 3, 4]
+        assert backend.peak == 1
+
+    @pytest.mark.parametrize("stop_after_s", [0.0, 0.3], ids=["asleep", "awake_waiting"])
+    def test_stop_during_backoff_sends_no_further_request(self, stop_after_s):
+        # Job 1 aborts the run while job 0 still sleeps, or after job 0
+        # has woken and waits for the slot job 1 holds.
+        backend = Recording(
+            failures={0: 1}, latency={1: stop_after_s}, errors={1: AuthError("revoked")}
+        )
+        cfg = BackendConfig(max_in_flight=1, max_retries=2, retry_backoff_s=0.1)
+        threads_before = threading.active_count()
+        with pytest.raises(AuthError, match="revoked"):
+            run_batch(make_jobs(5), backend, cfg)
+        assert backend.started == [0, 1]
+        assert threading.active_count() == threads_before
+
+    def test_at_most_twice_max_in_flight_threads(self):
+        backend = Recording(fail_first=1, default_latency=0.001)
+        cfg = BackendConfig(max_in_flight=2, max_retries=2, retry_backoff_s=0.003)
+        threads_before = threading.active_count()
+        results = run_batch(make_jobs(80), backend, cfg)
+        assert all(r.attempts == 2 for r in results)
+        spawned = backend.peak_threads - threads_before
+        assert cfg.max_in_flight < spawned <= 2 * cfg.max_in_flight
+        assert backend.peak <= cfg.max_in_flight
+        assert threading.active_count() == threads_before
+
+
 class TestPullMapOverIterator:
     """pull_map pulls from a plain iterator lazily, under its lock."""
 
@@ -314,6 +419,30 @@ class TestCheckpoint:
             handle.write('{"kind": "result", "key": ["e", 1')  # mid-write crash
         loaded = load_checkpoint(path, "fp")
         assert list(loaded) == [result.key]
+
+    def test_append_after_torn_tail_starts_a_new_line(self, tmp_path):
+        path = tmp_path / "cp.jsonl"
+
+        def result(doc_id):
+            return RephraseResult(JobKey(doc_id, 0, "qa"), "text", "stop_sequence")
+
+        with CheckpointWriter(path, "fp") as writer:
+            writer.append(result("a"))
+            writer.append(result("b"))
+        with path.open("rb+") as handle:  # killed while appending b
+            handle.truncate(path.stat().st_size - 10)
+        with CheckpointWriter(path, "fp") as writer:
+            writer.append(result("b"))
+            writer.append(result("c"))
+        assert [key.doc_id for key in resume(path, "fp")] == ["a", "b", "c"]
+
+    def test_torn_header_newline_rewritten(self, tmp_path):
+        path = tmp_path / "cp.jsonl"
+        path.write_text('{"kind": "header", "fingerprint": "fp"}', encoding="utf-8")
+        with CheckpointWriter(path, "fp") as writer:
+            writer.append(RephraseResult(JobKey("a", 0, "qa"), "text", "stop_sequence"))
+        assert len(path.read_text(encoding="utf-8").splitlines()) == 2
+        assert [key.doc_id for key in resume(path, "fp")] == ["a"]
 
     def test_missing_checkpoint_is_empty(self, tmp_path):
         assert load_checkpoint(tmp_path / "absent.jsonl", "fp") == {}

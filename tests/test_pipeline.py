@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import shutil
+from unittest.mock import ANY
 
 import pytest
 
@@ -19,7 +20,13 @@ from rephrasing.pipeline import (
     stage_score,
     stage_stats,
 )
-from rephrasing.inference import BackendError, CheckpointWriter, CompletionBackend, MockBackend
+from rephrasing.inference import (
+    BackendError,
+    CheckpointWriter,
+    CompletionBackend,
+    MockBackend,
+    MockRule,
+)
 from rephrasing.quality import MissingScoresError, ingest_external_scores
 
 from conftest import QA_LEGACY_RULES, QA_TAGGED_RULES, make_docs, write_fixture_config
@@ -174,6 +181,31 @@ class TestRephrase:
         assert second["replayed"] == second["jobs"]
         assert (second["tag_collisions"], second["attempts"]) == (colliding, first["attempts"])
 
+    def test_report_times_issued_requests(self, tmp_path, monkeypatch):
+        # Each job's first try fails at once and backs off 20 ms; its
+        # second try takes 2 ms.
+        backend = {"kind": "mock", "model": "mock-model", "max_in_flight": 4, "retry_backoff_s": 0.02}
+        path = write_fixture_config(tmp_path, make_docs(12, seed=3), extra={"backend": backend})
+        cfg = load_config(path)
+        rules = [MockRule(**rule) for rule in QA_TAGGED_RULES]
+        monkeypatch.setattr(
+            pipeline, "make_backend", lambda cfg: MockBackend(rules, fail_first=1, latency_s=0.002)
+        )
+        stage_preprocess(cfg)
+        first = stage_rephrase(cfg)
+        issued = first["issued"]
+        assert first["attempts"] == {"2": issued} and issued > 4
+        assert first["latency_max_s"] >= 0.022
+        assert 0.002 * issued <= first["busy_s"] < 0.02 * issued
+        assert 0 < first["slot_utilisation"] <= 1
+        assert first["slot_utilisation"] == pytest.approx(
+            first["busy_s"] / (4 * first["seconds"]), rel=1e-3
+        )
+        # A resume replays every result and times nothing.
+        second = stage_rephrase(cfg)
+        assert second["issued"] == 0
+        assert [second[k] for k in ("busy_s", "latency_max_s", "slot_utilisation")] == [0, 0, 0]
+
     def test_fingerprint_mismatch_refused(self, tmp_path):
         path = write_fixture_config(tmp_path, make_docs(5))
         cfg = load_config(path)
@@ -260,6 +292,56 @@ class TestStreamingRephrase:
         assert resumed["replayed"] == sum(not r.failed for r in seen)
         assert resumed["issued"] == resumed["jobs"] - resumed["replayed"]
         assert rephrase_outputs(cfg) == rephrase_outputs(reference)
+
+    def test_retries_leave_outputs_byte_identical(self, tmp_path, monkeypatch):
+        """Every first try fails and backs off, in rephrase and in score."""
+
+        class Flaky(MockBackend):
+            """Refuses log-probabilities, so every document is scored by a
+            vote: a completion sent through ``with_retries`` on a pool thread."""
+
+            def option_logprobs(self, prompt, options):
+                raise BackendError("no log-probabilities")
+
+        # Votes yes when the rephrased passage starts with a-m.
+        vote = {"pattern": r"###DOCUMENT_START###\n[^\n]*\nAnswer: [a-m]", "response": "yes\n"}
+        rules = [MockRule(**rule) for rule in QA_TAGGED_RULES + [vote]]
+
+        def run(shard_size: int, fail_first: int) -> dict[str, bytes]:
+            name = f"work_{shard_size}_{fail_first}"
+            backend = {"kind": "mock", "model": "mock-model", "max_in_flight": 2, "retry_backoff_s": 0.005}
+            path = write_fixture_config(
+                tmp_path,
+                self.DOCS,
+                extra={"shard_size": shard_size, "work_dir": name, "backend": backend},
+                name=f"{name}.yaml",
+            )
+            cfg = load_config(path)
+            monkeypatch.setattr(
+                pipeline,
+                "make_backend",
+                lambda cfg: Flaky(rules, default_response="no\n", fail_first=fail_first),
+            )
+            stage_preprocess(cfg)
+            assert stage_rephrase(cfg)["attempts"] == {str(1 + fail_first): ANY}
+            stage_postprocess(cfg)
+            stage_score(cfg)
+            return {
+                **rephrase_outputs(cfg),
+                "scores.jsonl": (cfg.work_dir / "scores" / "scores.jsonl").read_bytes(),
+            }
+
+        retried = run(3, 1)
+        assert run(10_000, 1) == retried
+        scores = [json.loads(line)["score"] for line in retried["scores.jsonl"].splitlines()]
+        assert 0.0 in scores and 1.0 in scores
+        # Retrying changes nothing but the attempts each job took.
+        plain = run(10_000, 0)
+        assert retried["scores.jsonl"] == plain["scores.jsonl"]
+        assert retried["failed.jsonl"] == plain["failed.jsonl"] == b""
+        assert retried["completions.jsonl"] == plain["completions.jsonl"].replace(
+            b'"attempts": 1}', b'"attempts": 2}'
+        )
 
     def test_passages_without_lang_refused(self, cfg):
         stage_preprocess(cfg)
