@@ -16,6 +16,7 @@ from rephrasing.inference import (
     MockBackend,
     MockRule,
     RephraseJob,
+    load_checkpoint,
     resume,
     run_batch,
     schedule,
@@ -66,8 +67,11 @@ with tempfile.TemporaryDirectory() as tmp:
     replayed = resume(checkpoint_path, "demo")
     print(f"resume: {len(replayed)} replayed from checkpoint, {len(jobs) - len(replayed)} to run")
     with CheckpointWriter(checkpoint_path, "demo") as checkpoint:
-        resumed = run_batch(jobs, MockBackend([MockRule(r"passage (\d+)", r"rephrased \1</text>")]),
-                            cfg, checkpoint=checkpoint, replayed=replayed)
+        run_batch(jobs, MockBackend([MockRule(r"passage (\d+)", r"rephrased \1</text>")]),
+                  cfg, checkpoint=checkpoint, replayed=replayed)
+    # The ledger is the result store: a run with a checkpoint keeps no results.
+    recorded = load_checkpoint(checkpoint_path, "demo")
+    resumed = [recorded[job.key] for job in jobs]
 
     identical = [r.to_obj() for r in resumed] == [r.to_obj() for r in results]
     print(f"resumed output identical to uninterrupted run: {identical}")

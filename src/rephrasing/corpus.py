@@ -23,6 +23,12 @@ PROVENANCE_ORIGINAL = "original"
 PROVENANCE_REPHRASED = "rephrased"
 
 
+# Serialises every JSON line the pipeline writes.  ``json.dumps`` with a
+# non-default option builds a new encoder on each call; this one is built
+# once and holds no state between calls, so threads may share it.
+encode_json = json.JSONEncoder(ensure_ascii=False).encode
+
+
 class CorpusError(Exception):
     """Invariant violation in corpus data (duplicate ids, bad fields, ...)."""
 
@@ -84,15 +90,14 @@ class Document:
 
 def doc_to_json(doc: Document) -> str:
     """Serialize one document with fixed field order (byte-stable)."""
-    return json.dumps(
+    return encode_json(
         {
             "id": doc.id,
             "text": doc.text,
             "lang": doc.lang,
             "meta": dict(doc.meta),
             "provenance": doc.provenance.to_obj(),
-        },
-        ensure_ascii=False,
+        }
     )
 
 

@@ -10,8 +10,9 @@ still produce byte-identical output.  A stop discards at most
 and no new job.  Transient backend errors are retried by one helper,
 ``with_retries``, wherever a request is sent; on a pool thread a
 request waiting out its retry backoff gives its slot to the next job.
-Results always come back in the original job order regardless of
-scheduling.
+With a checkpoint the ledger is the result store and no result stays in
+memory; without one, results come back in the original job order
+regardless of scheduling.
 
 The wire protocol is a plain-text completion interface (prompt in,
 completion out, with stop sequences and temperature) as served by
@@ -37,6 +38,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Hashable, Iterable, Mapping, Sequence, Sized, TypeVar
 
+from .corpus import encode_json
 from .prompts import RenderedPrompt
 
 FINISH_STOP = "stop_sequence"
@@ -107,16 +109,65 @@ def with_retries(request: Callable[[], T], cfg: BackendConfig) -> T:
 
 
 def _back_off(seconds: float) -> None:
+    started = time.monotonic()
     pool = getattr(_worker, "pool", None)
     if pool is None:
         time.sleep(seconds)
-        return
-    pool.release()
-    time.sleep(seconds)
-    pool.reclaim()
+    else:
+        pool.release()
+        time.sleep(seconds)
+        pool.reclaim()
+    _worker.waited = _waited() + time.monotonic() - started
 
 
-@dataclass(frozen=True)
+def _waited() -> float:
+    """Seconds this thread has spent in retry backoffs, slot waits included."""
+    return getattr(_worker, "waited", 0.0)
+
+
+class Stopwatch:
+    """Wall time since it started, and the part of it spent in requests.
+
+    Retry backoffs on the calling thread, and the waits for a slot after
+    them, hold no request slot and are left out of the busy time.
+    """
+
+    def __init__(self) -> None:
+        self._start = time.monotonic()
+        self._waited = _waited()
+
+    def read(self) -> tuple[float, float]:
+        """(latency_s, busy_s) so far."""
+        latency = time.monotonic() - self._start
+        return latency, latency - (_waited() - self._waited)
+
+
+class RequestTimes:
+    """Busy time summed and the longest latency over timed calls, in O(1)
+    memory; ``add`` may be called from any thread."""
+
+    def __init__(self) -> None:
+        self.busy_s = 0.0
+        self.latency_max_s = 0.0
+        self._lock = threading.Lock()
+
+    def add(self, latency_s: float, busy_s: float) -> None:
+        with self._lock:
+            self.busy_s += busy_s
+            if latency_s > self.latency_max_s:
+                self.latency_max_s = latency_s
+
+    def report(self, slots: int, wall_s: float) -> dict:
+        """``busy_s``, ``latency_max_s`` and ``slot_utilisation``, the
+        busy share of ``slots`` request slots over ``wall_s``."""
+        return {
+            "busy_s": round(self.busy_s, 6),
+            "latency_max_s": round(self.latency_max_s, 6),
+            "slot_utilisation": round(self.busy_s / (slots * wall_s), 6) if wall_s > 0 else 0.0,
+        }
+
+
+@dataclass(frozen=True, slots=True)
 class JobKey:
     doc_id: str
     index: int
@@ -132,8 +183,18 @@ class JobKey:
 
 @dataclass(frozen=True)
 class RephraseJob:
+    """A rendered job.  ``run_batch`` takes any job with a ``key``, a
+    ``prompt_chars`` and a ``render()`` that builds its prompt."""
+
     key: JobKey
     prompt: RenderedPrompt
+
+    @property
+    def prompt_chars(self) -> int:
+        return len(self.prompt.text)
+
+    def render(self) -> RenderedPrompt:
+        return self.prompt
 
 
 @dataclass(frozen=True)
@@ -154,7 +215,7 @@ class RephraseResult:
     attempts: int = 1
     # Wall-clock only; excluded from serialization so resumed runs stay
     # byte-identical to uninterrupted ones.  ``busy_s`` is ``latency_s``
-    # less the time from each transient failure to the next try, when
+    # less the retry backoffs and the waits for a slot after them, when
     # the job holds no request slot.
     latency_s: float = 0.0
     busy_s: float = 0.0
@@ -504,9 +565,7 @@ def schedule(jobs: Sequence[RephraseJob], bucket_size: int = 64) -> ExecutionPla
     if not jobs:
         raise ValueError("cannot schedule an empty job collection")
     # Stable: prompts of equal length keep their input order.
-    order = tuple(
-        sorted(range(len(jobs)), key=lambda i: len(jobs[i].prompt.text), reverse=True)
-    )
+    order = tuple(sorted(range(len(jobs)), key=lambda i: jobs[i].prompt_chars, reverse=True))
     buckets = tuple(
         (start, min(start + bucket_size, len(order)))
         for start in range(0, len(order), bucket_size)
@@ -516,6 +575,10 @@ def schedule(jobs: Sequence[RephraseJob], bucket_size: int = 64) -> ExecutionPla
 
 _CHECKPOINT_HEADER = "header"
 _CHECKPOINT_RESULT = "result"
+# How every result line starts: ``{"kind": "result", `` and then the
+# fields of the record's own JSON object.
+_RESULT_PREFIX = '{"kind": "result", '
+_RESULT_PREFIX_BYTES = _RESULT_PREFIX.encode("utf-8")
 
 # A ledger record: ``key`` names the work it records, ``failed`` marks
 # work to redo on resume, and ``to_obj`` / a ``from_obj`` parser carry
@@ -533,6 +596,13 @@ class CheckpointWriter:
     existing ledger cuts a partial last line, left by a kill in the
     middle of an append, so that the next record starts a line of its
     own instead of being glued onto it and lost with it.
+
+    A result line is ``{"kind": "result", `` followed by the record's own
+    JSON line without its ``{``, so ``record_line`` gets the record's
+    line back from the ledger's bytes without a parse.  ``position``
+    holds the byte offset and length of the line the last ``append``
+    wrote, so a caller that appends from one thread at a time can find
+    each of its records in the ledger again.
     """
 
     def __init__(self, path: Path | str, fingerprint: str):
@@ -544,18 +614,23 @@ class CheckpointWriter:
         if size:
             _verify_checkpoint_header(self.path, fingerprint)
             size = _cut_partial_line(self.path)
-        self._handle = self.path.open("a", encoding="utf-8")
+        self._handle = self.path.open("ab")
         if not size:
             header = {"kind": _CHECKPOINT_HEADER, "fingerprint": fingerprint}
-            self._handle.write(json.dumps(header) + "\n")
+            data = (json.dumps(header) + "\n").encode("utf-8")
+            self._handle.write(data)
             self._handle.flush()
+            size = len(data)
+        self._end = size
+        self.position: tuple[int, int] | None = None
 
     def append(self, result) -> None:
-        record = {"kind": _CHECKPOINT_RESULT, **result.to_obj()}
-        line = json.dumps(record, ensure_ascii=False) + "\n"
+        data = (_RESULT_PREFIX + encode_json(result.to_obj())[1:] + "\n").encode("utf-8")
         with self._lock:
-            self._handle.write(line)
+            self._handle.write(data)
             self._handle.flush()
+            self.position = (self._end, len(data))
+            self._end += len(data)
 
     def close(self) -> None:
         self._handle.close()
@@ -601,13 +676,38 @@ def _verify_checkpoint_header(path: Path, fingerprint: str) -> None:
         )
 
 
+def record_line(ledger_line: bytes) -> bytes:
+    """The record's own JSON line, from a result line that
+    ``CheckpointWriter.append`` wrote: the ``"kind"`` field cut off."""
+    return b"{" + ledger_line[len(_RESULT_PREFIX_BYTES) :]
+
+
+@dataclass(frozen=True, slots=True)
+class LedgerLine:
+    """Where a rephrase record lies in its ledger, and whether it failed:
+    what ``resume(..., located=True)`` keeps of it instead of the parsed
+    ``RephraseResult``, which is read back from ``offset`` when needed."""
+
+    key: JobKey
+    failed: bool
+    offset: int
+    length: int
+
+    @staticmethod
+    def from_obj(obj: Mapping, offset: int, length: int) -> "LedgerLine":
+        return LedgerLine(JobKey.from_obj(obj["key"]), obj["finish"] == FINISH_ERROR, offset, length)
+
+
 def load_checkpoint(
     path: Path | str,
     fingerprint: str,
-    parse: Callable[[Mapping], L] = RephraseResult.from_obj,
+    parse: Callable[..., L] = RephraseResult.from_obj,
+    *,
+    located: bool = False,
 ) -> dict[Hashable, L]:
-    """Records of a ledger by key, each parsed by ``parse``; empty when
-    the file is absent.
+    """Records of a ledger by key, each parsed by ``parse(obj)``, or with
+    ``located`` by ``parse(obj, offset, length)`` from the line's byte
+    offset and length; empty when the file is absent.
 
     A truncated final line (crash mid-write) is ignored; later records
     win over earlier ones for the same key, so a job that failed and
@@ -618,72 +718,68 @@ def load_checkpoint(
         return {}
     _verify_checkpoint_header(path, fingerprint)
     records: dict[Hashable, L] = {}
-    with path.open("r", encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle):
-            if lineno == 0:
-                continue
+    with path.open("rb") as handle:
+        offset = len(handle.readline())
+        for line in handle:
+            length = len(line)
             try:
-                obj = json.loads(line)
-            except json.JSONDecodeError:
-                continue
-            if obj.get("kind") != _CHECKPOINT_RESULT:
-                continue
-            record = parse(obj)
-            records[record.key] = record
+                obj = json.loads(line.decode("utf-8"))
+            except ValueError:
+                # Not JSON, or not UTF-8: a line torn by a kill.
+                obj = {}
+            if obj.get("kind") == _CHECKPOINT_RESULT:
+                record = parse(obj, offset, length) if located else parse(obj)
+                records[record.key] = record
+            offset += length
     return records
 
 
 def resume(
     checkpoint_path: Path | str,
     fingerprint: str,
-    parse: Callable[[Mapping], L] = RephraseResult.from_obj,
+    parse: Callable[..., L] = RephraseResult.from_obj,
+    *,
+    located: bool = False,
 ) -> dict[Hashable, L]:
-    """Records a run can replay from the ledger instead of re-issuing.
+    """Records a run can replay from the ledger instead of re-issuing,
+    loaded as ``load_checkpoint`` loads them.
 
     Failed records are left out, so that work runs again.
     """
-    recorded = load_checkpoint(checkpoint_path, fingerprint, parse)
+    recorded = load_checkpoint(checkpoint_path, fingerprint, parse, located=located)
     return {key: record for key, record in recorded.items() if not record.failed}
 
 
 def _run_one(job: RephraseJob, backend: CompletionBackend, cfg: BackendConfig) -> RephraseResult:
-    start = time.monotonic()
+    prompt = job.render()
+    clock = Stopwatch()
     attempts = 0
-    # Time from each transient failure to the next try: the backoff and
-    # the wait for a slot after it.  Clocked only on the retry path.
-    failed_at = waited = 0.0
 
     def request() -> Completion:
-        nonlocal attempts, failed_at, waited
+        nonlocal attempts
         attempts += 1
-        if failed_at:
-            waited += time.monotonic() - failed_at
-        try:
-            return backend.complete(
-                job.prompt.text,
-                temperature=job.prompt.temperature,
-                stop=job.prompt.stop,
-                max_tokens=cfg.max_output_tokens,
-            )
-        except TransientBackendError:
-            failed_at = time.monotonic()
-            raise
+        return backend.complete(
+            prompt.text,
+            temperature=prompt.temperature,
+            stop=prompt.stop,
+            max_tokens=cfg.max_output_tokens,
+        )
 
     try:
         completion = with_retries(request, cfg)
     except AuthError:
         raise
     except BackendError as exc:
-        latency = time.monotonic() - start
+        latency, busy = clock.read()
         return RephraseResult(
             key=job.key,
             text=f"{type(exc).__name__}: {exc}",
             finish=FINISH_ERROR,
             attempts=attempts,
             latency_s=latency,
-            busy_s=latency - waited,
+            busy_s=busy,
         )
-    latency = time.monotonic() - start
+    latency, busy = clock.read()
     return RephraseResult(
         key=job.key,
         text=completion.text,
@@ -691,7 +787,7 @@ def _run_one(job: RephraseJob, backend: CompletionBackend, cfg: BackendConfig) -
         model_id=completion.model_id,
         attempts=attempts,
         latency_s=latency,
-        busy_s=latency - waited,
+        busy_s=busy,
     )
 
 
@@ -717,13 +813,13 @@ class _Pool:
     beyond the pull lock and the result lock.
     """
 
-    def __init__(self, fn, items, slots: int, on_done) -> None:
+    def __init__(self, fn, items, slots: int, on_done, keep: bool) -> None:
         self.fn = fn
         self.on_done = on_done
         self.source = iter(items)
         # Grown under ``pull``, filled in under ``lock``: list.append and
-        # item assignment are each atomic.
-        self.results: list = []
+        # item assignment are each atomic.  None when results are not kept.
+        self.results: list | None = [] if keep else None
         # The pull lock guards pulls, the slot counts below and
         # ``threads``.  Threads that need a slot wait on ``slot_freed``,
         # a condition on the same lock; taking the plain lock keeps the
@@ -740,7 +836,7 @@ class _Pool:
         self.threads = [threading.Thread(target=self.work, args=(True,)) for _ in range(slots)]
         self.max_threads = 2 * slots
 
-    def run(self) -> list:
+    def run(self) -> list | None:
         for thread in list(self.threads):
             thread.start()
         try:
@@ -805,8 +901,9 @@ class _Pool:
                     with lock:
                         errors.append(exc)
                     return True
-                index = len(results)
-                results.append(None)
+                if results is not None:
+                    index = len(results)
+                    results.append(None)
             # A backoff inside fn gives the slot up and takes one back
             # (release, reclaim), so fn returns holding a slot.
             try:
@@ -820,7 +917,8 @@ class _Pool:
             with lock:
                 if errors:
                     return True
-                results[index] = result
+                if results is not None:
+                    results[index] = result
                 if on_done is not None:
                     try:
                         on_done(result)
@@ -872,7 +970,9 @@ def pull_map(
     items: Iterable[T],
     max_workers: int,
     on_done: Callable[[R], None] | None = None,
-) -> list[R]:
+    *,
+    keep: bool = True,
+) -> list[R] | None:
     """Apply ``fn`` to every item, with at most ``max_workers`` running.
 
     ``max_workers`` request slots are held by worker threads, and only a
@@ -894,10 +994,11 @@ def pull_map(
     item is pulled and no retry is sent after it, results that finish
     after it are dropped without ``on_done``, and the exception is
     re-raised once every thread has been joined.  Results come back in
-    item order.
+    item order; with ``keep=False`` none is kept once ``on_done`` has
+    seen it, and ``None`` comes back.
     """
     slots = min(max_workers, len(items)) if isinstance(items, Sized) else max_workers
-    return _Pool(fn, items, slots, on_done).run()
+    return _Pool(fn, items, slots, on_done, keep).run()
 
 
 def run_batch(
@@ -909,34 +1010,41 @@ def run_batch(
     checkpoint: CheckpointWriter | None = None,
     replayed: Mapping[JobKey, RephraseResult] | None = None,
     on_result: Callable[[RephraseResult], None] | None = None,
-) -> list[RephraseResult]:
-    """Execute jobs with bounded concurrency; results in original order.
+) -> list[RephraseResult] | None:
+    """Execute jobs with bounded concurrency.
 
     Jobs not in ``replayed`` are pulled in plan order through ``pull_map``
     with ``cfg.max_in_flight`` request slots, so at most
     ``cfg.max_in_flight`` requests are outstanding at any instant, and a
-    job waiting out a retry backoff lends its slot to the next job.  Each
-    finished job is appended to the checkpoint and then passed to
-    ``on_result``, on the worker thread and serialised with every other
-    append and ``on_result`` call.  The first exception, including one
-    raised by ``on_result``, stops the run from issuing more jobs and
-    retries and is re-raised once the in-flight ones return; their
-    results are discarded unrecorded, so the checkpoint holds exactly the
-    results ``on_result`` saw, and a stop wastes at most
-    ``cfg.max_in_flight - 1`` requests.  Every job key appears exactly
-    once in the output, done or failed.
+    job waiting out a retry backoff lends its slot to the next job.  A
+    job's ``render()`` runs on the worker thread that pulled it, outside
+    the pull lock.  Each finished job is appended to the checkpoint and
+    then passed to ``on_result``, on the worker thread and serialised
+    with every other append and ``on_result`` call, so ``on_result`` may
+    read ``checkpoint.position`` to find its result's line.  The first
+    exception, including one raised by ``on_result``, stops the run from
+    issuing more jobs and retries and is re-raised once the in-flight
+    ones return; their results are discarded unrecorded, so the
+    checkpoint holds exactly the results ``on_result`` saw, and a stop
+    wastes at most ``cfg.max_in_flight - 1`` requests.
+
+    Without a checkpoint, returns every job's result in job order,
+    replayed ones included.  With one, the ledger is the result store:
+    no result is kept once it is appended and reported, and ``None``
+    comes back.
     """
-    if not jobs:
-        return []
-    results: dict[JobKey, RephraseResult] = dict(replayed or {})
-    todo = [jobs[i] for i in (plan or schedule(jobs)).order if jobs[i].key not in results]
+    replayed = replayed or {}
+    order = (plan or schedule(jobs)).order if jobs else ()
+    todo = [jobs[i] for i in order if jobs[i].key not in replayed]
+    results = None if checkpoint is not None else dict(replayed)
 
     def record(result: RephraseResult) -> None:
-        results[result.key] = result
-        if checkpoint is not None:
+        if results is None:
             checkpoint.append(result)
+        else:
+            results[result.key] = result
         if on_result is not None:
             on_result(result)
 
-    pull_map(lambda job: _run_one(job, backend, cfg), todo, cfg.max_in_flight, record)
-    return [results[job.key] for job in jobs]
+    pull_map(lambda job: _run_one(job, backend, cfg), todo, cfg.max_in_flight, record, keep=False)
+    return None if results is None else [results[job.key] for job in jobs]

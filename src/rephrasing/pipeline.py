@@ -20,13 +20,16 @@ Work directory layout::
 Every paid backend call lands in a ``checkpoint.jsonl`` ledger as it
 finishes; rephrase and score write it with one ``CheckpointWriter`` and
 replay it with one ``resume``, so a stopped run re-issues only the calls
-it had not recorded.
+it had not recorded.  Rephrase's ledger is also its result store: its
+output files are written from it.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import json
+import os
 import shutil
 import time
 from collections import Counter
@@ -42,6 +45,7 @@ from .corpus import (
     ShardEntry,
     ShardManifest,
     corpus_stats,
+    encode_json,
     iter_corpus,
     load_shard,
     stats_table,
@@ -49,6 +53,7 @@ from .corpus import (
     write_corpus,
 )
 from .inference import (
+    FINISH_ERROR,
     FINISH_LENGTH,
     CheckpointMismatchError,
     CheckpointWriter,
@@ -56,13 +61,15 @@ from .inference import (
     HttpBackend,
     JobKey,
     JsonClient,
+    LedgerLine,
     MockBackend,
-    RephraseJob,
     RephraseResult,
+    RequestTimes,
+    Stopwatch,
     pull_map,
+    record_line,
     resume,
     run_batch,
-    schedule,
     with_retries,
 )
 from .mixing import MixSource, MixSpec, execute_mix
@@ -74,7 +81,14 @@ from .postprocess import (
     clean_passage,
     load_marker_patterns,
 )
-from .prompts import TemplateRegistry, render
+from .prompts import (
+    PromptTemplate,
+    RenderedPrompt,
+    TemplateRegistry,
+    render,
+    rendered_length,
+    tag_collision,
+)
 from .quality import (
     SCORER_EXTERNAL,
     ScoredDocument,
@@ -84,7 +98,7 @@ from .quality import (
     ingest_external_scores,
 )
 from .splitting import Passage, split_document
-from .tokens import TokenEstimator, calibrate
+from .tokens import CalibrationError, TokenEstimator, calibrate
 
 AUDIT_INFERENCE_FAILED = "inference_failed"
 
@@ -98,7 +112,7 @@ def _write_jsonl(objs: Iterable[dict], path: Path) -> int:
     n = 0
     with path.open("w", encoding="utf-8") as handle:
         for obj in objs:
-            handle.write(json.dumps(obj, ensure_ascii=False) + "\n")
+            handle.write(encode_json(obj) + "\n")
             n += 1
     return n
 
@@ -228,76 +242,90 @@ def make_backend(cfg: PipelineConfig) -> CompletionBackend:
 
 
 def stage_preprocess(cfg: PipelineConfig) -> dict:
-    """Calibrate the estimator and split the input corpus into passages."""
+    """Calibrate the estimator and split the input corpus into passages.
+
+    With an exact tokenizer configured, calibration samples the input in
+    a pass of its own.  Without one nothing would count a sample, so
+    none is drawn: the estimator takes the default ratio, and the split
+    pass counts the documents whose first ``sample_size`` calibration
+    records as sampled.  Passages are written to a temporary directory
+    that replaces ``passages/`` only when the whole input split, and an
+    empty input is refused before ``calibration.json`` is written.
+    """
     started = time.monotonic()
     manifest_in, base_dir = resolve_input_manifest(cfg)
 
-    with _exact_counter(cfg) as counter:
-        estimator = calibrate(
-            iter_corpus(manifest_in, base_dir, cfg.languages),
-            counter,
-            seed=cfg.seed,
-            sample_size=cfg.estimator.sample_size,
-            per_language=cfg.estimator.per_language,
-            default_ratio=cfg.estimator.default_ratio,
-        )
-    cfg.work_dir.mkdir(parents=True, exist_ok=True)
-    estimator.save(cfg.work_dir / "calibration.json")
-
-    out_dir = cfg.work_dir / "passages"
-    out_dir.mkdir(parents=True, exist_ok=True)
+    sampled = bool(cfg.estimator.exact_endpoint)
+    if sampled:
+        with _exact_counter(cfg) as counter:
+            estimator = calibrate(
+                iter_corpus(manifest_in, base_dir, cfg.languages),
+                counter,
+                seed=cfg.seed,
+                sample_size=cfg.estimator.sample_size,
+                per_language=cfg.estimator.per_language,
+                default_ratio=cfg.estimator.default_ratio,
+            )
+    else:
+        estimator = TokenEstimator(cfg.estimator.default_ratio, {}, 0, cfg.seed)
     fingerprint = cfg.fingerprint()
 
     docs_in = 0
     docs_without_passages = 0
     flag_counts: Counter = Counter()
     manifest_out = ShardManifest("passages", fingerprint)
-    shard_index = 0
     batch: list[Passage] = []
 
-    def flush() -> None:
-        nonlocal shard_index, batch
-        if not batch and shard_index > 0:
-            return
-        path = out_dir / f"passages-{shard_index:05d}.jsonl"
-        chars = sum(len(p.text) for p in batch)
-        tokens = sum(p.est_tokens for p in batch)
-        _write_jsonl((p.to_obj() for p in batch), path)
-        manifest_out.shards.append(ShardEntry(path.name, len(batch), chars, tokens))
-        shard_index += 1
-        batch = []
+    with _replacing(cfg.work_dir / "passages") as out_dir:
 
-    for doc in iter_corpus(manifest_in, base_dir, cfg.languages):
-        docs_in += 1
-        passages = split_document(doc, cfg.split, estimator)
-        if not passages:
-            docs_without_passages += 1
-            continue
-        for passage in passages:
-            flag_counts.update(passage.split_flags)
-            batch.append(passage)
-            if len(batch) >= cfg.shard_size:
-                flush()
-    flush()
-    manifest_out.save(out_dir / "manifest.json")
+        def flush() -> None:
+            path = out_dir / f"passages-{len(manifest_out.shards):05d}.jsonl"
+            chars = sum(len(p.text) for p in batch)
+            tokens = sum(p.est_tokens for p in batch)
+            _write_jsonl((p.to_obj() for p in batch), path)
+            manifest_out.shards.append(ShardEntry(path.name, len(batch), chars, tokens))
+            batch.clear()
 
-    report = {
-        "stage": "preprocess",
-        "docs_in": docs_in,
-        "docs_without_passages": docs_without_passages,
-        "passages": manifest_out.total_docs,
-        "passage_est_tokens": manifest_out.total_est_tokens,
-        "flag_counts": dict(flag_counts),
-        "estimator": estimator.to_obj(),
-        "calibration_fallback": estimator.fallback,
-        "seconds": round(time.monotonic() - started, 3),
-    }
-    _write_report(report, out_dir / "report.json")
+        for doc in iter_corpus(manifest_in, base_dir, cfg.languages):
+            docs_in += 1
+            passages = split_document(doc, cfg.split, estimator)
+            if not passages:
+                docs_without_passages += 1
+                continue
+            for passage in passages:
+                flag_counts.update(passage.split_flags)
+                batch.append(passage)
+                if len(batch) >= cfg.shard_size:
+                    flush()
+        if not docs_in:
+            raise CalibrationError("cannot calibrate on an empty corpus")
+        if batch or not manifest_out.shards:
+            flush()
+        if not sampled:
+            estimator = dataclasses.replace(
+                estimator, sample_size=min(cfg.estimator.sample_size, docs_in)
+            )
+        estimator.save(cfg.work_dir / "calibration.json")
+        manifest_out.save(out_dir / "manifest.json")
+
+        report = {
+            "stage": "preprocess",
+            "docs_in": docs_in,
+            "docs_without_passages": docs_without_passages,
+            "passages": manifest_out.total_docs,
+            "passage_est_tokens": manifest_out.total_est_tokens,
+            "flag_counts": dict(flag_counts),
+            "estimator": estimator.to_obj(),
+            "calibration_fallback": estimator.fallback,
+            "seconds": round(time.monotonic() - started, 3),
+        }
+        _write_report(report, out_dir / "report.json")
     return report
 
 
 def _passage_shard_paths(cfg: PipelineConfig) -> list[Path]:
     out_dir = cfg.work_dir / "passages"
+    _restore(out_dir)
     manifest = _require_manifest(out_dir / "manifest.json", cfg, "passages")
     return manifest.shard_paths(out_dir)
 
@@ -308,42 +336,106 @@ def iter_passages(cfg: PipelineConfig) -> Iterator[Passage]:
             yield Passage.from_obj(obj)
 
 
-def _shard_jobs(path: Path, cfg: PipelineConfig, registry: TemplateRegistry) -> list[RephraseJob]:
-    """One passages shard's rephrase jobs, in passage order."""
-    jobs = []
-    for obj in _read_jsonl(path):
+def _parse_passage(line: bytes, path: Path) -> Passage:
+    try:
+        return Passage.from_obj(json.loads(line.decode("utf-8")))
+    except KeyError as exc:
+        raise StageError(
+            f"passages shard {path} has no {exc.args[0]!r} field, so it was written "
+            "by an older version; rerun preprocess"
+        ) from exc
+
+
+class _PassageJob:
+    """One passage's rephrase job, as ``run_batch`` takes it: its key,
+    its prompt's length, and where its line lies in the shard, from which
+    ``render`` reads the passage back."""
+
+    __slots__ = ("shard", "key", "prompt_chars", "offset", "length")
+
+    def __init__(
+        self, shard: "_PassageShard", key: JobKey, prompt_chars: int, offset: int, length: int
+    ):
+        self.shard = shard
+        self.key = key
+        self.prompt_chars = prompt_chars
+        self.offset = offset
+        self.length = length
+
+    def render(self) -> RenderedPrompt:
+        return self.shard.render(self)
+
+
+class _PassageShard:
+    """An index of one passages shard, read in one pass: each passage's
+    job in passage order, and how many passages hold the closing tag of
+    their tagged template.  The shard stays open until ``close``, so
+    that each job reads its passage back with ``os.pread`` when it is
+    rendered: memory holds the index, never the passages or their
+    prompts."""
+
+    def __init__(self, path: Path, cfg: PipelineConfig, registry: TemplateRegistry):
+        self.path = path
+        self.registry = registry
+        self.temperature = cfg.temperature
+        self.jobs: list[_PassageJob] = []
+        self.tag_collisions = 0
+        templates: dict[str, PromptTemplate] = {}
+        self._file = path.open("rb")
         try:
-            passage = Passage.from_obj(obj)
-        except KeyError as exc:
-            raise StageError(
-                f"passages shard {path} has no {exc.args[0]!r} field, so it was written "
-                "by an older version; rerun preprocess"
-            ) from exc
-        template = registry.get(cfg.template_id_for(passage.lang))
-        jobs.append(
-            RephraseJob(
-                key=JobKey(passage.doc_id, passage.index, template.template_id),
-                prompt=render(passage, template, cfg.temperature),
-            )
-        )
-    return jobs
+            offset = 0
+            for line in self._file:
+                if line.strip():
+                    passage = _parse_passage(line, path)
+                    template = templates.get(passage.lang)
+                    if template is None:
+                        template = registry.get(cfg.template_id_for(passage.lang))
+                        templates[passage.lang] = template
+                    key = JobKey(passage.doc_id, passage.index, template.template_id)
+                    chars = rendered_length(passage, template)
+                    self.jobs.append(_PassageJob(self, key, chars, offset, len(line)))
+                    self.tag_collisions += tag_collision(passage, template)
+                offset += len(line)
+        except BaseException:
+            self._file.close()
+            raise
+
+    def render(self, job: _PassageJob) -> RenderedPrompt:
+        line = os.pread(self._file.fileno(), job.length, job.offset)
+        template = self.registry.get(job.key.template_id)
+        return render(_parse_passage(line, self.path), template, self.temperature)
+
+    def close(self) -> None:
+        self._file.close()
+
+    def __enter__(self) -> "_PassageShard":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
 
 
 def stage_rephrase(cfg: PipelineConfig, *, on_result=None) -> dict:
-    """Render prompts, drive the backend, and store raw completions.
+    """Drive the backend over every passage and store raw completions.
 
-    Works one passages shard at a time: render the shard's prompts (the
-    template comes from each passage's ``lang``), send them longest
-    prompt first, append the shard's results in passage order to
-    ``completions.jsonl.tmp`` and ``failed.jsonl.tmp``, and drop them
-    before the next shard.  Memory thus holds at most one shard of
-    prompts and results, plus the checkpoint's not yet replayed results
-    on a resume.  The two files are renamed into place after the last
-    shard, so a stopped run never leaves a partial ``completions.jsonl``.
+    Works one passages shard at a time.  One read of the shard indexes
+    it: each passage's job key, prompt length and line position.  The
+    jobs the ledger does not replay are sent longest prompt first, and
+    each reads its passage back and renders its prompt (the template
+    comes from the passage's ``lang``) only when a request slot pulls it.
 
-    Completed jobs land in an append-only checkpoint first, so a killed
-    run resumes without re-issuing finished requests and reproduces the
-    same output files byte for byte.
+    The ledger ``checkpoint.jsonl`` is the result store.  Each result is
+    appended to it as it lands, so a killed run resumes without
+    re-issuing finished requests, then reported to ``on_result``, and
+    only its ledger position is kept.  Once a shard's jobs are done, its
+    lines go in passage order to ``completions.jsonl.tmp`` and
+    ``failed.jsonl.tmp``: this run's copied from the ledger without
+    their ``"kind"`` field, replayed ones parsed and written anew, so a
+    resumed run writes the same bytes as an uninterrupted one.  Memory
+    thus holds one shard's index, plus the positions of the ledger's
+    not yet replayed results on a resume.  The two files are renamed
+    into place after the last shard, so a stopped run never leaves a
+    partial ``completions.jsonl``.
 
     ``throughput.json`` reports, over the jobs issued in this run (not
     the replayed ones), ``busy_s``, the time spent in requests summed
@@ -360,49 +452,64 @@ def stage_rephrase(cfg: PipelineConfig, *, on_result=None) -> dict:
     out_dir = cfg.work_dir / "rephrase"
     out_dir.mkdir(parents=True, exist_ok=True)
     checkpoint_path = out_dir / "checkpoint.jsonl"
-    replay = resume(checkpoint_path, fingerprint)
+    replay = resume(checkpoint_path, fingerprint, LedgerLine.from_obj, located=True)
     done_tmp = out_dir / "completions.jsonl.tmp"
     failed_tmp = out_dir / "failed.jsonl.tmp"
 
     totals: Counter = Counter()
     attempts: Counter = Counter()
-    latency_max = 0.0
+    times = RequestTimes()
     backend = make_backend(cfg)
     try:
-        with CheckpointWriter(checkpoint_path, fingerprint) as checkpoint, done_tmp.open(
-            "w", encoding="utf-8"
-        ) as done_out, failed_tmp.open("w", encoding="utf-8") as failed_out:
-            for path in shard_paths:
-                jobs = _shard_jobs(path, cfg, registry)
-                replayed = {job.key: replay.pop(job.key) for job in jobs if job.key in replay}
-                results = run_batch(
-                    jobs,
-                    backend,
-                    cfg.backend,
-                    plan=schedule(jobs) if jobs else None,
-                    checkpoint=checkpoint,
-                    replayed=replayed,
-                    on_result=on_result,
+        with CheckpointWriter(checkpoint_path, fingerprint) as checkpoint, checkpoint_path.open(
+            "rb", buffering=0
+        ) as ledger, done_tmp.open("wb") as done_out, failed_tmp.open("wb") as failed_out:
+
+            def rephrase_shard(path: Path) -> None:
+                """Run one shard's jobs, then write its lines in passage order."""
+                with _PassageShard(path, cfg, registry) as shard:
+                    replayed = {
+                        job.key: replay.pop(job.key) for job in shard.jobs if job.key in replay
+                    }
+                    # Ledger position, text length and finish of each result issued.
+                    issued: dict[JobKey, tuple[int, int, int, str]] = {}
+
+                    def record(result: RephraseResult) -> None:
+                        offset, length = checkpoint.position
+                        issued[result.key] = (offset, length, len(result.text), result.finish)
+                        attempts[result.attempts] += 1
+                        times.add(result.latency_s, result.busy_s)
+                        if on_result is not None:
+                            on_result(result)
+
+                    todo = [job for job in shard.jobs if job.key not in replayed]
+                    run_batch(todo, backend, cfg.backend, checkpoint=checkpoint, on_result=record)
+                totals.update(
+                    jobs=len(shard.jobs), replayed=len(replayed), tag_collisions=shard.tag_collisions
                 )
-                totals.update(jobs=len(jobs), replayed=len(replayed))
-                totals["tag_collisions"] += sum(job.prompt.tag_collision for job in jobs)
-                attempts.update(r.attempts for r in results)
-                for r in results:
-                    # Zero for replayed results, which carry no timing.
-                    totals["busy_s"] += r.busy_s
-                    if r.latency_s > latency_max:
-                        latency_max = r.latency_s
-                    line = json.dumps(r.to_obj(), ensure_ascii=False) + "\n"
-                    if r.failed:
-                        failed_out.write(line)
+                for job in shard.jobs:
+                    line = replayed.get(job.key)
+                    if line is not None:
+                        raw = os.pread(ledger.fileno(), line.length, line.offset)
+                        result = RephraseResult.from_obj(json.loads(raw.decode("utf-8")))
+                        attempts[result.attempts] += 1
+                        out = (encode_json(result.to_obj()) + "\n").encode("utf-8")
+                        chars, finish = len(result.text), result.finish
+                    else:
+                        offset, length, chars, finish = issued[job.key]
+                        out = record_line(os.pread(ledger.fileno(), length, offset))
+                    if finish == FINISH_ERROR:
+                        failed_out.write(out)
                         totals["failed"] += 1
                         continue
-                    done_out.write(line)
+                    done_out.write(out)
                     totals["done"] += 1
-                    totals["length_capped"] += r.finish == FINISH_LENGTH
-                    totals["output_est_tokens"] += estimator.estimate_text(r.text)
-                # Free this shard before the next one's prompts are built.
-                del jobs, replayed, results
+                    totals["length_capped"] += finish == FINISH_LENGTH
+                    totals["output_est_tokens"] += estimator.estimate_chars(chars)
+
+            # One shard's index at a time: each is freed when its call returns.
+            for path in shard_paths:
+                rephrase_shard(path)
     finally:
         backend.close()
     done_tmp.replace(out_dir / "completions.jsonl")
@@ -423,11 +530,7 @@ def stage_rephrase(cfg: PipelineConfig, *, on_result=None) -> dict:
         "attempts": {str(k): attempts[k] for k in sorted(attempts)},
         "output_est_tokens": output_tokens,
         "tokens_per_s": round(output_tokens / wall, 1) if wall > 0 else 0.0,
-        "busy_s": round(totals["busy_s"], 6),
-        "latency_max_s": round(latency_max, 6),
-        "slot_utilisation": (
-            round(totals["busy_s"] / (cfg.backend.max_in_flight * wall), 6) if wall > 0 else 0.0
-        ),
+        **times.report(cfg.backend.max_in_flight, wall),
         "seconds": round(wall, 6),
     }
     _write_report(report, out_dir / "throughput.json")
@@ -493,7 +596,7 @@ def stage_postprocess(cfg: PipelineConfig) -> dict:
 
         def audit(doc_id: str, index: int | None, reason: str) -> None:
             record = {"doc_id": doc_id, "index": index, "reason": reason}
-            audit_out.write(json.dumps(record, ensure_ascii=False) + "\n")
+            audit_out.write(encode_json(record) + "\n")
 
         failed_path = rephrase_dir / "failed.jsonl"
         # Documents with a failed passage not yet met in the input.
@@ -596,6 +699,10 @@ def stage_score(cfg: PipelineConfig, manifest_path: Path | None = None) -> dict:
     document.  One scorer serves the whole run: the replayed scores', or
     else the one the first document gets before the pool starts.  Memory
     holds the scores, which ``scores.jsonl`` lists in corpus order.
+
+    The report times the documents scored in this run (not the replayed
+    ones), in O(1) memory, as rephrase's ``throughput.json`` times its
+    jobs: ``busy_s``, ``latency_max_s`` and ``slot_utilisation``.
     """
     started = time.monotonic()
     estimator = load_estimator(cfg)
@@ -615,24 +722,31 @@ def stage_score(cfg: PipelineConfig, manifest_path: Path | None = None) -> dict:
         replay = {}
     docs = iter_corpus(manifest, base_dir, cfg.languages)
 
+    times = RequestTimes()
     backend = make_backend(cfg)
     try:
         with CheckpointWriter(ledger_path, fingerprint) as ledger:
             head = None if replay else next(docs, None)
             if head is not None:
                 model_id = cfg.backend.model or cfg.backend_kind
+                clock = Stopwatch()
                 first = askllm_score_first(
                     head, backend, estimator, model_id=model_id, backend_cfg=cfg.backend
                 )
+                times.add(*clock.read())
                 ledger.append(first)
                 replay[first.doc_id] = first
                 docs = itertools.chain((head,), docs)
             scorer = next(iter(replay.values())).scorer if replay else ""
 
             def score(doc: Document) -> ScoredDocument:
-                return replay.get(doc.id) or askllm_score(
-                    doc, backend, estimator, scorer=scorer, backend_cfg=cfg.backend
-                )
+                replayed = replay.get(doc.id)
+                if replayed is not None:
+                    return replayed
+                clock = Stopwatch()
+                scored = askllm_score(doc, backend, estimator, scorer=scorer, backend_cfg=cfg.backend)
+                times.add(*clock.read())
+                return scored
 
             def record(scored: ScoredDocument) -> None:
                 if scored.doc_id not in replay:
@@ -644,6 +758,7 @@ def stage_score(cfg: PipelineConfig, manifest_path: Path | None = None) -> dict:
 
     _write_jsonl((s.to_obj() for s in scores), out_dir / "scores.jsonl.tmp")
     (out_dir / "scores.jsonl.tmp").replace(out_dir / "scores.jsonl")
+    wall = time.monotonic() - started
     report = {
         "stage": "score",
         "docs": len(scores),
@@ -651,7 +766,8 @@ def stage_score(cfg: PipelineConfig, manifest_path: Path | None = None) -> dict:
         "mean_score": sum(s.score for s in scores) / len(scores) if scores else 0.0,
         "min_score": min((s.score for s in scores), default=0.0),
         "max_score": max((s.score for s in scores), default=0.0),
-        "seconds": round(time.monotonic() - started, 3),
+        **times.report(cfg.backend.max_in_flight, wall),
+        "seconds": round(wall, 3),
     }
     _write_report(report, out_dir / "report.json")
     return report

@@ -189,11 +189,7 @@ def render(
     """Substitute the passage into the template verbatim."""
     if isinstance(template, str):
         template = (registry or TemplateRegistry()).get(template)
-    if template.placeholder != "{text}":
-        raise PromptError(f"template {template.template_id!r} is not a rephrasing template")
-    if not passage.text:
-        raise PromptError(f"passage {passage.doc_id}:{passage.index} has empty text")
-    collision = template.extraction == TAGGED and TEXT_CLOSE in passage.text
+    _check_renderable(passage, template)
     return RenderedPrompt(
         doc_id=passage.doc_id,
         index=passage.index,
@@ -201,5 +197,24 @@ def render(
         text=template.body.replace("{text}", passage.text),
         stop=template.stop,
         temperature=temperature,
-        tag_collision=collision,
+        tag_collision=tag_collision(passage, template),
     )
+
+
+def rendered_length(passage: Passage, template: PromptTemplate) -> int:
+    """``len(render(passage, template).text)``, refused where ``render``
+    refuses, without building the prompt."""
+    _check_renderable(passage, template)
+    return len(template.body) - len(template.placeholder) + len(passage.text)
+
+
+def tag_collision(passage: Passage, template: PromptTemplate) -> bool:
+    """Whether the passage holds the closing tag a tagged template ends at."""
+    return template.extraction == TAGGED and TEXT_CLOSE in passage.text
+
+
+def _check_renderable(passage: Passage, template: PromptTemplate) -> None:
+    if template.placeholder != "{text}":
+        raise PromptError(f"template {template.template_id!r} is not a rephrasing template")
+    if not passage.text:
+        raise PromptError(f"passage {passage.doc_id}:{passage.index} has empty text")

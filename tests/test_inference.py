@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import gc
 import json
 import math
 import signal
 import sys
 import threading
 import time
+import weakref
 
 import pytest
 
@@ -19,6 +21,7 @@ from rephrasing.inference import (
     Completion,
     CompletionBackend,
     JobKey,
+    LedgerLine,
     MockBackend,
     MockRule,
     RephraseJob,
@@ -26,6 +29,7 @@ from rephrasing.inference import (
     TransientBackendError,
     load_checkpoint,
     pull_map,
+    record_line,
     resume,
     run_batch,
     schedule,
@@ -190,12 +194,14 @@ class TestRunBatch:
         sys.setswitchinterval(1e-5)
         try:
             with CheckpointWriter(path, "fp") as checkpoint:
-                results = run_batch(
+                returned = run_batch(
                     make_jobs(64), backend, cfg, checkpoint=checkpoint, on_result=on_result
                 )
         finally:
             sys.setswitchinterval(interval)
-        assert all(not r.failed for r in results)
+        # The ledger holds the results; run_batch keeps none of them.
+        assert returned is None
+        assert all(not r.failed for r in load_checkpoint(path, "fp").values())
         assert 1 < backend.peak <= cfg.max_in_flight
         assert max(overlaps) == 1
         assert len(seen) == 64
@@ -327,6 +333,18 @@ class TestPullMapOverIterator:
         assert results == [i * 10 for i in range(2000)]
         assert sorted(calls) == list(range(2000))
 
+    def test_keep_false_holds_no_result(self):
+        class Result:
+            pass
+
+        refs = []
+        returned = pull_map(
+            lambda i: Result(), iter(range(50)), 4, lambda r: refs.append(weakref.ref(r)), keep=False
+        )
+        assert returned is None
+        gc.collect()
+        assert len(refs) == 50 and all(ref() is None for ref in refs)
+
     def test_at_most_max_workers_taken_and_unfinished(self):
         lock = threading.Lock()
         unfinished = 0
@@ -420,6 +438,33 @@ class TestCheckpoint:
         loaded = load_checkpoint(path, "fp")
         assert list(loaded) == [result.key]
 
+    def test_tail_torn_inside_a_character_tolerated(self, tmp_path):
+        path = tmp_path / "cp.jsonl"
+        with CheckpointWriter(path, "fp") as writer:
+            for doc_id in ("a", "b"):
+                writer.append(RephraseResult(JobKey(doc_id, 0, "qa"), "größe", "stop_sequence"))
+        data = path.read_bytes()
+        path.write_bytes(data[: data.rindex("ö".encode("utf-8")) + 1])  # killed mid-"ö"
+        assert [key.doc_id for key in load_checkpoint(path, "fp")] == ["a"]
+
+    def test_positions_locate_each_appended_line(self, tmp_path):
+        path = tmp_path / "cp.jsonl"
+        results = [RephraseResult(JobKey(d, 0, "qa"), "größe " + d, "stop_sequence") for d in "abc"]
+        positions = []
+        with CheckpointWriter(path, "fp") as writer:
+            for result in results:
+                writer.append(result)
+                positions.append(writer.position)
+        data = path.read_bytes()
+        lines = [data[offset : offset + length] for offset, length in positions]
+        assert lines == data.splitlines(keepends=True)[1:]
+        assert [record_line(line) for line in lines] == [
+            (json.dumps(r.to_obj(), ensure_ascii=False) + "\n").encode("utf-8") for r in results
+        ]
+        located = load_checkpoint(path, "fp", LedgerLine.from_obj, located=True)
+        assert [(line.offset, line.length) for line in located.values()] == positions
+        assert not any(line.failed for line in located.values())
+
     def test_append_after_torn_tail_starts_a_new_line(self, tmp_path):
         path = tmp_path / "cp.jsonl"
 
@@ -482,9 +527,9 @@ class TestResume:
         assert sum(job.key not in replayed for job in fresh_jobs) == 50
         resumed_backend = MockBackend(ECHO_RULES)
         with CheckpointWriter(path, "fp") as checkpoint:
-            results = run_batch(
-                fresh_jobs, resumed_backend, CFG, checkpoint=checkpoint, replayed=replayed
-            )
+            run_batch(fresh_jobs, resumed_backend, CFG, checkpoint=checkpoint, replayed=replayed)
+        recorded = load_checkpoint(path, "fp")
+        results = [recorded[job.key] for job in fresh_jobs]
         assert resumed_backend.calls == 50
         uninterrupted = run_batch(make_jobs(100), MockBackend(ECHO_RULES), CFG)
         assert [r.to_obj() for r in results] == [r.to_obj() for r in uninterrupted]
@@ -515,6 +560,21 @@ class TestResume:
         assert list(load_checkpoint(path, "fp")) == seen
         assert backend.calls <= len(seen) + CFG.max_in_flight
         assert backend.calls < 200
+
+    def test_checkpointed_run_keeps_no_result(self, tmp_path):
+        refs = []
+        with CheckpointWriter(tmp_path / "cp.jsonl", "fp") as checkpoint:
+            returned = run_batch(
+                make_jobs(40),
+                MockBackend(ECHO_RULES),
+                CFG,
+                checkpoint=checkpoint,
+                on_result=lambda r: refs.append(weakref.ref(r)),
+            )
+        assert returned is None
+        gc.collect()
+        assert len(refs) == 40 and all(ref() is None for ref in refs)
+        assert len(load_checkpoint(tmp_path / "cp.jsonl", "fp")) == 40
 
     def test_resume_with_empty_checkpoint_runs_all(self, tmp_path):
         assert resume(tmp_path / "cp.jsonl", "fp") == {}

@@ -1,13 +1,16 @@
-"""Every stage after rephrase runs in memory that stays flat as the corpus grows.
+"""Every stage from rephrase on runs in memory that stays flat as the corpus grows.
 
 Each stage runs under ``tracemalloc`` on N and on 4N conftest documents.
 Its traced peak may grow by no more than the per-document index the
 stage must keep, plus a fixed slack; a stage that holds documents grows
-by their text, several kilobytes each, and fails.
+by their text, several kilobytes each, and fails.  Rephrase runs with
+one passages shard that holds every passage, so it is held to its
+per-passage index within a shard.
 """
 
 from __future__ import annotations
 
+import shutil
 import tracemalloc
 
 import pytest
@@ -41,6 +44,14 @@ INDEX_BYTES_PER_DOC = {
 }
 # Per-shard manifest entries, dict and list growth steps.
 SLACK_BYTES = 64 * 1024
+
+# Upper bound, in bytes per passage, of what rephrase keeps of one shard:
+# each passage's job (key, prompt length, line offset and length), the
+# ledger position, text length and finish of each issued result, and on
+# a resume the ledger position of each replayed one (about 500 bytes in
+# all, measured on CPython 3.11).  Holding a shard of prompts or results
+# costs several kilobytes per passage.
+REPHRASE_BYTES_PER_PASSAGE = 800
 
 
 class _FailingBackend(CompletionBackend):
@@ -110,4 +121,67 @@ def test_peak_grows_only_by_index(peaks, stage):
     assert growth <= allowed, (
         f"{stage}: traced peak {small[stage]} -> {large[stage]} bytes from {N} to {4 * N} "
         f"documents, growth {growth} > allowed {allowed}"
+    )
+
+
+class _StopHalfway(Exception):
+    pass
+
+
+def rephrase_peaks(tmp_path, n_docs: int) -> dict[str, tuple[int, int]]:
+    """(passages, traced peak) of a fresh rephrase and of a resume after
+    a stop halfway, each on one shard that holds every passage."""
+    path = write_fixture_config(
+        tmp_path / f"rephrase-{n_docs}", make_docs(n_docs, seed=3), extra={"shard_size": 1_000_000}
+    )
+    cfg = load_config(path)
+    passages = pipeline.stage_preprocess(cfg)["passages"]
+    assert len(pipeline._passage_shard_paths(cfg)) == 1
+    seen = 0
+
+    def stop_halfway(result) -> None:
+        nonlocal seen
+        seen += 1
+        if seen == passages // 2:
+            raise _StopHalfway
+
+    peaks = {}
+    for case, on_result in (("rephrase", None), ("rephrase_resumed", stop_halfway)):
+        shutil.rmtree(cfg.work_dir / "rephrase", ignore_errors=True)
+        if on_result is not None:
+            with pytest.raises(_StopHalfway):
+                pipeline.stage_rephrase(cfg, on_result=on_result)
+        tracemalloc.start()
+        try:
+            report = pipeline.stage_rephrase(cfg)
+            peaks[case] = (passages, tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert report["jobs"] == passages
+        assert report["failed"] > 0
+        if on_result is not None:
+            assert 0 < report["replayed"] < passages
+    return peaks
+
+
+@pytest.fixture(scope="module")
+def rephrase_peak_pairs(tmp_path_factory):
+    make = pipeline.make_backend
+    pipeline.make_backend = lambda cfg: _FailingBackend(make(cfg))
+    try:
+        root = tmp_path_factory.mktemp("memory-rephrase")
+        return rephrase_peaks(root, N), rephrase_peaks(root, 4 * N)
+    finally:
+        pipeline.make_backend = make
+
+
+@pytest.mark.parametrize("case", ["rephrase", "rephrase_resumed"])
+def test_rephrase_peak_grows_only_by_shard_index(rephrase_peak_pairs, case):
+    (small_passages, small), (large_passages, large) = (pair[case] for pair in rephrase_peak_pairs)
+    added = large_passages - small_passages
+    allowed = added * REPHRASE_BYTES_PER_PASSAGE + SLACK_BYTES
+    growth = large - small
+    assert growth <= allowed, (
+        f"{case}: traced peak {small} -> {large} bytes from {small_passages} to "
+        f"{large_passages} passages, growth {growth} > allowed {allowed}"
     )

@@ -1,7 +1,11 @@
 from __future__ import annotations
 
 import json
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 from unittest.mock import ANY
 
 import pytest
@@ -28,6 +32,7 @@ from rephrasing.inference import (
     MockRule,
 )
 from rephrasing.quality import MissingScoresError, ingest_external_scores
+from rephrasing.tokens import CalibrationError
 
 from conftest import QA_LEGACY_RULES, QA_TAGGED_RULES, make_docs, write_fixture_config
 
@@ -133,6 +138,31 @@ class TestPreprocess:
             outputs[name] = {path.name: path.read_bytes() for path in written}
         assert "passages-00000.jsonl" in outputs["manifest"]
         assert outputs[form] == outputs["manifest"]
+
+    def test_empty_input_refused_before_anything_is_written(self, tmp_path):
+        cfg = load_config(write_fixture_config(tmp_path, []))
+        with pytest.raises(CalibrationError, match="empty corpus"):
+            stage_preprocess(cfg)
+        assert not (cfg.work_dir / "calibration.json").exists()
+        assert not (cfg.work_dir / "passages" / "manifest.json").exists()
+
+    def test_calibration_records_the_documents_it_would_sample(self, tmp_path):
+        # Without an exact tokenizer no sample is drawn; calibration.json
+        # records min(sample_size, documents) as calibrate would.
+        for docs, sample_size in ((7, 50), (30, 10)):
+            estimator = {"default_ratio": 0.25, "sample_size": sample_size}
+            extra = {"estimator": estimator, "work_dir": f"w{docs}"}
+            path = write_fixture_config(tmp_path / str(docs), make_docs(docs), extra=extra)
+            cfg = load_config(path)
+            stage_preprocess(cfg)
+            saved = json.loads((cfg.work_dir / "calibration.json").read_text(encoding="utf-8"))
+            assert saved == {
+                "tokens_per_char": 0.25,
+                "per_language": {},
+                "sample_size": min(docs, sample_size),
+                "seed": 0,
+                "calibrated": False,
+            }
 
     def test_missing_input(self, tmp_path):
         path = write_fixture_config(tmp_path, make_docs(1))
@@ -355,6 +385,127 @@ class TestStreamingRephrase:
             stage_rephrase(cfg)
 
 
+def ledger_results(cfg) -> list[bytes]:
+    path = cfg.work_dir / "rephrase" / "checkpoint.jsonl"
+    return path.read_bytes().splitlines(keepends=True)[1:]
+
+
+class TestRephraseLedger:
+    """The ledger is rephrase's result store: outputs are built from it."""
+
+    DOCS = make_docs(40, seed=21)
+
+    def cfg_for(self, tmp_path, work, shard_size=3):
+        path = write_fixture_config(
+            tmp_path,
+            self.DOCS,
+            extra={"shard_size": shard_size, "work_dir": work},
+            name=f"{work}.yaml",
+        )
+        return load_config(path)
+
+    def test_ledger_line_is_kind_then_output_line(self, tmp_path, backends):
+        cfg = self.cfg_for(tmp_path, "work")
+        stage_preprocess(cfg)
+        report = stage_rephrase(cfg)
+        assert report["done"] > 0 and report["failed"] > 0
+        outputs = rephrase_outputs(cfg)
+        lines = [
+            line
+            for name in ("completions.jsonl", "failed.jsonl")
+            for line in outputs[name].splitlines(keepends=True)
+        ]
+        assert len(lines) == report["jobs"]
+        assert sorted(ledger_results(cfg)) == sorted(b'{"kind": "result", ' + line[1:] for line in lines)
+
+    def test_legacy_records_replay_as_parsed(self, tmp_path):
+        cfg = self.cfg_for(tmp_path, "work")
+        stage_preprocess(cfg)
+        stage_rephrase(cfg)
+        completions = (cfg.work_dir / "rephrase" / "completions.jsonl").read_text(encoding="utf-8")
+        # A ledger written before results carried model_id and attempts.
+        ledger = cfg.work_dir / "rephrase" / "checkpoint.jsonl"
+        header, *records = ledger.read_text(encoding="utf-8").splitlines(keepends=True)
+        legacy = []
+        for record in records:
+            obj = json.loads(record)
+            del obj["model_id"], obj["attempts"]
+            legacy.append(json.dumps(obj, ensure_ascii=False) + "\n")
+        ledger.write_text(header + "".join(legacy), encoding="utf-8")
+
+        report = stage_rephrase(cfg)
+        assert report["replayed"] == report["jobs"]
+        assert report["attempts"] == {"1": report["jobs"]}
+        expected = ""
+        for line in completions.splitlines():
+            obj = json.loads(line)
+            obj.update(model_id="", attempts=1)  # RephraseResult.from_obj's defaults
+            expected += json.dumps(obj, ensure_ascii=False) + "\n"
+        assert (cfg.work_dir / "rephrase" / "completions.jsonl").read_text(encoding="utf-8") == expected
+
+    def test_failed_then_succeeded_key_replays_its_success(self, tmp_path, monkeypatch):
+        reference = self.cfg_for(tmp_path, "reference")
+        stage_preprocess(reference)
+        stage_rephrase(reference)
+
+        cfg = self.cfg_for(tmp_path, "work")
+        stage_preprocess(cfg)
+        make = pipeline.make_backend
+        monkeypatch.setattr(pipeline, "make_backend", lambda cfg: _SpyBackend(make(cfg)))
+        failed = stage_rephrase(cfg)["failed"]
+        assert failed > 0
+        monkeypatch.setattr(pipeline, "make_backend", make)
+        retried = stage_rephrase(cfg)
+        assert (retried["issued"], retried["failed"]) == (failed, 0)
+        assert rephrase_outputs(cfg) == rephrase_outputs(reference)
+        # Each failed key now has a failed and then a successful record.
+        assert len(ledger_results(cfg)) == retried["jobs"] + failed
+        replayed = stage_rephrase(cfg)
+        assert replayed["replayed"] == replayed["jobs"]
+        assert rephrase_outputs(cfg) == rephrase_outputs(reference)
+
+    @pytest.mark.parametrize("ending", ["finished", "stopped", "bad_second_shard"])
+    def test_files_closed_on_every_path(self, tmp_path, ending):
+        cfg = self.cfg_for(tmp_path, "work")
+        stage_preprocess(cfg)
+        if ending == "bad_second_shard":
+            shard = cfg.work_dir / "passages" / "passages-00001.jsonl"
+            shard.write_text(shard.read_text(encoding="utf-8") + "{}\n", encoding="utf-8")
+        script = f"""
+import gc, sys
+from rephrasing import pipeline
+from rephrasing.config import load_config
+
+class Stop(Exception):
+    pass
+
+def stop_at_5(result, seen=[]):
+    seen.append(result)
+    if len(seen) == 5:
+        raise Stop
+
+cfg = load_config({str(tmp_path / "work.yaml")!r})
+try:
+    pipeline.stage_rephrase(cfg, on_result=stop_at_5 if {ending!r} == "stopped" else None)
+except Exception as exc:
+    print(type(exc).__name__)
+else:
+    print("finished")
+gc.collect()
+"""
+        env = {**os.environ, "PYTHONPATH": str(Path(pipeline.__file__).parents[1])}
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::ResourceWarning", "-c", script],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        expected = {"finished": "finished", "stopped": "Stop", "bad_second_shard": "StageError"}
+        assert proc.stdout.split() == [expected[ending]], proc.stderr
+        assert "ResourceWarning" not in proc.stderr, proc.stderr
+
+
 def corpus_bytes(out_dir) -> bytes:
     """Every shard of a stage output, concatenated in manifest order."""
     manifest = ShardManifest.load(out_dir / "manifest.json")
@@ -569,6 +720,40 @@ class TestPerLanguageTemplates:
 
 
 class TestScoreAndFilter:
+    def test_report_times_issued_documents(self, tmp_path, monkeypatch):
+        # Every document is scored by a vote whose first try fails at once
+        # and backs off 20 ms; its second try takes 2 ms.
+        class Voting(MockBackend):
+            def option_logprobs(self, prompt, options):
+                raise BackendError("no log-probabilities")
+
+        backend = {
+            "kind": "mock",
+            "model": "mock-model",
+            "max_in_flight": 4,
+            "retry_backoff_s": 0.02,
+            "mock": {"rules": QA_TAGGED_RULES},
+        }
+        path = write_fixture_config(tmp_path, make_docs(12, seed=3), extra={"backend": backend})
+        cfg = load_config(path)
+        stage_preprocess(cfg)
+        stage_rephrase(cfg)
+        docs = stage_postprocess(cfg)["emitted_docs"]
+        voting = Voting(default_response="yes\n", fail_first=1, latency_s=0.002)
+        monkeypatch.setattr(pipeline, "make_backend", lambda cfg: voting)
+        first = stage_score(cfg)
+        assert first["docs"] == docs > 4
+        assert first["latency_max_s"] >= 0.022
+        assert 0.002 * docs <= first["busy_s"] < 0.02 * docs
+        assert 0 < first["slot_utilisation"] <= 1
+        # ``seconds`` is rounded to the millisecond.
+        assert first["slot_utilisation"] == pytest.approx(
+            first["busy_s"] / (4 * first["seconds"]), rel=0.05
+        )
+        # A resume replays every score and times nothing.
+        second = stage_score(cfg)
+        assert [second[k] for k in ("busy_s", "latency_max_s", "slot_utilisation")] == [0, 0, 0]
+
     def test_scores_cover_corpus(self, cfg):
         stage_preprocess(cfg)
         stage_rephrase(cfg)
@@ -749,7 +934,8 @@ class TestScoreLedger:
         # The mock backend answers each document with one log-prob request.
         assert sum(b.requests for b in backends) - before == n - k
         assert (scores_dir / "scores.jsonl").read_bytes() == expected
-        assert {**resumed, "seconds": 0} == {**reference, "seconds": 0}
+        clocks = dict.fromkeys(("busy_s", "latency_max_s", "slot_utilisation", "seconds"), 0)
+        assert {**resumed, **clocks} == {**reference, **clocks}
 
     def test_second_score_issues_no_request(self, rephrased, backends):
         first = stage_score(rephrased)
@@ -758,7 +944,8 @@ class TestScoreLedger:
         second = stage_score(rephrased)
         assert backends[-1].requests == 0
         assert (rephrased.work_dir / "scores" / "scores.jsonl").read_bytes() == scores
-        assert {**second, "seconds": 0} == {**first, "seconds": 0}
+        clocks = dict.fromkeys(("busy_s", "latency_max_s", "slot_utilisation", "seconds"), 0)
+        assert {**second, **clocks} == {**first, **clocks}
 
     def test_score_input_after_rephrased_replays_nothing(self, rephrased, backends):
         stage_score(rephrased)
