@@ -709,7 +709,9 @@ def load_checkpoint(
     ``located`` by ``parse(obj, offset, length)`` from the line's byte
     offset and length; empty when the file is absent.
 
-    A truncated final line (crash mid-write) is ignored; later records
+    A final line without its newline (crash mid-write) is ignored, as
+    ``CheckpointWriter`` cuts it, even when it holds a whole record, so
+    no record is kept that the next append overwrites; later records
     win over earlier ones for the same key, so a job that failed and
     then succeeded replays its success.
     """
@@ -722,6 +724,8 @@ def load_checkpoint(
         offset = len(handle.readline())
         for line in handle:
             length = len(line)
+            if not line.endswith(b"\n"):
+                break
             try:
                 obj = json.loads(line.decode("utf-8"))
             except ValueError:

@@ -492,6 +492,11 @@ def stage_rephrase(cfg: PipelineConfig, *, on_result=None) -> dict:
                     if line is not None:
                         raw = os.pread(ledger.fileno(), line.length, line.offset)
                         result = RephraseResult.from_obj(json.loads(raw.decode("utf-8")))
+                        if result.key != job.key:
+                            raise StageError(
+                                f"ledger {checkpoint_path} holds {result.key} at byte "
+                                f"{line.offset}, where {job.key} was recorded"
+                            )
                         attempts[result.attempts] += 1
                         out = (encode_json(result.to_obj()) + "\n").encode("utf-8")
                         chars, finish = len(result.text), result.finish

@@ -464,6 +464,47 @@ class TestRephraseLedger:
         assert replayed["replayed"] == replayed["jobs"]
         assert rephrase_outputs(cfg) == rephrase_outputs(reference)
 
+    def test_resume_after_lost_final_newline(self, tmp_path):
+        reference = self.cfg_for(tmp_path, "reference")
+        stage_preprocess(reference)
+        stage_rephrase(reference)
+
+        cfg = self.cfg_for(tmp_path, "work")
+        stage_preprocess(cfg)
+        seen = []
+
+        def stop_at_5(result):
+            seen.append(result)
+            if len(seen) == 5:
+                raise _Stop()
+
+        with pytest.raises(_Stop):
+            stage_rephrase(cfg, on_result=stop_at_5)
+        # Killed after writing the fifth record but before its newline:
+        # the writer cuts that record, so it must not be replayed either.
+        ledger = cfg.work_dir / "rephrase" / "checkpoint.jsonl"
+        data = ledger.read_bytes()
+        ledger.write_bytes(data[:-1])
+        report = stage_rephrase(cfg)
+        assert report["replayed"] == 4
+        assert rephrase_outputs(cfg) == rephrase_outputs(reference)
+
+    def test_replayed_line_of_another_key_refused(self, tmp_path, monkeypatch):
+        cfg = self.cfg_for(tmp_path, "work")
+        stage_preprocess(cfg)
+        stage_rephrase(cfg)
+        load = pipeline.resume
+
+        def swapped(*args, **kwargs):
+            replay = load(*args, **kwargs)
+            first, second, *_ = replay
+            replay[first], replay[second] = replay[second], replay[first]
+            return replay
+
+        monkeypatch.setattr(pipeline, "resume", swapped)
+        with pytest.raises(StageError, match="checkpoint.jsonl holds .* where .* was recorded"):
+            stage_rephrase(cfg)
+
     @pytest.mark.parametrize("ending", ["finished", "stopped", "bad_second_shard"])
     def test_files_closed_on_every_path(self, tmp_path, ending):
         cfg = self.cfg_for(tmp_path, "work")
