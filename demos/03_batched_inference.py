@@ -65,10 +65,11 @@ with tempfile.TemporaryDirectory() as tmp:
         print("\npreempted after 5 completions")
 
     replayed = resume(checkpoint_path, "demo")
-    print(f"resume: {len(replayed)} replayed from checkpoint, {len(jobs) - len(replayed)} to run")
+    todo = [job for job in jobs if job.key not in replayed]
+    print(f"resume: {len(replayed)} replayed from checkpoint, {len(todo)} to run")
     with CheckpointWriter(checkpoint_path, "demo") as checkpoint:
-        run_batch(jobs, MockBackend([MockRule(r"passage (\d+)", r"rephrased \1</text>")]),
-                  cfg, checkpoint=checkpoint, replayed=replayed)
+        run_batch(todo, MockBackend([MockRule(r"passage (\d+)", r"rephrased \1</text>")]),
+                  cfg, checkpoint=checkpoint)
     # The ledger is the result store: a run with a checkpoint keeps no results.
     recorded = load_checkpoint(checkpoint_path, "demo")
     resumed = [recorded[job.key] for job in jobs]

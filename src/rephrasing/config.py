@@ -39,7 +39,7 @@ from .prompts import (
     default_stop,
 )
 from .quality import SCORER_ASK_LLM, SCORER_EXTERNAL
-from .splitting import SplitConfig
+from .splitting import SENTENCE_END_PATTERN, SplitConfig
 from .tokens import DEFAULT_SAMPLE_SIZE, DEFAULT_TOKENS_PER_CHAR
 
 
@@ -231,7 +231,12 @@ class PipelineConfig:
         payload = {
             "languages": list(self.languages),
             "seed": self.seed,
-            "split": dataclasses.asdict(self.split),
+            # linebreak and sentence_end are no longer settings, as vote_k below.
+            "split": {
+                **dataclasses.asdict(self.split),
+                "linebreak": "\n",
+                "sentence_end": SENTENCE_END_PATTERN,
+            },
             "estimator": dataclasses.asdict(self.estimator),
             "template_id": self.template_id,
             "template_by_lang": sorted(self.template_by_lang),

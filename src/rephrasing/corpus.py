@@ -117,15 +117,15 @@ class LineError:
 
     lineno: int
     message: str
-    line: str
 
 
 class ShardReader:
     """Iterate documents in one shard file, collecting line-level errors.
 
-    Malformed lines are recorded in ``errors`` with their line numbers
-    rather than aborting the stream, so parsed documents plus recorded
-    errors always account for every input line.
+    A shard is UTF-8 JSON Lines split at line feeds only.  A line that does
+    not decode, parse or validate is recorded in ``errors`` with its line
+    number rather than aborting the stream, so parsed documents plus
+    recorded errors always account for every input line.
     """
 
     def __init__(self, path: Path | str, languages: Sequence[str] | None = DEFAULT_LANGUAGES):
@@ -137,33 +137,31 @@ class ShardReader:
         self.n_lines = 0
 
     def __iter__(self) -> Iterator[Document]:
-        with self.path.open("r", encoding="utf-8") as handle:
-            for lineno, raw in enumerate(handle, start=1):
-                doc = self._parse(lineno, raw.rstrip("\n"))
-                if doc is not None:
-                    yield doc
+        for _, _, doc in self.located():
+            yield doc
 
     def located(self) -> Iterator[tuple[int, int, Document]]:
-        """Iterate as above, with the byte offset and length of each
-        document's line, for ``read_document_at``."""
+        """Each document with the byte offset and length of its line,
+        for ``read_document_at``."""
         offset = 0
         with self.path.open("rb") as handle:
             for lineno, raw in enumerate(handle, start=1):
-                doc = self._parse(lineno, raw.decode("utf-8").rstrip("\r\n"))
+                doc = self._parse(lineno, raw)
                 if doc is not None:
                     yield offset, len(raw), doc
                 offset += len(raw)
 
-    def _parse(self, lineno: int, line: str) -> Document | None:
+    def _parse(self, lineno: int, raw: bytes) -> Document | None:
         self.n_lines = lineno
         try:
-            obj = json.loads(line)
+            obj = json.loads(raw.decode("utf-8"))
             if not isinstance(obj, dict):
                 raise CorpusError("line is not a JSON object")
             doc = doc_from_obj(obj)
             doc.validate(self.languages)
-        except (json.JSONDecodeError, KeyError, CorpusError, TypeError) as exc:
-            self.errors.append(LineError(lineno, str(exc), line[:200]))
+        # ValueError covers a line that is not UTF-8 and one that is not JSON.
+        except (ValueError, KeyError, AttributeError, TypeError, CorpusError) as exc:
+            self.errors.append(LineError(lineno, str(exc)))
             return None
         return doc
 
@@ -299,7 +297,8 @@ class ShardManifest:
         return [base / s.path for s in self.shards]
 
     def verify(self, base_dir: Path | str, languages: Sequence[str] | None = DEFAULT_LANGUAGES) -> str:
-        """Check that every listed shard exists, parses, and matches its count.
+        """Check that every listed shard exists, parses and matches its
+        count, and that no document's text is only whitespace (unscorable).
 
         Returns the sha256 of the shards' bytes in manifest order, which
         names the corpus's content.
@@ -307,7 +306,11 @@ class ShardManifest:
         digest = hashlib.sha256()
         for entry, path in zip(self.shards, self.shard_paths(base_dir)):
             reader = load_shard(path, languages)
-            n = sum(1 for _ in reader)
+            n = 0
+            for doc in reader:
+                n += 1
+                if not doc.text.strip():
+                    raise CorpusError(f"shard {path}: cannot score empty document {doc.id!r}")
             if reader.errors:
                 raise CorpusError(f"shard {path}: {reader.summary()}")
             if n != entry.docs:

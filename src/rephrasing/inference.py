@@ -381,11 +381,11 @@ class JsonClient:
     costs no retry.  Connection and protocol errors discard the
     connection and raise ``TransientBackendError``; retrying is left to
     ``with_retries``.  Status 401/403 raise ``AuthError``, 429 and 5xx
-    ``TransientBackendError``, any other non-200 ``BackendError``.
-    ``timeout_s`` bounds the connect and every socket read.
-    ``http.client`` sets TCP_NODELAY on every connection.  HTTPS
-    verifies against the system trust store; proxy variables are not
-    read.
+    ``TransientBackendError``, any other status or a 200 whose body is
+    not a JSON object ``BackendError``.  ``timeout_s`` bounds the connect
+    and every socket read.  ``http.client`` sets TCP_NODELAY on every
+    connection.  HTTPS verifies against the system trust store; proxy
+    variables are not read.
     """
 
     def __init__(self, url: str, *, timeout_s: float, headers: Mapping[str, str] | None = None):
@@ -438,10 +438,13 @@ class JsonClient:
             raise AuthError(f"endpoint returned {status}")
         if status == 429 or status >= 500:
             raise TransientBackendError(f"endpoint returned {status}")
-        if status != 200:
-            text = data[:200].decode("utf-8", "replace")
-            raise BackendError(f"endpoint returned {status}: {text}")
-        return json.loads(data)
+        try:
+            obj = json.loads(data) if status == 200 else None
+        except ValueError:
+            obj = None
+        if isinstance(obj, dict):
+            return obj
+        raise BackendError(f"endpoint returned {status}: {data[:200].decode('utf-8', 'replace')}")
 
     def close(self) -> None:
         """Close every pooled connection; a later request opens anew."""
@@ -487,7 +490,7 @@ class HttpBackend(CompletionBackend):
             choice = obj["choices"][0]
             text = choice.get("text", "")
             reason = choice.get("finish_reason", "stop")
-        except (KeyError, IndexError, TypeError) as exc:
+        except (KeyError, IndexError, TypeError, AttributeError) as exc:
             raise BackendError(f"malformed completion response: {exc}") from exc
         finish = FINISH_STOP if reason == "stop" else FINISH_LENGTH
         return Completion(text, finish, obj.get("model", self.cfg.model))
@@ -1012,35 +1015,32 @@ def run_batch(
     *,
     plan: ExecutionPlan | None = None,
     checkpoint: CheckpointWriter | None = None,
-    replayed: Mapping[JobKey, RephraseResult] | None = None,
     on_result: Callable[[RephraseResult], None] | None = None,
 ) -> list[RephraseResult] | None:
     """Execute jobs with bounded concurrency.
 
-    Jobs not in ``replayed`` are pulled in plan order through ``pull_map``
-    with ``cfg.max_in_flight`` request slots, so at most
-    ``cfg.max_in_flight`` requests are outstanding at any instant, and a
-    job waiting out a retry backoff lends its slot to the next job.  A
-    job's ``render()`` runs on the worker thread that pulled it, outside
-    the pull lock.  Each finished job is appended to the checkpoint and
-    then passed to ``on_result``, on the worker thread and serialised
-    with every other append and ``on_result`` call, so ``on_result`` may
-    read ``checkpoint.position`` to find its result's line.  The first
-    exception, including one raised by ``on_result``, stops the run from
-    issuing more jobs and retries and is re-raised once the in-flight
-    ones return; their results are discarded unrecorded, so the
-    checkpoint holds exactly the results ``on_result`` saw, and a stop
+    Every job runs (a resume passes only those its ledger lacks), pulled
+    in plan order through ``pull_map`` with ``cfg.max_in_flight`` request
+    slots, so at most ``cfg.max_in_flight`` requests are outstanding at
+    any instant, and a job waiting out a retry backoff lends its slot to
+    the next job.  A job's ``render()`` runs on the worker thread that
+    pulled it, outside the pull lock.  Each finished job is appended to
+    the checkpoint and then passed to ``on_result``, on the worker thread
+    and serialised with every other append and ``on_result`` call, so
+    ``on_result`` may read ``checkpoint.position`` to find its result's
+    line.  The first exception, including one raised by ``on_result``,
+    stops the run from issuing more jobs and retries and is re-raised once
+    the in-flight ones return; their results are discarded unrecorded, so
+    the checkpoint holds exactly the results ``on_result`` saw, and a stop
     wastes at most ``cfg.max_in_flight - 1`` requests.
 
-    Without a checkpoint, returns every job's result in job order,
-    replayed ones included.  With one, the ledger is the result store:
-    no result is kept once it is appended and reported, and ``None``
-    comes back.
+    Without a checkpoint, returns every job's result in job order.  With
+    one, the ledger is the result store: no result is kept once it is
+    appended and reported, and ``None`` comes back.
     """
-    replayed = replayed or {}
     order = (plan or schedule(jobs)).order if jobs else ()
-    todo = [jobs[i] for i in order if jobs[i].key not in replayed]
-    results = None if checkpoint is not None else dict(replayed)
+    todo = [jobs[i] for i in order]
+    results = None if checkpoint is not None else {}
 
     def record(result: RephraseResult) -> None:
         if results is None:

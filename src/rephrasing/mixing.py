@@ -83,23 +83,6 @@ class MixPlan:
     target: float
     draws: tuple[SourceDraw, ...]
 
-    def to_obj(self) -> dict:
-        return {
-            "unit": self.unit,
-            "seed": self.seed,
-            "target": self.target,
-            "draws": [
-                {
-                    "name": d.name,
-                    "size": d.size,
-                    "quota": d.quota,
-                    "full_passes": d.full_passes,
-                    "remainder": d.remainder,
-                }
-                for d in self.draws
-            ],
-        }
-
 
 def _source_size(manifest: ShardManifest, unit: str) -> float:
     if unit == UNIT_DOCUMENTS:

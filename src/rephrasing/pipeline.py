@@ -936,12 +936,14 @@ RUN_ALL_ORDER = ("preprocess", "rephrase", "postprocess", "score", "filter", "mi
 
 
 def run_all(cfg: PipelineConfig) -> dict:
-    """Chain the stages in pipeline order; mix only when configured."""
+    """Chain the stages in pipeline order; score only for an ask_llm
+    filter, mix only when configured."""
     reports = {}
     reports["preprocess"] = stage_preprocess(cfg)
     reports["rephrase"] = stage_rephrase(cfg)
     reports["postprocess"] = stage_postprocess(cfg)
-    reports["score"] = stage_score(cfg)
+    if cfg.filter.scorer != SCORER_EXTERNAL:
+        reports["score"] = stage_score(cfg)
     reports["filter"] = stage_filter(cfg)
     if cfg.mix is not None and cfg.mix.sources:
         reports["mix"] = stage_mix(cfg)

@@ -14,7 +14,6 @@ afterwards.  Tagged templates end their assistant prefix inside an open
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
@@ -64,9 +63,6 @@ class PromptTemplate:
             raise PromptError(
                 f"template {self.template_id!r} must contain {self.placeholder} exactly once"
             )
-
-    def checksum(self) -> str:
-        return hashlib.sha256(self.body.encode("utf-8")).hexdigest()
 
 
 def default_stop(framing: str, extraction: str) -> tuple[str, ...]:
@@ -175,9 +171,6 @@ class RenderedPrompt:
     text: str
     stop: tuple[str, ...]
     temperature: float
-    # The passage itself contained a closing tag; rendered anyway, but
-    # flagged so postprocessing anomalies can be traced.
-    tag_collision: bool = False
 
 
 def render(
@@ -197,7 +190,6 @@ def render(
         text=template.body.replace("{text}", passage.text),
         stop=template.stop,
         temperature=temperature,
-        tag_collision=tag_collision(passage, template),
     )
 
 

@@ -34,8 +34,6 @@ UNDERSIZE_TAIL = "undersize_tail"
 class SplitConfig:
     max_tokens: float = MAX_PASSAGE_TOKENS
     min_tokens: float = MIN_PASSAGE_TOKENS
-    linebreak: str = "\n"
-    sentence_end: str = SENTENCE_END_PATTERN
 
     def __post_init__(self) -> None:
         if not 0 < self.min_tokens < self.max_tokens:
@@ -89,10 +87,10 @@ def normalize_newlines(text: str) -> str:
     return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
-def split_on_linebreaks(text: str, cfg: SplitConfig = SplitConfig()) -> list[str]:
+def split_on_linebreaks(text: str) -> list[str]:
     """Maximal runs between line breaks, blank segments removed, edges trimmed."""
     segments = []
-    for raw in text.split(cfg.linebreak):
+    for raw in text.split("\n"):
         seg = raw.strip()
         if seg:
             segments.append(seg)
@@ -113,7 +111,7 @@ def split_long_segment(
     """
     if est.estimate_text(segment, lang) <= cfg.max_tokens:
         return [segment]
-    return [part for part in re.split(cfg.sentence_end, segment) if part]
+    return [part for part in re.split(SENTENCE_END_PATTERN, segment) if part]
 
 
 def merge_chunks(
@@ -169,7 +167,7 @@ def split_document(
     """
     lang = doc.lang
     chunks: list[str] = []
-    for segment in split_on_linebreaks(normalize_newlines(doc.text), cfg):
+    for segment in split_on_linebreaks(normalize_newlines(doc.text)):
         chunks.extend(split_long_segment(segment, cfg, est, lang))
     passages = []
     for index, text in enumerate(merge_chunks(chunks, cfg, est, lang)):

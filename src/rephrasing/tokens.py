@@ -129,7 +129,7 @@ def _reservoir_sample(docs: Iterable["Document"], k: int, seed: int) -> list["Do
 
 def calibrate(
     docs: Iterable["Document"],
-    count_tokens: Callable[[str], int] | None,
+    count_tokens: Callable[[str], int],
     *,
     seed: int = 0,
     sample_size: int = DEFAULT_SAMPLE_SIZE,
@@ -139,9 +139,9 @@ def calibrate(
     """Calibrate tokens-per-char on a seeded random sample of the corpus.
 
     ``count_tokens`` is the exact external tokenizer handle; only
-    calibration needs it.  When it is missing or fails, the configured
-    default ratio is used and the estimator is marked uncalibrated; a
-    failure is logged as a warning and named in ``fallback``.
+    calibration needs it.  When it fails, the configured default ratio
+    is used, the estimator is marked uncalibrated, and the failure is
+    logged as a warning and named in ``fallback``.
     """
     if sample_size < 1:
         raise ValueError("sample_size must be >= 1")
@@ -149,9 +149,6 @@ def calibrate(
     sample = _reservoir_sample(docs, sample_size, seed)
     if not sample:
         raise CalibrationError("cannot calibrate on an empty corpus")
-
-    if count_tokens is None:
-        return TokenEstimator(default_ratio, {}, len(sample), seed, calibrated=False)
 
     chars_total = 0
     tokens_total = 0

@@ -152,6 +152,47 @@ class TestExitCodes:
         assert "backend error" in capsys.readouterr().err
 
 
+def _undecodable_sixth_document(shard: Path) -> None:
+    lines = shard.read_bytes().splitlines(keepends=True)
+    lines[5] = lines[5].replace(b'"text": "', b'"text": "\xff', 1)
+    shard.write_bytes(b"".join(lines))
+
+
+def _records_split_by_lone_cr(shard: Path) -> None:
+    shard.write_bytes(shard.read_bytes().replace(b"\n", b"\r"))
+
+
+class TestBadShardRefusedByEveryReader:
+    """Preprocess, mix and score read a corpus shard the same way, so
+    each refuses the same bad line with a data error."""
+
+    @pytest.mark.parametrize(
+        "corrupt, where",
+        [(_undecodable_sixth_document, "line 6"), (_records_split_by_lone_cr, "line 1")],
+        ids=["undecodable_byte", "lone_cr"],
+    )
+    def test_exits_2_naming_shard_and_line(self, tmp_path, capsys, corrupt, where):
+        mix = {
+            "unit": "documents",
+            "sources": [{"name": "original", "manifest": "input/manifest.json", "weight": 1.0}],
+        }
+        path = write_fixture_config(tmp_path, make_docs(8, seed=5), extra={"mix": mix})
+        assert run(["preprocess", "-c", path]) == 0
+        shard = next((tmp_path / "input").glob("*.jsonl"))
+        corrupt(shard)
+        capsys.readouterr()
+        for command in (
+            ["preprocess"],
+            ["mix"],
+            ["score", "--input", tmp_path / "input" / "manifest.json"],
+        ):
+            assert run([*command, "-c", path]) == 2, command
+            err = capsys.readouterr().err
+            assert err.startswith("data error: "), command
+            assert shard.name in err and f"first at {where}" in err, command
+        assert not (tmp_path / "work" / "scores").exists()
+
+
 class TestCommands:
     def test_templates_listing(self, capsys):
         assert run(["templates"]) == 0

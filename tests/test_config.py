@@ -49,6 +49,15 @@ def test_vote_k_refused_as_unknown(tmp_path):
         load_config(path)
 
 
+@pytest.mark.parametrize("key, value", [("linebreak", "\r"), ("sentence_end", r"[.]\s+")])
+def test_split_patterns_refused_as_unknown(tmp_path, key, value):
+    # Text is always split at "\n" and at SENTENCE_END_PATTERN.
+    path = write_fixture_config(tmp_path, make_docs(3), extra={"split": {key: value}})
+    with pytest.raises(ConfigError, match=rf"unknown key\(s\) in split: \['{key}'\]"):
+        load_config(path)
+    assert main(["preprocess", "-c", str(path)]) == 1
+
+
 def test_postprocess_regime_refused_as_unknown(tmp_path):
     # The regime is always derived from the selected templates.
     path = write_fixture_config(

@@ -169,6 +169,41 @@ class TestReadByOffset:
             for offset, length, doc in reversed(spans):
                 assert read_document_at(handle, offset, length) == doc
 
+class TestLineDecoding:
+    """A shard is UTF-8 JSON Lines split at "\\n" only, one line at a time."""
+
+    def test_undecodable_byte_is_a_bad_line(self, tmp_path):
+        docs = make_docs(8)
+        lines = [(doc_to_json(d) + "\n").encode("utf-8") for d in docs]
+        lines[5] = lines[5].replace(b'"text": "', b'"text": "\xff', 1)
+        path = tmp_path / "s.jsonl"
+        path.write_bytes(b"".join(lines))
+        reader = load_shard(path)
+        parsed = list(reader)
+        assert parsed == docs[:5] + docs[6:]
+        assert [error.lineno for error in reader.errors] == [6]
+        assert "utf-8" in reader.errors[0].message
+        assert len(parsed) + len(reader.errors) == reader.n_lines == 8
+        spans = list(load_shard(path).located())
+        assert [doc for _, _, doc in spans] == parsed
+
+    def test_lone_carriage_return_does_not_end_a_line(self, tmp_path):
+        path = tmp_path / "s.jsonl"
+        path.write_bytes(("\r".join(doc_to_json(d) for d in make_docs(3)) + "\n").encode("utf-8"))
+        reader = load_shard(path)
+        assert list(reader) == []
+        assert reader.n_lines == len(reader.errors) == 1
+
+    @pytest.mark.parametrize("field", ["meta", "provenance"])
+    def test_field_of_wrong_shape_is_a_bad_line(self, tmp_path, field):
+        obj = {"id": "a", "text": "hi", "lang": "en", field: ["not", "an", "object"]}
+        path = tmp_path / "s.jsonl"
+        path.write_text(json.dumps(obj) + "\n", encoding="utf-8")
+        reader = load_shard(path)
+        assert list(reader) == []
+        assert [error.lineno for error in reader.errors] == [1]
+
+
 class TestStats:
     def test_one_doc_400_chars_ratio_quarter(self, tmp_path, quarter_estimator):
         docs = [Document("a", "x" * 400, "en")]

@@ -16,11 +16,13 @@ from pathlib import Path
 import pytest
 
 from rephrasing import pipeline
+from rephrasing.cli import main
 from rephrasing.config import load_config
 from rephrasing.corpus import Document
 from rephrasing.inference import (
     AuthError,
     BackendConfig,
+    BackendError,
     CompletionBackend,
     HttpBackend,
     JobKey,
@@ -59,8 +61,8 @@ class _Handler(BaseHTTPRequestHandler):
         length = int(self.headers.get("Content-Length", 0))
         return json.loads(self.rfile.read(length))
 
-    def _reply(self, code: int, obj: dict) -> None:
-        body = json.dumps(obj).encode("utf-8")
+    def _reply(self, code: int, obj: dict | bytes) -> None:
+        body = obj if isinstance(obj, bytes) else json.dumps(obj).encode("utf-8")
         self.send_response(code)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
@@ -96,6 +98,11 @@ class _Handler(BaseHTTPRequestHandler):
             return
 
         prompt = payload["prompt"]
+        # A test's "malformed(prompt)" may answer a prompt with a raw 200 body.
+        body = state.get("malformed", lambda prompt: None)(prompt)
+        if body is not None:
+            self._reply(200, body)
+            return
         if payload.get("echo"):
             # Echoed prompt logprobs: -0.5 per whitespace token, unless a
             # test sets its own "tokenize" and "logprob(position, token)".
@@ -285,6 +292,40 @@ class TestCompletionWire:
 # Words and punctuation, as the benchmark's stub endpoint counts tokens.
 WORDS = re.compile(r"\w+|[^\w\s]").findall
 OPTIONS = [" yes", " no"]
+
+
+HTML_200 = b"<html><body>upstream busy</body></html>"
+
+
+class TestMalformed200:
+    """A 200 whose body is not a completion is a permanent BackendError."""
+
+    @pytest.mark.parametrize(
+        "body",
+        [HTML_200, b"[]", b'{"choices": ["not an object"]}'],
+        ids=["html", "not_an_object", "choice_not_an_object"],
+    )
+    def test_fails_only_its_job(self, server, backend_for, body):
+        jobs = [job(i) for i in range(8)]
+        server.state["malformed"] = lambda prompt: body if prompt == jobs[3].prompt.text else None
+        backend = backend_for(server)
+        results = run_batch(jobs, backend, backend.cfg)
+        assert [r.key for r in results if r.failed] == [jobs[3].key]
+        assert results[3].text.startswith("BackendError: ")
+        assert results[3].attempts == 1
+
+    def test_names_status_and_body(self, server, backend_for):
+        server.state["malformed"] = lambda prompt: HTML_200
+        with pytest.raises(BackendError, match="endpoint returned 200: <html><body>upstream busy"):
+            backend_for(server).complete("hi", temperature=0.0, stop=(), max_tokens=8)
+
+    def test_later_document_stops_score_with_exit_3(self, server, tmp_path, capsys):
+        docs = make_docs(8, seed=5)
+        path = http_score_config(tmp_path, docs, endpoint(server))
+        assert main(["preprocess", "-c", str(path)]) == 0
+        server.state["malformed"] = lambda prompt: HTML_200 if docs[5].text[:40] in prompt else None
+        assert main(["score", "-c", str(path)]) == 3
+        assert "backend error: endpoint returned 200: <html>" in capsys.readouterr().err
 
 
 def echo_requests(server) -> list[str]:

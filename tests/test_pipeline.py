@@ -861,6 +861,17 @@ class TestScoreAndFilter:
         assert sum(backend.requests for backend in backends[1:]) == 0
         assert not (cfg.work_dir / "scores").exists()
 
+    def test_blank_document_refused_before_any_request(self, tmp_path, backends):
+        docs = make_docs(30, seed=7)
+        docs[20] = Document(docs[20].id, " \n\t ", docs[20].lang)
+        cfg = load_config(write_fixture_config(tmp_path, docs))
+        # Preprocess accepts it: it splits into no passages.
+        assert stage_preprocess(cfg)["docs_without_passages"] >= 1
+        with pytest.raises(CorpusError, match="cannot score empty document 'doc-000020'"):
+            stage_score(cfg, cfg.input_manifest)
+        assert sum(backend.requests for backend in backends) == 0
+        assert not (cfg.work_dir / "scores").exists()
+
     def test_score_and_filter_restore_output_left_as_old(self, cfg):
         stage_preprocess(cfg)
         stage_rephrase(cfg)
@@ -1199,3 +1210,36 @@ class TestRunAll:
         reports = run_all(cfg)
         assert list(reports) == ["preprocess", "rephrase", "postprocess", "score", "filter", "stats"]
         assert reports["stats"]["reconciliation"]
+
+    def test_external_scorer_skips_score(self, tmp_path, monkeypatch):
+        docs = make_docs(40, seed=7)
+        rows = [{"doc_id": d.id, "score": i % 4 * 0.25} for i, d in enumerate(docs)]
+        (tmp_path / "fwe.jsonl").write_text("".join(json.dumps(r) + "\n" for r in rows))
+        scorer = {"scorer": "external", "threshold": 0.3, "external_scores": "fwe.jsonl"}
+        cfg = load_config(write_fixture_config(tmp_path, docs, extra={"filter": scorer}))
+        scored = []
+        option_logprobs = MockBackend.option_logprobs
+
+        def counted(backend, prompt, options):
+            scored.append(prompt)
+            return option_logprobs(backend, prompt, options)
+
+        monkeypatch.setattr(MockBackend, "option_logprobs", counted)
+        reports = run_all(cfg)
+        assert list(reports) == ["preprocess", "rephrase", "postprocess", "filter", "stats"]
+        assert scored == [] and not (cfg.work_dir / "scores").exists()
+        filtered = cfg.work_dir / "filtered"
+        outputs = _untimed_files(filtered)
+        # The filter reads the external file, so the score stage changes nothing of it.
+        stage_score(cfg)
+        assert scored
+        assert _untimed(stage_filter(cfg)) == _untimed(reports["filter"])
+        assert _untimed_files(filtered) == outputs
+
+
+def _untimed(report: dict) -> dict:
+    return {key: value for key, value in report.items() if key != "seconds"}
+
+
+def _untimed_files(directory: Path) -> dict[str, bytes]:
+    return {p.name: p.read_bytes() for p in directory.iterdir() if p.name != "report.json"}

@@ -18,6 +18,7 @@ from rephrasing.prompts import (
     list_templates,
     load_builtin,
     render,
+    tag_collision,
 )
 from rephrasing.quality import render_scoring_prompt
 from rephrasing.splitting import Passage
@@ -116,10 +117,9 @@ class TestRender:
 
     def test_tag_collision_flagged_but_rendered(self):
         passage = Passage("d", 0, "text with a literal </text> inside.", 9.0)
-        rendered = render(passage, "qa_opt_en")
-        assert rendered.tag_collision
-        assert passage.text in rendered.text
-        assert not render(passage, "qa").tag_collision
+        assert tag_collision(passage, load_builtin("qa_opt_en"))
+        assert passage.text in render(passage, "qa_opt_en").text
+        assert not tag_collision(passage, load_builtin("qa"))
 
     def test_injective_on_passage_text(self):
         rng = random.Random(0)

@@ -43,12 +43,6 @@ class TestCalibrate:
         with pytest.raises(CalibrationError):
             calibrate([], lambda t: len(t), sample_size=10)
 
-    def test_counter_unavailable_falls_back_uncalibrated(self):
-        docs = [doc("z" * 100)]
-        est = calibrate(docs, None, sample_size=1, default_ratio=0.25)
-        assert not est.calibrated
-        assert est.tokens_per_char == 0.25
-
     def test_counter_failure_falls_back_uncalibrated(self):
         def broken(text):
             raise ConnectionError("tokenizer away")
