@@ -102,10 +102,13 @@ def doc_to_json(doc: Document) -> str:
 
 
 def doc_from_obj(obj: Mapping) -> Document:
+    for name in ("id", "text", "lang"):
+        if not isinstance(obj[name], str):
+            raise CorpusError(f"field {name!r} is {type(obj[name]).__name__}, not a string")
     return Document(
-        id=str(obj["id"]),
-        text=str(obj["text"]),
-        lang=str(obj["lang"]),
+        id=obj["id"],
+        text=obj["text"],
+        lang=obj["lang"],
         meta={str(k): str(v) for k, v in obj.get("meta", {}).items()},
         provenance=Provenance.from_obj(obj.get("provenance")),
     )
@@ -322,6 +325,21 @@ class ShardManifest:
         return digest.hexdigest()
 
 
+def shard_runs(items: Iterable, shard_size: int) -> Iterator[Iterator]:
+    """Consecutive runs of ``shard_size`` items, each drawn from the
+    stream as it is consumed, which must be before the next is asked for.
+    An empty stream gives one empty run."""
+    if shard_size < 1:
+        raise ValueError(f"shard_size must be at least 1, got {shard_size}")
+    stream = iter(items)
+    head = next(stream, None)
+    if head is None:
+        yield iter(())
+    while head is not None:
+        yield itertools.islice(itertools.chain((head,), stream), shard_size)
+        head = next(stream, None)
+
+
 def write_corpus(
     docs: Iterable[Document],
     out_dir: Path | str,
@@ -333,25 +351,18 @@ def write_corpus(
 ) -> ShardManifest:
     """Write a document stream as size-bounded shards plus a manifest.
 
-    Each document goes straight into the open shard, and a new shard
-    starts every ``shard_size`` documents, so memory holds one document
-    plus the open shard's ids (for its duplicate check), never a shard of
+    The shards are ``shard_runs`` of the stream: each document goes
+    straight into the open shard, so memory holds one document plus the
+    open shard's ids (for its duplicate check), never a shard of
     documents.  An empty stream still gets one empty shard.  The manifest
     is saved only after the stream is exhausted; an exception from the
     stream deletes the open shard and leaves no manifest.
     """
-    if shard_size < 1:
-        raise ValueError(f"shard_size must be at least 1, got {shard_size}")
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     manifest = ShardManifest(stage=stage, fingerprint=fingerprint)
-    stream = iter(docs)
-    head = next(stream, None)
-    while head is not None or not manifest.shards:
-        shard = () if head is None else itertools.islice(itertools.chain((head,), stream), shard_size)
+    for run in shard_runs(docs, shard_size):
         path = out_dir / f"shard-{len(manifest.shards):05d}.jsonl"
-        manifest.shards.append(write_shard(shard, path, estimator))
-        head = next(stream, None)
+        manifest.shards.append(write_shard(run, path, estimator))
     manifest.save(out_dir / "manifest.json")
     return manifest
 

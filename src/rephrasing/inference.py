@@ -454,11 +454,19 @@ class JsonClient:
             conn.close()
 
 
+# The exact types a parsed JSON number or null has; true and false parse
+# as bool, an int subclass, and are refused.
+_LOGPROB_TYPES = frozenset((float, int, type(None)))
+
+
 class HttpBackend(CompletionBackend):
     """vLLM/OpenAI-compatible completions endpoint over HTTP.
 
     Requests ask the server to include the matched stop string in the
-    returned text so tagged extraction can see the closing tag.
+    returned text so tagged extraction can see the closing tag.  A field
+    of a 200 of the wrong type (a ``text`` that is no UTF-8 string, a
+    ``model`` no string, a ``prompt_tokens`` no integer, a
+    ``token_logprobs`` entry no number or null) is a ``BackendError``.
     """
 
     def __init__(self, cfg: BackendConfig):
@@ -492,8 +500,17 @@ class HttpBackend(CompletionBackend):
             reason = choice.get("finish_reason", "stop")
         except (KeyError, IndexError, TypeError, AttributeError) as exc:
             raise BackendError(f"malformed completion response: {exc}") from exc
+        if not isinstance(text, str):
+            raise BackendError(f"completion text is {type(text).__name__}, not a string")
+        try:
+            text.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise BackendError(f"completion text is not UTF-8: {exc}") from exc
+        model = obj.get("model", self.cfg.model)
+        if not isinstance(model, str):
+            raise BackendError(f"completion model is {type(model).__name__}, not a string")
         finish = FINISH_STOP if reason == "stop" else FINISH_LENGTH
-        return Completion(text, finish, obj.get("model", self.cfg.model))
+        return Completion(text, finish, model)
 
     def _prompt_tokens(self, prompt: str) -> tuple[int, list]:
         payload = {
@@ -507,10 +524,14 @@ class HttpBackend(CompletionBackend):
             payload["model"] = self.cfg.model
         obj = with_retries(lambda: self._client.post(payload), self.cfg)
         try:
-            n = int(obj["usage"]["prompt_tokens"])
+            n = obj["usage"]["prompt_tokens"]
             logprobs = obj["choices"][0]["logprobs"]["token_logprobs"]
         except (KeyError, IndexError, TypeError) as exc:
             raise BackendError(f"endpoint does not echo prompt logprobs: {exc}") from exc
+        if not isinstance(n, int) or isinstance(n, bool):
+            raise BackendError(f"echoed usage.prompt_tokens is {n!r:.40}, not an integer")
+        if not isinstance(logprobs, list) or not _LOGPROB_TYPES.issuperset(map(type, logprobs)):
+            raise BackendError("echoed token_logprobs holds an entry neither a number nor null")
         return n, logprobs
 
     def option_logprobs(self, prompt, options):
@@ -581,7 +602,6 @@ _CHECKPOINT_RESULT = "result"
 # How every result line starts: ``{"kind": "result", `` and then the
 # fields of the record's own JSON object.
 _RESULT_PREFIX = '{"kind": "result", '
-_RESULT_PREFIX_BYTES = _RESULT_PREFIX.encode("utf-8")
 
 # A ledger record: ``key`` names the work it records, ``failed`` marks
 # work to redo on resume, and ``to_obj`` / a ``from_obj`` parser carry
@@ -596,9 +616,9 @@ class CheckpointWriter:
     The first line pins the fingerprint; appending to a ledger written
     under a different fingerprint aborts.  Appends are serialized and
     flushed so a preemption loses at most one record.  Opening an
-    existing ledger cuts a partial last line, left by a kill in the
+    existing ledger first cuts a partial last line, left by a kill in the
     middle of an append, so that the next record starts a line of its
-    own instead of being glued onto it and lost with it.
+    own instead of being glued onto it and lost with it, a torn header too.
 
     A result line is ``{"kind": "result", `` followed by the record's own
     JSON line without its ``{``, so ``record_line`` gets the record's
@@ -613,10 +633,10 @@ class CheckpointWriter:
         self.fingerprint = fingerprint
         self._lock = threading.Lock()
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        size = self.path.stat().st_size if self.path.exists() else 0
+        size = _cut_partial_line(self.path) if self.path.exists() else 0
         if size:
-            _verify_checkpoint_header(self.path, fingerprint)
-            size = _cut_partial_line(self.path)
+            with self.path.open("rb") as handle:
+                _verify_checkpoint_header(self.path, handle.readline(), fingerprint)
         self._handle = self.path.open("ab")
         if not size:
             header = {"kind": _CHECKPOINT_HEADER, "fingerprint": fingerprint}
@@ -663,14 +683,14 @@ def _cut_partial_line(path: Path) -> int:
         return keep
 
 
-def _verify_checkpoint_header(path: Path, fingerprint: str) -> None:
-    with path.open("r", encoding="utf-8") as handle:
-        first = handle.readline().strip()
+def _verify_checkpoint_header(path: Path, first: bytes, fingerprint: str) -> None:
     try:
-        header = json.loads(first)
-    except json.JSONDecodeError as exc:
-        raise CheckpointMismatchError(f"checkpoint {path} has no readable header") from exc
-    if header.get("kind") != _CHECKPOINT_HEADER or "fingerprint" not in header:
+        header = json.loads(first.decode("utf-8"))
+        readable = header["kind"] == _CHECKPOINT_HEADER and "fingerprint" in header
+    except (ValueError, TypeError, KeyError):
+        # Not UTF-8, not JSON, not an object, or an object without "kind".
+        readable = False
+    if not readable:
         raise CheckpointMismatchError(f"checkpoint {path} has no readable header")
     if header["fingerprint"] != fingerprint:
         raise CheckpointMismatchError(
@@ -682,23 +702,30 @@ def _verify_checkpoint_header(path: Path, fingerprint: str) -> None:
 def record_line(ledger_line: bytes) -> bytes:
     """The record's own JSON line, from a result line that
     ``CheckpointWriter.append`` wrote: the ``"kind"`` field cut off."""
-    return b"{" + ledger_line[len(_RESULT_PREFIX_BYTES) :]
+    return b"{" + ledger_line[len(_RESULT_PREFIX) :]  # an ASCII prefix
 
 
 @dataclass(frozen=True, slots=True)
 class LedgerLine:
-    """Where a rephrase record lies in its ledger, and whether it failed:
-    what ``resume(..., located=True)`` keeps of it instead of the parsed
-    ``RephraseResult``, which is read back from ``offset`` when needed."""
+    """What rephrase keeps of a ledger record, replayed or appended: the
+    finish, text length and attempts its report counts, and where its
+    line lies, from which ``record_line`` copies its output line."""
 
     key: JobKey
-    failed: bool
+    finish: str
+    chars: int
+    attempts: int
     offset: int
     length: int
 
+    @property
+    def failed(self) -> bool:
+        return self.finish == FINISH_ERROR
+
     @staticmethod
     def from_obj(obj: Mapping, offset: int, length: int) -> "LedgerLine":
-        return LedgerLine(JobKey.from_obj(obj["key"]), obj["finish"] == FINISH_ERROR, offset, length)
+        key = JobKey.from_obj(obj["key"])
+        return LedgerLine(key, obj["finish"], len(obj["text"]), obj["attempts"], offset, length)
 
 
 def load_checkpoint(
@@ -710,21 +737,25 @@ def load_checkpoint(
 ) -> dict[Hashable, L]:
     """Records of a ledger by key, each parsed by ``parse(obj)``, or with
     ``located`` by ``parse(obj, offset, length)`` from the line's byte
-    offset and length; empty when the file is absent.
+    offset and length.
 
     A final line without its newline (crash mid-write) is ignored, as
     ``CheckpointWriter`` cuts it, even when it holds a whole record, so
-    no record is kept that the next append overwrites; later records
+    no record is kept that the next append overwrites; a torn header
+    thus reads as an empty ledger, like an absent file.  Later records
     win over earlier ones for the same key, so a job that failed and
     then succeeded replays its success.
     """
     path = Path(path)
-    if not path.exists() or path.stat().st_size == 0:
+    if not path.exists():
         return {}
-    _verify_checkpoint_header(path, fingerprint)
     records: dict[Hashable, L] = {}
     with path.open("rb") as handle:
-        offset = len(handle.readline())
+        first = handle.readline()
+        if not first.endswith(b"\n"):
+            return {}
+        _verify_checkpoint_header(path, first, fingerprint)
+        offset = len(first)
         for line in handle:
             length = len(line)
             if not line.endswith(b"\n"):

@@ -35,7 +35,7 @@ import time
 from collections import Counter
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterator
 
 from .config import PipelineConfig
 from .corpus import (
@@ -48,12 +48,12 @@ from .corpus import (
     encode_json,
     iter_corpus,
     load_shard,
+    shard_runs,
     stats_table,
     stats_to_obj,
     write_corpus,
 )
 from .inference import (
-    FINISH_ERROR,
     FINISH_LENGTH,
     CheckpointMismatchError,
     CheckpointWriter,
@@ -105,16 +105,6 @@ AUDIT_INFERENCE_FAILED = "inference_failed"
 
 class StageError(Exception):
     """Stage precondition failure: missing inputs, fingerprint mismatch."""
-
-
-def _write_jsonl(objs: Iterable[dict], path: Path) -> int:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    n = 0
-    with path.open("w", encoding="utf-8") as handle:
-        for obj in objs:
-            handle.write(encode_json(obj) + "\n")
-            n += 1
-    return n
 
 
 def _read_jsonl(path: Path) -> Iterator[dict]:
@@ -248,9 +238,10 @@ def stage_preprocess(cfg: PipelineConfig) -> dict:
     a pass of its own.  Without one nothing would count a sample, so
     none is drawn: the estimator takes the default ratio, and the split
     pass counts the documents whose first ``sample_size`` calibration
-    records as sampled.  Passages are written to a temporary directory
-    that replaces ``passages/`` only when the whole input split, and an
-    empty input is refused before ``calibration.json`` is written.
+    records as sampled.  Each passage goes into the open shard as soon
+    as its document is split, so memory holds one document's passages.
+    The shards go to a temporary directory that replaces ``passages/``
+    only when the whole input split; an empty input changes nothing.
     """
     started = time.monotonic()
     manifest_in, base_dir = resolve_input_manifest(cfg)
@@ -274,33 +265,30 @@ def stage_preprocess(cfg: PipelineConfig) -> dict:
     docs_without_passages = 0
     flag_counts: Counter = Counter()
     manifest_out = ShardManifest("passages", fingerprint)
-    batch: list[Passage] = []
 
-    with _replacing(cfg.work_dir / "passages") as out_dir:
-
-        def flush() -> None:
-            path = out_dir / f"passages-{len(manifest_out.shards):05d}.jsonl"
-            chars = sum(len(p.text) for p in batch)
-            tokens = sum(p.est_tokens for p in batch)
-            _write_jsonl((p.to_obj() for p in batch), path)
-            manifest_out.shards.append(ShardEntry(path.name, len(batch), chars, tokens))
-            batch.clear()
-
+    def passages() -> Iterator[Passage]:
+        nonlocal docs_in, docs_without_passages
         for doc in iter_corpus(manifest_in, base_dir, cfg.languages):
             docs_in += 1
-            passages = split_document(doc, cfg.split, estimator)
-            if not passages:
-                docs_without_passages += 1
-                continue
-            for passage in passages:
+            split = split_document(doc, cfg.split, estimator)
+            docs_without_passages += not split
+            for passage in split:
                 flag_counts.update(passage.split_flags)
-                batch.append(passage)
-                if len(batch) >= cfg.shard_size:
-                    flush()
+                yield passage
+
+    with _replacing(cfg.work_dir / "passages") as out_dir:
+        for run in shard_runs(passages(), cfg.shard_size):
+            path = out_dir / f"passages-{len(manifest_out.shards):05d}.jsonl"
+            count = chars = tokens = 0
+            with path.open("w", encoding="utf-8") as handle:
+                for passage in run:
+                    handle.write(encode_json(passage.to_obj()) + "\n")
+                    count += 1
+                    chars += len(passage.text)
+                    tokens += passage.est_tokens
+            manifest_out.shards.append(ShardEntry(path.name, count, chars, tokens))
         if not docs_in:
             raise CalibrationError("cannot calibrate on an empty corpus")
-        if batch or not manifest_out.shards:
-            flush()
         if not sampled:
             estimator = dataclasses.replace(
                 estimator, sample_size=min(cfg.estimator.sample_size, docs_in)
@@ -427,15 +415,15 @@ def stage_rephrase(cfg: PipelineConfig, *, on_result=None) -> dict:
     The ledger ``checkpoint.jsonl`` is the result store.  Each result is
     appended to it as it lands, so a killed run resumes without
     re-issuing finished requests, then reported to ``on_result``, and
-    only its ledger position is kept.  Once a shard's jobs are done, its
+    only its ``LedgerLine`` is kept.  Once a shard's jobs are done, its
     lines go in passage order to ``completions.jsonl.tmp`` and
-    ``failed.jsonl.tmp``: this run's copied from the ledger without
-    their ``"kind"`` field, replayed ones parsed and written anew, so a
-    resumed run writes the same bytes as an uninterrupted one.  Memory
-    thus holds one shard's index, plus the positions of the ledger's
-    not yet replayed results on a resume.  The two files are renamed
-    into place after the last shard, so a stopped run never leaves a
-    partial ``completions.jsonl``.
+    ``failed.jsonl.tmp``, each copied from the ledger by ``record_line``
+    whether replayed or issued, and refused unless it starts with its
+    passage's key; so a resumed run writes the same bytes as an
+    uninterrupted one.  Memory thus holds one shard's index and ledger
+    lines, plus those of the ledger's not yet replayed results on a
+    resume.  The two files are renamed into place after the last shard,
+    so a stopped run never leaves a partial ``completions.jsonl``.
 
     ``throughput.json`` reports, over the jobs issued in this run (not
     the replayed ones), ``busy_s``, the time spent in requests summed
@@ -466,51 +454,42 @@ def stage_rephrase(cfg: PipelineConfig, *, on_result=None) -> dict:
         ) as ledger, done_tmp.open("wb") as done_out, failed_tmp.open("wb") as failed_out:
 
             def rephrase_shard(path: Path) -> None:
-                """Run one shard's jobs, then write its lines in passage order."""
+                """Run one shard's jobs, then copy its lines in passage order."""
                 with _PassageShard(path, cfg, registry) as shard:
-                    replayed = {
-                        job.key: replay.pop(job.key) for job in shard.jobs if job.key in replay
-                    }
-                    # Ledger position, text length and finish of each result issued.
-                    issued: dict[JobKey, tuple[int, int, int, str]] = {}
+                    lines = {job.key: replay.pop(job.key) for job in shard.jobs if job.key in replay}
+                    totals.update(
+                        jobs=len(shard.jobs), replayed=len(lines), tag_collisions=shard.tag_collisions
+                    )
 
                     def record(result: RephraseResult) -> None:
                         offset, length = checkpoint.position
-                        issued[result.key] = (offset, length, len(result.text), result.finish)
-                        attempts[result.attempts] += 1
+                        lines[result.key] = LedgerLine(
+                            result.key, result.finish, len(result.text), result.attempts, offset, length
+                        )
                         times.add(result.latency_s, result.busy_s)
                         if on_result is not None:
                             on_result(result)
 
-                    todo = [job for job in shard.jobs if job.key not in replayed]
+                    todo = [job for job in shard.jobs if job.key not in lines]
                     run_batch(todo, backend, cfg.backend, checkpoint=checkpoint, on_result=record)
-                totals.update(
-                    jobs=len(shard.jobs), replayed=len(replayed), tag_collisions=shard.tag_collisions
-                )
                 for job in shard.jobs:
-                    line = replayed.get(job.key)
-                    if line is not None:
-                        raw = os.pread(ledger.fileno(), line.length, line.offset)
-                        result = RephraseResult.from_obj(json.loads(raw.decode("utf-8")))
-                        if result.key != job.key:
-                            raise StageError(
-                                f"ledger {checkpoint_path} holds {result.key} at byte "
-                                f"{line.offset}, where {job.key} was recorded"
-                            )
-                        attempts[result.attempts] += 1
-                        out = (encode_json(result.to_obj()) + "\n").encode("utf-8")
-                        chars, finish = len(result.text), result.finish
-                    else:
-                        offset, length, chars, finish = issued[job.key]
-                        out = record_line(os.pread(ledger.fileno(), length, offset))
-                    if finish == FINISH_ERROR:
+                    line = lines[job.key]
+                    out = record_line(os.pread(ledger.fileno(), line.length, line.offset))
+                    head = b'{"key": ' + encode_json(job.key.to_obj()).encode("utf-8") + b", "
+                    if not out.startswith(head):
+                        raise StageError(
+                            f"ledger {checkpoint_path} holds {out[: len(head)]!r} at byte "
+                            f"{line.offset}, where {job.key} was recorded"
+                        )
+                    attempts[line.attempts] += 1
+                    if line.failed:
                         failed_out.write(out)
                         totals["failed"] += 1
                         continue
                     done_out.write(out)
                     totals["done"] += 1
-                    totals["length_capped"] += finish == FINISH_LENGTH
-                    totals["output_est_tokens"] += estimator.estimate_chars(chars)
+                    totals["length_capped"] += line.finish == FINISH_LENGTH
+                    totals["output_est_tokens"] += estimator.estimate_chars(line.chars)
 
             # One shard's index at a time: each is freed when its call returns.
             for path in shard_paths:
@@ -761,7 +740,9 @@ def stage_score(cfg: PipelineConfig, manifest_path: Path | None = None) -> dict:
     finally:
         backend.close()
 
-    _write_jsonl((s.to_obj() for s in scores), out_dir / "scores.jsonl.tmp")
+    with (out_dir / "scores.jsonl.tmp").open("w", encoding="utf-8") as handle:
+        for scored in scores:
+            handle.write(encode_json(scored.to_obj()) + "\n")
     (out_dir / "scores.jsonl.tmp").replace(out_dir / "scores.jsonl")
     wall = time.monotonic() - started
     report = {

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -162,14 +163,26 @@ def _records_split_by_lone_cr(shard: Path) -> None:
     shard.write_bytes(shard.read_bytes().replace(b"\n", b"\r"))
 
 
+def _sixth_document_text_null(shard: Path) -> None:
+    lines = shard.read_bytes().splitlines(keepends=True)
+    obj = json.loads(lines[5])
+    obj["text"] = None
+    lines[5] = (json.dumps(obj) + "\n").encode("utf-8")
+    shard.write_bytes(b"".join(lines))
+
+
 class TestBadShardRefusedByEveryReader:
     """Preprocess, mix and score read a corpus shard the same way, so
     each refuses the same bad line with a data error."""
 
     @pytest.mark.parametrize(
         "corrupt, where",
-        [(_undecodable_sixth_document, "line 6"), (_records_split_by_lone_cr, "line 1")],
-        ids=["undecodable_byte", "lone_cr"],
+        [
+            (_undecodable_sixth_document, "line 6"),
+            (_records_split_by_lone_cr, "line 1"),
+            (_sixth_document_text_null, "line 6"),
+        ],
+        ids=["undecodable_byte", "lone_cr", "text_null"],
     )
     def test_exits_2_naming_shard_and_line(self, tmp_path, capsys, corrupt, where):
         mix = {

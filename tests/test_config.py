@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import re
+from pathlib import Path
 
 import pytest
 import yaml
@@ -19,6 +20,17 @@ def test_load_defaults(tmp_path):
     assert cfg.temperature == 0.7
     assert cfg.regime() == "tagged"
     assert cfg.work_dir == tmp_path / "work"
+
+
+def test_readme_config_example_loads(tmp_path):
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    start = readme.index("```yaml\n", readme.index("### Config")) + len("```yaml\n")
+    example = readme[start : readme.index("```\n", start)]
+    path = tmp_path / "config.yaml"
+    path.write_text(example, encoding="utf-8")
+    cfg = load_config(path)
+    assert cfg.work_dir == tmp_path / "out"
+    assert cfg.backend_kind == "http"
 
 
 def test_fingerprint_stable_across_loads(tmp_path):

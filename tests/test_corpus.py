@@ -203,6 +203,21 @@ class TestLineDecoding:
         assert list(reader) == []
         assert [error.lineno for error in reader.errors] == [1]
 
+    @pytest.mark.parametrize(
+        "field, value", [("text", None), ("text", 12), ("id", 7), ("lang", ["en"])]
+    )
+    def test_field_not_a_string_is_a_bad_line(self, tmp_path, field, value):
+        lines = [doc_to_json(d) for d in make_docs(3)]
+        obj = json.loads(lines[1])
+        obj[field] = value
+        lines[1] = json.dumps(obj)
+        path = tmp_path / "s.jsonl"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        reader = load_shard(path)
+        assert [doc.id for doc in reader] == [json.loads(lines[i])["id"] for i in (0, 2)]
+        assert [error.lineno for error in reader.errors] == [2]
+        assert f"field {field!r} is" in reader.errors[0].message
+
 
 class TestStats:
     def test_one_doc_400_chars_ratio_quarter(self, tmp_path, quarter_estimator):

@@ -23,11 +23,13 @@ from rephrasing.inference import (
     AuthError,
     BackendConfig,
     BackendError,
+    CheckpointWriter,
     CompletionBackend,
     HttpBackend,
     JobKey,
     RephraseJob,
     TransientBackendError,
+    load_checkpoint,
     pull_map,
     run_batch,
 )
@@ -302,8 +304,22 @@ class TestMalformed200:
 
     @pytest.mark.parametrize(
         "body",
-        [HTML_200, b"[]", b'{"choices": ["not an object"]}'],
-        ids=["html", "not_an_object", "choice_not_an_object"],
+        [
+            HTML_200,
+            b"[]",
+            b'{"choices": ["not an object"]}',
+            b'{"choices": [{"text": null}]}',
+            b'{"choices": [{"text": "x\\ud83d y"}]}',
+            b'{"model": null, "choices": [{"text": "x"}]}',
+        ],
+        ids=[
+            "html",
+            "not_an_object",
+            "choice_not_an_object",
+            "text_null",
+            "lone_surrogate",
+            "model_null",
+        ],
     )
     def test_fails_only_its_job(self, server, backend_for, body):
         jobs = [job(i) for i in range(8)]
@@ -313,6 +329,19 @@ class TestMalformed200:
         assert [r.key for r in results if r.failed] == [jobs[3].key]
         assert results[3].text.startswith("BackendError: ")
         assert results[3].attempts == 1
+
+    def test_lone_surrogate_recorded_as_failed(self, server, backend_for, tmp_path):
+        jobs = [job(i) for i in range(8)]
+        body = b'{"choices": [{"text": "x\\ud83d y"}]}'
+        server.state["malformed"] = lambda prompt: body if prompt == jobs[3].prompt.text else None
+        backend = backend_for(server)
+        path = tmp_path / "checkpoint.jsonl"
+        with CheckpointWriter(path, "fp") as checkpoint:
+            run_batch(jobs, backend, backend.cfg, checkpoint=checkpoint)
+        recorded = load_checkpoint(path, "fp")
+        assert set(recorded) == {j.key for j in jobs}
+        assert [key for key, result in recorded.items() if result.failed] == [jobs[3].key]
+        assert "not UTF-8" in recorded[jobs[3].key].text
 
     def test_names_status_and_body(self, server, backend_for):
         server.state["malformed"] = lambda prompt: HTML_200
@@ -326,6 +355,39 @@ class TestMalformed200:
         server.state["malformed"] = lambda prompt: HTML_200 if docs[5].text[:40] in prompt else None
         assert main(["score", "-c", str(path)]) == 3
         assert "backend error: endpoint returned 200: <html>" in capsys.readouterr().err
+
+
+def echo_body(prompt_tokens, token_logprobs) -> bytes:
+    logprobs = {"token_logprobs": token_logprobs}
+    obj = {"usage": {"prompt_tokens": prompt_tokens}, "choices": [{"text": "", "logprobs": logprobs}]}
+    return json.dumps(obj).encode("utf-8")
+
+
+MALFORMED_ECHOES = {
+    "prompt_tokens": echo_body("n/a", [None, -0.5, -0.5]),
+    "token_logprobs": echo_body(3, [None, "x", -0.5]),
+}
+
+
+class TestMalformedEcho:
+    """An echo 200 whose token count or log-probabilities are of the
+    wrong type is a permanent BackendError naming the field."""
+
+    @pytest.mark.parametrize("field", list(MALFORMED_ECHOES))
+    def test_names_the_field(self, server, backend_for, field):
+        server.state["malformed"] = lambda prompt: MALFORMED_ECHOES[field]
+        with pytest.raises(BackendError, match=field):
+            backend_for(server).option_logprobs("a b c", OPTIONS)
+
+    @pytest.mark.parametrize("field", list(MALFORMED_ECHOES))
+    def test_later_document_stops_score_with_exit_3(self, server, tmp_path, capsys, field):
+        docs = make_docs(8, seed=5)
+        path = http_score_config(tmp_path, docs, endpoint(server))
+        assert main(["preprocess", "-c", str(path)]) == 0
+        body = MALFORMED_ECHOES[field]
+        server.state["malformed"] = lambda prompt: body if docs[5].text[:40] in prompt else None
+        assert main(["score", "-c", str(path)]) == 3
+        assert field in capsys.readouterr().err
 
 
 def echo_requests(server) -> list[str]:

@@ -489,6 +489,30 @@ class TestCheckpoint:
         assert len(path.read_text(encoding="utf-8").splitlines()) == 2
         assert [key.doc_id for key in resume(path, "fp")] == ["a"]
 
+    def test_torn_header_reads_as_empty_and_is_rewritten(self, tmp_path):
+        path = tmp_path / "cp.jsonl"
+        path.write_bytes(b'{"kind": "hea')  # killed while writing the header
+        assert load_checkpoint(path, "fp") == {}
+        assert resume(path, "fp") == {}
+        with CheckpointWriter(path, "fp") as writer:
+            writer.append(RephraseResult(JobKey("a", 0, "qa"), "text", "stop_sequence"))
+        header, *_ = path.read_text(encoding="utf-8").splitlines()
+        assert json.loads(header) == {"kind": "header", "fingerprint": "fp"}
+        assert [key.doc_id for key in resume(path, "fp")] == ["a"]
+
+    @pytest.mark.parametrize(
+        "first",
+        [b'{"kind": "header", "fingerprint": "other"}\n', b"[1, 2]\n", b'"header"\n', b"{}\n"],
+        ids=["other_fingerprint", "list", "string", "no_kind"],
+    )
+    def test_complete_first_line_not_this_header_refused(self, tmp_path, first):
+        path = tmp_path / "cp.jsonl"
+        path.write_bytes(first + b'{"kind": "result", "key": ["a", 0')
+        with pytest.raises(CheckpointMismatchError):
+            load_checkpoint(path, "fp")
+        with pytest.raises(CheckpointMismatchError):
+            CheckpointWriter(path, "fp")
+
     def test_missing_checkpoint_is_empty(self, tmp_path):
         assert load_checkpoint(tmp_path / "absent.jsonl", "fp") == {}
 

@@ -1,11 +1,12 @@
-"""Every stage from rephrase on runs in memory that stays flat as the corpus grows.
+"""Every stage runs in memory that stays flat as the corpus grows.
 
 Each stage runs under ``tracemalloc`` on N and on 4N conftest documents.
 Its traced peak may grow by no more than the per-document index the
 stage must keep, plus a fixed slack; a stage that holds documents grows
-by their text, several kilobytes each, and fails.  Rephrase runs with
-one passages shard that holds every passage, so it is held to its
-per-passage index within a shard.
+by their text, several kilobytes each, and fails.  Preprocess and
+rephrase run with one passages shard that holds every passage:
+preprocess keeps no index, and rephrase is held to its per-passage
+index within a shard.
 """
 
 from __future__ import annotations
@@ -128,14 +129,20 @@ class _StopHalfway(Exception):
     pass
 
 
-def rephrase_peaks(tmp_path, n_docs: int) -> dict[str, tuple[int, int]]:
-    """(passages, traced peak) of a fresh rephrase and of a resume after
-    a stop halfway, each on one shard that holds every passage."""
+def one_shard_peaks(tmp_path, n_docs: int) -> dict[str, tuple[int, int]]:
+    """(passages, traced peak) of preprocess, of a fresh rephrase and of
+    a resume after a stop halfway, each on one shard that holds every
+    passage."""
     path = write_fixture_config(
         tmp_path / f"rephrase-{n_docs}", make_docs(n_docs, seed=3), extra={"shard_size": 1_000_000}
     )
     cfg = load_config(path)
-    passages = pipeline.stage_preprocess(cfg)["passages"]
+    tracemalloc.start()
+    try:
+        passages = pipeline.stage_preprocess(cfg)["passages"]
+        peaks = {"preprocess": (passages, tracemalloc.get_traced_memory()[1])}
+    finally:
+        tracemalloc.stop()
     assert len(pipeline._passage_shard_paths(cfg)) == 1
     seen = 0
 
@@ -145,7 +152,6 @@ def rephrase_peaks(tmp_path, n_docs: int) -> dict[str, tuple[int, int]]:
         if seen == passages // 2:
             raise _StopHalfway
 
-    peaks = {}
     for case, on_result in (("rephrase", None), ("rephrase_resumed", stop_halfway)):
         shutil.rmtree(cfg.work_dir / "rephrase", ignore_errors=True)
         if on_result is not None:
@@ -165,19 +171,30 @@ def rephrase_peaks(tmp_path, n_docs: int) -> dict[str, tuple[int, int]]:
 
 
 @pytest.fixture(scope="module")
-def rephrase_peak_pairs(tmp_path_factory):
+def one_shard_peak_pairs(tmp_path_factory):
     make = pipeline.make_backend
     pipeline.make_backend = lambda cfg: _FailingBackend(make(cfg))
     try:
         root = tmp_path_factory.mktemp("memory-rephrase")
-        return rephrase_peaks(root, N), rephrase_peaks(root, 4 * N)
+        return one_shard_peaks(root, N), one_shard_peaks(root, 4 * N)
     finally:
         pipeline.make_backend = make
 
 
+def test_preprocess_peak_stays_flat_on_one_shard(one_shard_peak_pairs):
+    (small_passages, small), (large_passages, large) = (
+        pair["preprocess"] for pair in one_shard_peak_pairs
+    )
+    growth = large - small
+    assert growth <= SLACK_BYTES, (
+        f"preprocess: traced peak {small} -> {large} bytes from {small_passages} to "
+        f"{large_passages} passages in one shard, growth {growth} > allowed {SLACK_BYTES}"
+    )
+
+
 @pytest.mark.parametrize("case", ["rephrase", "rephrase_resumed"])
-def test_rephrase_peak_grows_only_by_shard_index(rephrase_peak_pairs, case):
-    (small_passages, small), (large_passages, large) = (pair[case] for pair in rephrase_peak_pairs)
+def test_rephrase_peak_grows_only_by_shard_index(one_shard_peak_pairs, case):
+    (small_passages, small), (large_passages, large) = (pair[case] for pair in one_shard_peak_pairs)
     added = large_passages - small_passages
     allowed = added * REPHRASE_BYTES_PER_PASSAGE + SLACK_BYTES
     growth = large - small

@@ -418,31 +418,6 @@ class TestRephraseLedger:
         assert len(lines) == report["jobs"]
         assert sorted(ledger_results(cfg)) == sorted(b'{"kind": "result", ' + line[1:] for line in lines)
 
-    def test_legacy_records_replay_as_parsed(self, tmp_path):
-        cfg = self.cfg_for(tmp_path, "work")
-        stage_preprocess(cfg)
-        stage_rephrase(cfg)
-        completions = (cfg.work_dir / "rephrase" / "completions.jsonl").read_text(encoding="utf-8")
-        # A ledger written before results carried model_id and attempts.
-        ledger = cfg.work_dir / "rephrase" / "checkpoint.jsonl"
-        header, *records = ledger.read_text(encoding="utf-8").splitlines(keepends=True)
-        legacy = []
-        for record in records:
-            obj = json.loads(record)
-            del obj["model_id"], obj["attempts"]
-            legacy.append(json.dumps(obj, ensure_ascii=False) + "\n")
-        ledger.write_text(header + "".join(legacy), encoding="utf-8")
-
-        report = stage_rephrase(cfg)
-        assert report["replayed"] == report["jobs"]
-        assert report["attempts"] == {"1": report["jobs"]}
-        expected = ""
-        for line in completions.splitlines():
-            obj = json.loads(line)
-            obj.update(model_id="", attempts=1)  # RephraseResult.from_obj's defaults
-            expected += json.dumps(obj, ensure_ascii=False) + "\n"
-        assert (cfg.work_dir / "rephrase" / "completions.jsonl").read_text(encoding="utf-8") == expected
-
     def test_failed_then_succeeded_key_replays_its_success(self, tmp_path, monkeypatch):
         reference = self.cfg_for(tmp_path, "reference")
         stage_preprocess(reference)
@@ -488,6 +463,18 @@ class TestRephraseLedger:
         report = stage_rephrase(cfg)
         assert report["replayed"] == 4
         assert rephrase_outputs(cfg) == rephrase_outputs(reference)
+
+    def test_ledger_of_only_a_torn_header_resumes_afresh(self, tmp_path):
+        cfg = self.cfg_for(tmp_path, "work")
+        stage_preprocess(cfg)
+        first = stage_rephrase(cfg)
+        outputs = rephrase_outputs(cfg)
+        ledger = cfg.work_dir / "rephrase" / "checkpoint.jsonl"
+        ledger.write_bytes(b'{"kind": "hea')  # killed while writing the header
+        report = stage_rephrase(cfg)
+        assert (report["replayed"], report["issued"]) == (0, first["jobs"])
+        assert rephrase_outputs(cfg) == outputs
+        assert len(ledger_results(cfg)) == first["jobs"]
 
     def test_replayed_line_of_another_key_refused(self, tmp_path, monkeypatch):
         cfg = self.cfg_for(tmp_path, "work")
@@ -560,7 +547,7 @@ def report_without_seconds(path) -> dict:
 
 
 class TestStreamingStages:
-    """Postprocess, filter and mix write the same documents at any shard size."""
+    """Preprocess, postprocess, filter and mix write the same records at any shard size."""
 
     def test_shard_size_leaves_outputs_byte_identical(self, tmp_path, backends):
         docs = make_docs(40, seed=21)
@@ -603,6 +590,23 @@ class TestStreamingStages:
                 }
             )
         assert outputs[0] == outputs[1]
+
+    def test_passage_shards_are_runs_of_shard_size(self, tmp_path):
+        docs = make_docs(12, seed=5)
+
+        def passages_at(shard_size):
+            work = f"work_{shard_size}"
+            extra = {"shard_size": shard_size, "work_dir": work}
+            path = write_fixture_config(tmp_path, docs, extra=extra, name=f"{work}.yaml")
+            stage_preprocess(load_config(path))
+            manifest = ShardManifest.load(tmp_path / work / "passages" / "manifest.json")
+            return [entry.docs for entry in manifest.shards], corpus_bytes(tmp_path / work / "passages")
+
+        (total,), expected = passages_at(10_000)
+        # total is an exact multiple of itself and of 1: no trailing empty shard.
+        for shard_size in (1, 5, total):
+            full, rest = divmod(total, shard_size)
+            assert passages_at(shard_size) == ([shard_size] * full + [rest] * (rest > 0), expected)
 
 
 class TestBackendClosed:
