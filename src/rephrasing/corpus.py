@@ -8,12 +8,14 @@ units of work and every type here is immutable after construction.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import json
 from dataclasses import dataclass, field
+from operator import itemgetter
 from pathlib import Path
-from typing import BinaryIO, Iterable, Iterator, Mapping, Sequence
+from typing import BinaryIO, Callable, Iterable, Iterator, Mapping, Sequence
 
 from .tokens import TokenEstimator
 
@@ -74,7 +76,7 @@ class Document:
     id: str
     text: str
     lang: str
-    meta: Mapping[str, str] = field(default_factory=dict)
+    meta: Mapping[str, object] = field(default_factory=dict)
     provenance: Provenance = ORIGINAL
 
     def validate(self, languages: Sequence[str] | None = DEFAULT_LANGUAGES) -> None:
@@ -101,86 +103,98 @@ def doc_to_json(doc: Document) -> str:
     )
 
 
-def doc_from_obj(obj: Mapping) -> Document:
+def doc_from_obj(obj: Mapping, languages: Sequence[str] | None = None) -> Document:
     for name in ("id", "text", "lang"):
         if not isinstance(obj[name], str):
             raise CorpusError(f"field {name!r} is {type(obj[name]).__name__}, not a string")
-    return Document(
+    meta = obj.get("meta", {})
+    if not isinstance(meta, dict):
+        raise CorpusError(f"field 'meta' is {type(meta).__name__}, not an object")
+    doc = Document(
         id=obj["id"],
         text=obj["text"],
         lang=obj["lang"],
-        meta={str(k): str(v) for k, v in obj.get("meta", {}).items()},
+        meta=meta,
         provenance=Provenance.from_obj(obj.get("provenance")),
     )
+    doc.validate(languages)
+    return doc
+
+
+def parse_line(raw: bytes) -> dict:
+    """The JSON object on one line; a line that is not UTF-8 or not JSON
+    raises ``ValueError``, and one that is not an object ``CorpusError``."""
+    obj = json.loads(raw.decode("utf-8"))
+    if not isinstance(obj, dict):
+        raise CorpusError("line is not a JSON object")
+    return obj
+
+
+# What a record parser raises for a record it refuses.
+BAD_RECORD = (ValueError, LookupError, TypeError, AttributeError, OverflowError, CorpusError)
 
 
 @dataclass(frozen=True)
 class LineError:
-    """A shard line that failed to parse or validate."""
+    """A record file line that failed to parse or validate."""
 
     lineno: int
     message: str
 
 
 class ShardReader:
-    """Iterate documents in one shard file, collecting line-level errors.
+    """Iterate the records of one JSON Lines file, each built by ``parse``
+    from the JSON object on its line.
 
-    A shard is UTF-8 JSON Lines split at line feeds only.  A line that does
-    not decode, parse or validate is recorded in ``errors`` with its line
-    number rather than aborting the stream, so parsed documents plus
-    recorded errors always account for every input line.
+    Every JSON Lines file the pipeline reads, other than a ledger, is
+    read here.  It is UTF-8 split at line feeds only; a blank line is
+    skipped.  A line that does not decode, parse or pass ``parse`` is
+    recorded in ``errors`` with its line number and the stream goes on;
+    once the file is read, any bad line raises ``CorpusError`` naming
+    the file, the count of bad lines and the first one.
     """
 
-    def __init__(self, path: Path | str, languages: Sequence[str] | None = DEFAULT_LANGUAGES):
+    def __init__(self, path: Path | str, parse: Callable[[dict], object]):
         self.path = Path(path)
         if not self.path.is_file():
-            raise FileNotFoundError(f"shard not found: {self.path}")
-        self.languages = languages
+            raise FileNotFoundError(f"not found: {self.path}")
+        self.parse = parse
         self.errors: list[LineError] = []
         self.n_lines = 0
 
-    def __iter__(self) -> Iterator[Document]:
-        for _, _, doc in self.located():
-            yield doc
+    def __iter__(self) -> Iterator:
+        return map(itemgetter(2), self.located())
 
-    def located(self) -> Iterator[tuple[int, int, Document]]:
-        """Each document with the byte offset and length of its line,
+    def located(self) -> Iterator[tuple[int, int, object]]:
+        """Each record with the byte offset and length of its line,
         for ``read_document_at``."""
+        parse = self.parse
         offset = 0
         with self.path.open("rb") as handle:
             for lineno, raw in enumerate(handle, start=1):
-                doc = self._parse(lineno, raw)
-                if doc is not None:
-                    yield offset, len(raw), doc
+                self.n_lines = lineno
+                if not raw.isspace():
+                    try:
+                        record = parse(parse_line(raw))
+                    except BAD_RECORD as exc:
+                        self.errors.append(LineError(lineno, str(exc)))
+                    else:
+                        yield offset, len(raw), record
                 offset += len(raw)
-
-    def _parse(self, lineno: int, raw: bytes) -> Document | None:
-        self.n_lines = lineno
-        try:
-            obj = json.loads(raw.decode("utf-8"))
-            if not isinstance(obj, dict):
-                raise CorpusError("line is not a JSON object")
-            doc = doc_from_obj(obj)
-            doc.validate(self.languages)
-        # ValueError covers a line that is not UTF-8 and one that is not JSON.
-        except (ValueError, KeyError, AttributeError, TypeError, CorpusError) as exc:
-            self.errors.append(LineError(lineno, str(exc)))
-            return None
-        return doc
+        if self.errors:
+            raise CorpusError(self.summary())
 
     def summary(self) -> str:
-        if not self.errors:
-            return f"{self.path.name}: clean"
         first = self.errors[0]
         return (
-            f"{self.path.name}: {len(self.errors)} bad line(s); "
+            f"{self.path}: {len(self.errors)} bad line(s); "
             f"first at line {first.lineno}: {first.message}"
         )
 
 
 def load_shard(path: Path | str, languages: Sequence[str] | None = DEFAULT_LANGUAGES) -> ShardReader:
-    """Open a shard for streaming; parse errors collect on the reader."""
-    return ShardReader(path, languages)
+    """A reader of the documents of one corpus shard."""
+    return ShardReader(path, functools.partial(doc_from_obj, languages=languages))
 
 
 def read_document_at(handle: BinaryIO, offset: int, length: int) -> Document:
@@ -190,7 +204,7 @@ def read_document_at(handle: BinaryIO, offset: int, length: int) -> Document:
     the line, so ``handle`` may be unbuffered (``buffering=0``).
     """
     handle.seek(offset)
-    return doc_from_obj(json.loads(handle.read(length).decode("utf-8")))
+    return doc_from_obj(parse_line(handle.read(length)))
 
 
 @dataclass(frozen=True)
@@ -285,13 +299,17 @@ class ShardManifest:
 
     @staticmethod
     def load(path: Path | str) -> "ShardManifest":
-        obj = json.loads(Path(path).read_text(encoding="utf-8"))
-        manifest = ShardManifest(
-            stage=str(obj["stage"]),
-            fingerprint=str(obj["fingerprint"]),
-            shards=[ShardEntry.from_obj(s) for s in obj.get("shards", [])],
-        )
-        if int(obj.get("total_docs", manifest.total_docs)) != manifest.total_docs:
+        try:
+            obj = json.loads(Path(path).read_text(encoding="utf-8"))
+            manifest = ShardManifest(
+                stage=str(obj["stage"]),
+                fingerprint=str(obj["fingerprint"]),
+                shards=[ShardEntry.from_obj(s) for s in obj.get("shards", [])],
+            )
+            total = int(obj.get("total_docs", manifest.total_docs))
+        except BAD_RECORD as exc:
+            raise CorpusError(f"manifest {path} is not readable: {exc!r}") from exc
+        if total != manifest.total_docs:
             raise CorpusError(f"manifest {path}: shard doc counts do not add up to the total")
         return manifest
 
@@ -308,14 +326,11 @@ class ShardManifest:
         """
         digest = hashlib.sha256()
         for entry, path in zip(self.shards, self.shard_paths(base_dir)):
-            reader = load_shard(path, languages)
             n = 0
-            for doc in reader:
+            for doc in load_shard(path, languages):
                 n += 1
                 if not doc.text.strip():
                     raise CorpusError(f"shard {path}: cannot score empty document {doc.id!r}")
-            if reader.errors:
-                raise CorpusError(f"shard {path}: {reader.summary()}")
             if n != entry.docs:
                 raise CorpusError(f"shard {path}: has {n} docs, manifest says {entry.docs}")
             # Line by line, so the hash holds no more than the parse did.
@@ -375,10 +390,7 @@ def iter_corpus(
     """Stream every document of a manifest in shard order; a bad line
     raises ``CorpusError`` once its shard is read."""
     for path in manifest.shard_paths(base_dir):
-        reader = load_shard(path, languages)
-        yield from reader
-        if reader.errors:
-            raise CorpusError(reader.summary())
+        yield from load_shard(path, languages)
 
 
 METHOD_ESTIMATED = "estimated"

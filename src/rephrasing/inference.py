@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Hashable, Iterable, Mapping, Sequence, Sized, TypeVar
 
-from .corpus import encode_json
+from .corpus import BAD_RECORD, CorpusError, encode_json
 from .prompts import RenderedPrompt
 
 FINISH_STOP = "stop_sequence"
@@ -742,9 +742,12 @@ def load_checkpoint(
     A final line without its newline (crash mid-write) is ignored, as
     ``CheckpointWriter`` cuts it, even when it holds a whole record, so
     no record is kept that the next append overwrites; a torn header
-    thus reads as an empty ledger, like an absent file.  Later records
-    win over earlier ones for the same key, so a job that failed and
-    then succeeded replays its success.
+    thus reads as an empty ledger, like an absent file.  A complete line
+    that is not JSON is skipped too, as a line a kill tore.  A complete
+    line that is JSON but not an object, or a result record that
+    ``parse`` refuses, raises ``CorpusError`` naming the ledger and the
+    line.  Later records win over earlier ones for the same key, so a
+    job that failed and then succeeded replays its success.
     """
     path = Path(path)
     if not path.exists():
@@ -756,7 +759,7 @@ def load_checkpoint(
             return {}
         _verify_checkpoint_header(path, first, fingerprint)
         offset = len(first)
-        for line in handle:
+        for lineno, line in enumerate(handle, start=2):
             length = len(line)
             if not line.endswith(b"\n"):
                 break
@@ -765,9 +768,14 @@ def load_checkpoint(
             except ValueError:
                 # Not JSON, or not UTF-8: a line torn by a kill.
                 obj = {}
-            if obj.get("kind") == _CHECKPOINT_RESULT:
-                record = parse(obj, offset, length) if located else parse(obj)
-                records[record.key] = record
+            try:
+                if not isinstance(obj, dict):
+                    raise CorpusError("line is not a JSON object")
+                if obj.get("kind") == _CHECKPOINT_RESULT:
+                    record = parse(obj, offset, length) if located else parse(obj)
+                    records[record.key] = record
+            except BAD_RECORD as exc:
+                raise CorpusError(f"{path}: line {lineno}: {exc!r}") from exc
             offset += length
     return records
 

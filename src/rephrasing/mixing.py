@@ -18,7 +18,6 @@ from pathlib import Path
 from typing import BinaryIO, Callable, Iterable, Iterator, Mapping, Sequence
 
 from .corpus import (
-    CorpusError,
     Document,
     ShardManifest,
     load_shard,
@@ -197,13 +196,10 @@ class _SourceIndex:
             self.shard_paths.append(path)
             self.shard_sources.append(name)
             self.shard_starts.append(len(self.offsets))
-            reader = load_shard(path, languages)
-            for offset, length, doc in reader.located():
+            for offset, length, doc in load_shard(path, languages).located():
                 self.offsets.append(offset)
                 self.lengths.append(length)
                 self.weights.append(weigh(doc))
-            if reader.errors:
-                raise CorpusError(reader.summary())
 
     def drawn(self, refs: Iterable[int], passes: int) -> Iterator[Document]:
         """Read each ``index * passes + pass`` reference back as its drawn document."""

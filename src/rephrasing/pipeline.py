@@ -39,15 +39,18 @@ from typing import Callable, Iterator
 
 from .config import PipelineConfig
 from .corpus import (
+    CorpusError,
     CorpusStats,
     Document,
     Provenance,
     ShardEntry,
     ShardManifest,
+    ShardReader,
     corpus_stats,
     encode_json,
     iter_corpus,
     load_shard,
+    parse_line,
     shard_runs,
     stats_table,
     stats_to_obj,
@@ -105,13 +108,6 @@ AUDIT_INFERENCE_FAILED = "inference_failed"
 
 class StageError(Exception):
     """Stage precondition failure: missing inputs, fingerprint mismatch."""
-
-
-def _read_jsonl(path: Path) -> Iterator[dict]:
-    with path.open("r", encoding="utf-8") as handle:
-        for line in handle:
-            if line.strip():
-                yield json.loads(line)
 
 
 def _write_report(obj: dict, path: Path) -> None:
@@ -172,14 +168,11 @@ def resolve_input_manifest(cfg: PipelineConfig) -> tuple[ShardManifest, Path]:
 
 
 def _entry_for_shard(path: Path, cfg: PipelineConfig) -> ShardEntry:
-    reader = load_shard(path, cfg.languages)
     docs = 0
     chars = 0
-    for doc in reader:
+    for doc in load_shard(path, cfg.languages):
         docs += 1
         chars += len(doc.text)
-    if reader.errors:
-        raise StageError(f"input shard {path}: {reader.summary()}")
     return ShardEntry(path.name, docs, chars, 0.0)
 
 
@@ -318,20 +311,15 @@ def _passage_shard_paths(cfg: PipelineConfig) -> list[Path]:
     return manifest.shard_paths(out_dir)
 
 
+def _passage_record(obj: dict) -> Passage:
+    if "lang" not in obj:
+        raise CorpusError("no 'lang' field: written by an older version; rerun preprocess")
+    return Passage.from_obj(obj)
+
+
 def iter_passages(cfg: PipelineConfig) -> Iterator[Passage]:
     for path in _passage_shard_paths(cfg):
-        for obj in _read_jsonl(path):
-            yield Passage.from_obj(obj)
-
-
-def _parse_passage(line: bytes, path: Path) -> Passage:
-    try:
-        return Passage.from_obj(json.loads(line.decode("utf-8")))
-    except KeyError as exc:
-        raise StageError(
-            f"passages shard {path} has no {exc.args[0]!r} field, so it was written "
-            "by an older version; rerun preprocess"
-        ) from exc
+        yield from ShardReader(path, _passage_record)
 
 
 class _PassageJob:
@@ -357,10 +345,10 @@ class _PassageJob:
 class _PassageShard:
     """An index of one passages shard, read in one pass: each passage's
     job in passage order, and how many passages hold the closing tag of
-    their tagged template.  The shard stays open until ``close``, so
-    that each job reads its passage back with ``os.pread`` when it is
-    rendered: memory holds the index, never the passages or their
-    prompts."""
+    their tagged template.  Once indexed, the shard stays open until
+    ``close``, so that each job reads its passage back with ``os.pread``
+    when it is rendered: memory holds the index, never the passages or
+    their prompts."""
 
     def __init__(self, path: Path, cfg: PipelineConfig, registry: TemplateRegistry):
         self.path = path
@@ -369,29 +357,21 @@ class _PassageShard:
         self.jobs: list[_PassageJob] = []
         self.tag_collisions = 0
         templates: dict[str, PromptTemplate] = {}
+        for offset, length, passage in ShardReader(path, _passage_record).located():
+            template = templates.get(passage.lang)
+            if template is None:
+                template = registry.get(cfg.template_id_for(passage.lang))
+                templates[passage.lang] = template
+            key = JobKey(passage.doc_id, passage.index, template.template_id)
+            chars = rendered_length(passage, template)
+            self.jobs.append(_PassageJob(self, key, chars, offset, length))
+            self.tag_collisions += tag_collision(passage, template)
         self._file = path.open("rb")
-        try:
-            offset = 0
-            for line in self._file:
-                if line.strip():
-                    passage = _parse_passage(line, path)
-                    template = templates.get(passage.lang)
-                    if template is None:
-                        template = registry.get(cfg.template_id_for(passage.lang))
-                        templates[passage.lang] = template
-                    key = JobKey(passage.doc_id, passage.index, template.template_id)
-                    chars = rendered_length(passage, template)
-                    self.jobs.append(_PassageJob(self, key, chars, offset, len(line)))
-                    self.tag_collisions += tag_collision(passage, template)
-                offset += len(line)
-        except BaseException:
-            self._file.close()
-            raise
 
     def render(self, job: _PassageJob) -> RenderedPrompt:
         line = os.pread(self._file.fileno(), job.length, job.offset)
         template = self.registry.get(job.key.template_id)
-        return render(_parse_passage(line, self.path), template, self.temperature)
+        return render(Passage.from_obj(parse_line(line)), template, self.temperature)
 
     def close(self) -> None:
         self._file.close()
@@ -537,7 +517,9 @@ def stage_postprocess(cfg: PipelineConfig) -> dict:
     document's completions plus the ids of documents with a failed
     passage.  Output is written to a temporary directory that replaces
     ``rephrased/`` only when every completed or failed document was found
-    in the input.
+    in the input and neither ``completions.jsonl`` nor ``failed.jsonl``
+    holds a bad line: both are read by ``ShardReader``, which raises
+    ``CorpusError`` once it has read a file with one.
     """
     started = time.monotonic()
     estimator = load_estimator(cfg)
@@ -561,8 +543,7 @@ def stage_postprocess(cfg: PipelineConfig) -> dict:
 
     def cleaned_stream() -> Iterator[tuple[str, RephraseResult, CleanedPassage]]:
         nonlocal passages_in
-        for obj in _read_jsonl(completions_path):
-            result = RephraseResult.from_obj(obj)
+        for result in ShardReader(completions_path, RephraseResult.from_obj):
             passages_in += 1
             yield result.key.doc_id, result, clean_passage(
                 result.key.doc_id,
@@ -586,8 +567,7 @@ def stage_postprocess(cfg: PipelineConfig) -> dict:
         # Documents with a failed passage not yet met in the input.
         failed_docs: set[str] = set()
         if failed_path.is_file():
-            for obj in _read_jsonl(failed_path):
-                key = JobKey.from_obj(obj["key"])
+            for key in ShardReader(failed_path, lambda obj: JobKey.from_obj(obj["key"])):
                 audit(key.doc_id, key.index, AUDIT_INFERENCE_FAILED)
                 failed_docs.add(key.doc_id)
         # Failed documents none of whose passages completed.
@@ -866,7 +846,7 @@ def stage_stats(cfg: PipelineConfig) -> dict:
 
     rows: list[tuple[str, CorpusStats]] = []
     with _exact_counter(cfg) as exact:
-        try:
+        if cfg.input_manifest is not None:
             manifest_in, base_dir = resolve_input_manifest(cfg)
             rows.append(
                 (
@@ -876,8 +856,6 @@ def stage_stats(cfg: PipelineConfig) -> dict:
                     ),
                 )
             )
-        except StageError:
-            pass
         for name in ("rephrased", "filtered", "mixed"):
             _restore(cfg.work_dir / name)
             path = cfg.work_dir / name / "manifest.json"

@@ -11,14 +11,13 @@ from score shards and thresholded the same way.
 
 from __future__ import annotations
 
-import json
 import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .corpus import Document
+from .corpus import CorpusError, Document, ShardReader
 from .inference import (
     AuthError,
     BackendConfig,
@@ -89,7 +88,10 @@ class ScoredDocument:
     @staticmethod
     def from_obj(obj: Mapping) -> "ScoredDocument":
         scorer = sys.intern(str(obj["scorer"]))
-        return ScoredDocument(str(obj["doc_id"]), float(obj["score"]), scorer)
+        try:
+            return ScoredDocument(str(obj["doc_id"]), float(obj["score"]), scorer)
+        except QualityError as exc:  # a recorded score out of its range
+            raise CorpusError(str(exc)) from exc
 
 
 def score_from_logprobs(lp_affirmative: float, lp_negative: float) -> float:
@@ -255,18 +257,28 @@ def threshold_filter(
     return list(kept), kept.report
 
 
+def _score_record(obj: dict) -> tuple[str, float]:
+    """One line of a score file: a string ``doc_id`` and a finite JSON
+    number ``score``; ``true``/``false`` are not numbers."""
+    doc_id, score = obj["doc_id"], obj["score"]
+    if not isinstance(doc_id, str):
+        raise CorpusError(f"doc_id is {type(doc_id).__name__}, not a string")
+    if type(score) not in (int, float) or not math.isfinite(score):
+        raise CorpusError(f"score {score!r} is not a finite number")
+    return doc_id, float(score)
+
+
 def ingest_external_scores(path: Path | str) -> dict[str, float]:
-    """Read externally computed scores; duplicate or malformed ids abort."""
+    """Scores by document id from a score file, one
+    ``{"doc_id": ..., "score": ...}`` line per document, read by
+    ``ShardReader``: a line with a non-string ``doc_id`` or a ``score``
+    that is not a finite number is a bad line, and a duplicate id aborts.
+    Negative scores are accepted, as logit-style classifiers give them.
+    """
     table: dict[str, float] = {}
-    with Path(path).open("r", encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            try:
-                obj = json.loads(line)
-                doc_id = str(obj["doc_id"])
-                score = float(obj["score"])
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-                raise QualityError(f"{path}:{lineno}: malformed score record ({exc})") from exc
-            if doc_id in table:
-                raise QualityError(f"{path}:{lineno}: duplicate doc_id {doc_id!r}")
-            table[doc_id] = score
+    reader = ShardReader(path, _score_record)
+    for doc_id, score in reader:
+        if doc_id in table:
+            raise QualityError(f"{path}:{reader.n_lines}: duplicate doc_id {doc_id!r}")
+        table[doc_id] = score
     return table

@@ -133,6 +133,12 @@ def test_4_template_fidelity():
     ok(4, "template fidelity", f"{len(BUILTIN_TEMPLATE_IDS)} templates, checksums + goldens")
 
 
+FUZZ_ALPHABET = string.ascii_letters + string.digits + " .,!?ßñüà"
+# Maps each of the 256 byte values onto a letter of FUZZ_ALPHABET (all
+# Latin-1), so a fragment of n letters is one draw of n random bytes.
+FUZZ_LETTERS = bytes.maketrans(bytes(range(256)), (FUZZ_ALPHABET * 4).encode("latin-1")[:256])
+
+
 def _fuzz_completion(rng: random.Random) -> str:
     fragments = []
     for _ in range(rng.randint(0, 12)):
@@ -150,8 +156,7 @@ def _fuzz_completion(rng: random.Random) -> str:
             fragments.append("\n")
         else:
             n = rng.randint(0, 700) if rng.random() < 0.97 else rng.randint(4500, 6000)
-            alphabet = string.ascii_letters + string.digits + " .,!?ßñüà"
-            fragments.append("".join(rng.choice(alphabet) for _ in range(n)))
+            fragments.append(rng.randbytes(n).translate(FUZZ_LETTERS).decode("latin-1"))
     return "".join(fragments)
 
 

@@ -206,6 +206,161 @@ class TestBadShardRefusedByEveryReader:
         assert not (tmp_path / "work" / "scores").exists()
 
 
+def _snapshot(directory: Path) -> dict[str, bytes]:
+    """Every file under ``directory`` but a stage's temporary ones."""
+    return {
+        p.relative_to(directory).as_posix(): p.read_bytes()
+        for p in sorted(directory.rglob("*"))
+        if p.is_file() and not p.name.endswith(".tmp")
+    }
+
+
+def _insert_line(path: Path, index: int, line: bytes) -> None:
+    lines = path.read_bytes().splitlines(keepends=True)
+    lines.insert(index, line)
+    path.write_bytes(b"".join(lines))
+
+
+def _external_scores(tmp_path: Path, docs) -> tuple[Path, dict]:
+    scores = tmp_path / "fwe.jsonl"
+    rows = [{"doc_id": doc.id, "score": i % 4 * 0.25} for i, doc in enumerate(docs)]
+    scores.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+    return scores, {"scorer": "external", "threshold": 0.3, "external_scores": str(scores)}
+
+
+class TestRecordFilesReadOneWay:
+    """Every JSON Lines file a stage reads refuses a bad line the same
+    way, with exit 2 naming the file and its first bad line and the
+    stage's output left as it was, and skips a blank line."""
+
+    @pytest.mark.parametrize(
+        "name, index, line, command, output",
+        [
+            ("rephrase/completions.jsonl", 2, b"{not json\n", "postprocess", "rephrased"),
+            ("rephrase/failed.jsonl", 0, b'{"key": ["doc-000001", "x", "qa"]}\n', "postprocess",
+             "rephrased"),
+            ("passages/passages-00000.jsonl", 1, b'{"doc_id": "\xff"}\n', "rephrase", "rephrase"),
+        ],
+        ids=["completions_not_json", "failed_bad_key", "passages_not_utf8"],
+    )
+    def test_bad_line_exits_2_naming_file_and_line(
+        self, tmp_path, capsys, name, index, line, command, output
+    ):
+        path = write_fixture_config(tmp_path, make_docs(12, seed=5))
+        for stage in ("preprocess", "rephrase", "postprocess"):
+            assert run([stage, "-c", path]) == 0
+        work = tmp_path / "work"
+        before = _snapshot(work / output)
+        _insert_line(work / name, index, line)
+        capsys.readouterr()
+        assert run([command, "-c", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ")
+        assert f"{Path(name).name}: 1 bad line(s); first at line {index + 1}: " in err
+        assert _snapshot(work / output) == before
+
+    def test_score_file_not_utf8_exits_2(self, tmp_path, capsys):
+        docs = make_docs(12, seed=5)
+        scores, scorer = _external_scores(tmp_path, docs)
+        path = write_fixture_config(tmp_path, docs, extra={"filter": scorer})
+        filter_input = ["filter", "--input", tmp_path / "input" / "manifest.json", "-c", path]
+        assert run(["preprocess", "-c", path]) == 0
+        assert run(filter_input) == 0
+        before = _snapshot(tmp_path / "work" / "filtered")
+        _insert_line(scores, 4, b'{"doc_id": "caf\xe9", "score": 0.5}\n')  # Latin-1
+        capsys.readouterr()
+        assert run(filter_input) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ")
+        assert "fwe.jsonl: 1 bad line(s); first at line 5: " in err and "utf-8" in err
+        assert _snapshot(tmp_path / "work" / "filtered") == before
+
+    def test_blank_lines_in_corpus_shard_and_score_file_change_nothing(self, tmp_path):
+        docs = make_docs(12, seed=5)
+        outputs = []
+        for name in ("plain", "blank"):
+            root = tmp_path / name
+            root.mkdir()
+            scores, scorer = _external_scores(root, docs)
+            path = write_fixture_config(root, docs, extra={"filter": scorer})
+            if name == "blank":
+                for record_file in (root / "input" / "shard-00000.jsonl", scores):
+                    _insert_line(record_file, 0, b"\n")
+                    _insert_line(record_file, 4, b" \t\r\n")
+                    _insert_line(record_file, 9, b"\n")
+                    record_file.write_bytes(record_file.read_bytes() + b"  ")
+            assert run(["run-all", "-c", path]) == 0
+            outputs.append(tree_bytes(root / "work"))
+        assert outputs[0] == outputs[1]
+        assert "filtered/shard-00000.jsonl" in outputs[0]
+
+
+class TestBadLedgerRecord:
+    """A complete ledger line that is JSON but no record stops the stage
+    with a data error naming the ledger and the line, and the ledger
+    stays as it was."""
+
+    def test_rephrase(self, tmp_path, capsys):
+        path = write_fixture_config(tmp_path, make_docs(6, seed=5))
+        for stage in ("preprocess", "rephrase"):
+            assert run([stage, "-c", path]) == 0
+        ledger = tmp_path / "work" / "rephrase" / "checkpoint.jsonl"
+        lineno = len(ledger.read_bytes().splitlines()) + 1
+        ledger.write_bytes(ledger.read_bytes() + b"[1, 2]\n")
+        before = ledger.read_bytes()
+        capsys.readouterr()
+        assert run(["rephrase", "-c", path]) == 2
+        assert f"checkpoint.jsonl: line {lineno}: " in capsys.readouterr().err
+        assert ledger.read_bytes() == before
+
+    @pytest.mark.parametrize("score", [b"2.0", b'"x"'], ids=["out_of_range", "not_a_number"])
+    def test_score_keeps_the_ledger(self, tmp_path, capsys, score):
+        path = write_fixture_config(tmp_path, make_docs(6, seed=5))
+        for stage in ("preprocess", "rephrase", "postprocess", "score"):
+            assert run([stage, "-c", path]) == 0
+        ledger = tmp_path / "work" / "scores" / "checkpoint.jsonl"
+        lineno = len(ledger.read_bytes().splitlines()) + 1
+        record = b'{"kind": "result", "doc_id": "doc-000001", "score": %s, "scorer": "ask_llm:m"}\n'
+        ledger.write_bytes(ledger.read_bytes() + record % score)
+        before = ledger.read_bytes()
+        capsys.readouterr()
+        assert run(["score", "-c", path]) == 2
+        assert f"checkpoint.jsonl: line {lineno}: " in capsys.readouterr().err
+        assert ledger.read_bytes() == before
+
+
+class TestInputResolution:
+    def test_stats_refuses_a_configured_input_it_cannot_read(self, tmp_path, capsys):
+        docs = make_docs(6, seed=5)
+        path = write_fixture_config(tmp_path, docs)
+        for stage in ("preprocess", "rephrase", "postprocess"):
+            assert run([stage, "-c", path]) == 0
+        absent = write_fixture_config(
+            tmp_path, docs, extra={"input_manifest": "absent/manifest.json"}, name="absent.yaml"
+        )
+        capsys.readouterr()
+        assert run(["stats", "-c", absent]) == 2
+        assert "absent" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, name, text",
+        [
+            ("score", "input/shard-00000.jsonl", None),
+            ("filter", "no_fingerprint.json", '{"stage": "input", "shards": []}\n'),
+        ],
+        ids=["score_shard", "filter_no_fingerprint"],
+    )
+    def test_input_that_is_no_manifest_exits_2(self, tmp_path, capsys, command, name, text):
+        path = write_fixture_config(tmp_path, make_docs(6, seed=5))
+        assert run(["preprocess", "-c", path]) == 0
+        if text is not None:
+            (tmp_path / name).write_text(text, encoding="utf-8")
+        capsys.readouterr()
+        assert run([command, "--input", tmp_path / name, "-c", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: manifest ") and Path(name).name in err
+
+
 class TestCommands:
     def test_templates_listing(self, capsys):
         assert run(["templates"]) == 0

@@ -1,9 +1,12 @@
 from __future__ import annotations
 
 import json
+import re
+from pathlib import Path
 
 import pytest
 
+import rephrasing.corpus
 from rephrasing.corpus import (
     CorpusError,
     CorpusStats,
@@ -23,6 +26,15 @@ from rephrasing.corpus import (
 from rephrasing.tokens import TokenEstimator
 
 from conftest import make_docs
+
+
+def drain(records):
+    """Every record a reader yields before it refuses its file's bad lines."""
+    parsed = []
+    with pytest.raises(CorpusError, match="bad line"):
+        for record in records:
+            parsed.append(record)
+    return parsed
 
 
 class TestShardRoundTrip:
@@ -46,7 +58,7 @@ class TestShardRoundTrip:
         lines = [doc_to_json(docs[0]), "{not json", doc_to_json(docs[1])]
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         reader = load_shard(path)
-        loaded = list(reader)
+        loaded = drain(reader)
         assert len(loaded) == 2
         assert len(reader.errors) == 1
         assert reader.errors[0].lineno == 2
@@ -86,7 +98,7 @@ class TestShardRoundTrip:
             json.dumps({"id": "a", "text": "hi", "lang": "fr"}) + "\n", encoding="utf-8"
         )
         reader = load_shard(path)
-        assert list(reader) == []
+        assert drain(reader) == []
         assert len(reader.errors) == 1
 
     def test_manifest_entry_counts_10k(self, tmp_path):
@@ -179,19 +191,19 @@ class TestLineDecoding:
         path = tmp_path / "s.jsonl"
         path.write_bytes(b"".join(lines))
         reader = load_shard(path)
-        parsed = list(reader)
+        parsed = drain(reader)
         assert parsed == docs[:5] + docs[6:]
         assert [error.lineno for error in reader.errors] == [6]
         assert "utf-8" in reader.errors[0].message
         assert len(parsed) + len(reader.errors) == reader.n_lines == 8
-        spans = list(load_shard(path).located())
+        spans = drain(load_shard(path).located())
         assert [doc for _, _, doc in spans] == parsed
 
     def test_lone_carriage_return_does_not_end_a_line(self, tmp_path):
         path = tmp_path / "s.jsonl"
         path.write_bytes(("\r".join(doc_to_json(d) for d in make_docs(3)) + "\n").encode("utf-8"))
         reader = load_shard(path)
-        assert list(reader) == []
+        assert drain(reader) == []
         assert reader.n_lines == len(reader.errors) == 1
 
     @pytest.mark.parametrize("field", ["meta", "provenance"])
@@ -200,7 +212,7 @@ class TestLineDecoding:
         path = tmp_path / "s.jsonl"
         path.write_text(json.dumps(obj) + "\n", encoding="utf-8")
         reader = load_shard(path)
-        assert list(reader) == []
+        assert drain(reader) == []
         assert [error.lineno for error in reader.errors] == [1]
 
     @pytest.mark.parametrize(
@@ -214,9 +226,19 @@ class TestLineDecoding:
         path = tmp_path / "s.jsonl"
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         reader = load_shard(path)
-        assert [doc.id for doc in reader] == [json.loads(lines[i])["id"] for i in (0, 2)]
+        assert [doc.id for doc in drain(reader)] == [json.loads(lines[i])["id"] for i in (0, 2)]
         assert [error.lineno for error in reader.errors] == [2]
         assert f"field {field!r} is" in reader.errors[0].message
+
+
+def test_only_the_reader_checks_its_errors():
+    """A reader raises its file's bad lines itself, so no other module
+    reads ``errors`` off it."""
+    reads_errors = re.compile(r"\b(?!self\b)\w+\.errors\b")
+    sources = Path(rephrasing.corpus.__file__).parent.glob("*.py")
+    for path in sources:
+        if path.name != "corpus.py":
+            assert not reads_errors.findall(path.read_text(encoding="utf-8")), path.name
 
 
 class TestStats:

@@ -12,6 +12,7 @@ import weakref
 import pytest
 
 from rephrasing.config import PipelineConfig
+from rephrasing.corpus import CorpusError
 from rephrasing.inference import (
     AuthError,
     BackendConfig,
@@ -35,6 +36,7 @@ from rephrasing.inference import (
     schedule,
 )
 from rephrasing.prompts import RenderedPrompt
+from rephrasing.quality import ScoredDocument
 
 CFG = BackendConfig(max_in_flight=4, max_retries=3, retry_backoff_s=0.0)
 
@@ -512,6 +514,41 @@ class TestCheckpoint:
             load_checkpoint(path, "fp")
         with pytest.raises(CheckpointMismatchError):
             CheckpointWriter(path, "fp")
+
+    @pytest.mark.parametrize(
+        "record, parse",
+        [
+            ("[1, 2]", "rephrase"),
+            ('{"kind": "result", "key": ["b", 0, "qa"], "text": "t", "finish": "stop_sequence"}',
+             "rephrase"),
+            ('{"kind": "result", "doc_id": "b", "score": "x", "scorer": "ask_llm:m"}', "score"),
+            ('{"kind": "result", "doc_id": "b", "score": 2.0, "scorer": "ask_llm:m"}', "score"),
+        ],
+        ids=["not_an_object", "no_attempts", "score_not_a_number", "score_out_of_range"],
+    )
+    def test_bad_complete_record_names_ledger_and_line(self, tmp_path, record, parse):
+        path = tmp_path / "cp.jsonl"
+        good = {
+            "rephrase": RephraseResult(JobKey("a", 0, "qa"), "text", "stop_sequence"),
+            "score": ScoredDocument("a", 0.5, "ask_llm:m"),
+        }[parse]
+        with CheckpointWriter(path, "fp") as writer:
+            writer.append(good)
+        with path.open("a", encoding="utf-8") as handle:
+            handle.write(record + "\n")
+        parser = {"rephrase": LedgerLine.from_obj, "score": ScoredDocument.from_obj}[parse]
+        with pytest.raises(CorpusError, match=r"cp\.jsonl: line 3: "):
+            load_checkpoint(path, "fp", parser, located=parse == "rephrase")
+
+    def test_complete_line_not_json_skipped(self, tmp_path):
+        path = tmp_path / "cp.jsonl"
+        with CheckpointWriter(path, "fp") as writer:
+            writer.append(RephraseResult(JobKey("a", 0, "qa"), "text", "stop_sequence"))
+        with path.open("ab") as handle:
+            handle.write(b'{"kind": "result", "key": ["b"\n\xff\n')
+        with CheckpointWriter(path, "fp") as writer:
+            writer.append(RephraseResult(JobKey("c", 0, "qa"), "text", "stop_sequence"))
+        assert [key.doc_id for key in load_checkpoint(path, "fp")] == ["a", "c"]
 
     def test_missing_checkpoint_is_empty(self, tmp_path):
         assert load_checkpoint(tmp_path / "absent.jsonl", "fp") == {}

@@ -381,7 +381,7 @@ class TestStreamingRephrase:
             "".join(json.dumps({k: v for k, v in row.items() if k != "lang"}) + "\n" for row in rows),
             encoding="utf-8",
         )
-        with pytest.raises(StageError, match=r"passages-00000\.jsonl.*'lang'.*rerun preprocess"):
+        with pytest.raises(CorpusError, match=r"passages-00000\.jsonl.*'lang'.*rerun preprocess"):
             stage_rephrase(cfg)
 
 
@@ -529,7 +529,7 @@ gc.collect()
             env=env,
             timeout=120,
         )
-        expected = {"finished": "finished", "stopped": "Stop", "bad_second_shard": "StageError"}
+        expected = {"finished": "finished", "stopped": "Stop", "bad_second_shard": "CorpusError"}
         assert proc.stdout.split() == [expected[ending]], proc.stderr
         assert "ResourceWarning" not in proc.stderr, proc.stderr
 
@@ -1239,6 +1239,29 @@ class TestRunAll:
         assert scored
         assert _untimed(stage_filter(cfg)) == _untimed(reports["filter"])
         assert _untimed_files(filtered) == outputs
+
+    def test_meta_values_carried_through_as_parsed_json(self, tmp_path):
+        meta = {"url": None, "token_count": 3, "language_score": 0.91, "tags": ["a"], "src": "x"}
+        docs = [
+            Document(doc.id, doc.text, doc.lang, meta=meta) for doc in make_docs(12, seed=3)
+        ]
+        rows = [{"doc_id": doc.id, "score": 1.0} for doc in docs]
+        (tmp_path / "fwe.jsonl").write_text("".join(json.dumps(r) + "\n" for r in rows))
+        scorer = {"scorer": "external", "threshold": 0.3, "external_scores": "fwe.jsonl"}
+        mix = {
+            "unit": "documents",
+            "sources": [
+                {"name": "rephrased", "manifest": "work/rephrased/manifest.json", "weight": 1.0}
+            ],
+        }
+        cfg = load_config(
+            write_fixture_config(tmp_path, docs, extra={"filter": scorer, "mix": mix})
+        )
+        run_all(cfg)
+        for name in ("rephrased", "filtered", "mixed"):
+            out = cfg.work_dir / name
+            read = list(iter_corpus(ShardManifest.load(out / "manifest.json"), out, None))
+            assert read and all(doc.meta == meta for doc in read), name
 
 
 def _untimed(report: dict) -> dict:

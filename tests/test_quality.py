@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from rephrasing.corpus import Document
+from rephrasing.corpus import CorpusError, Document
 from rephrasing.inference import (
     BackendConfig,
     BackendError,
@@ -223,11 +223,41 @@ class TestScoreIO:
     def test_malformed_record_rejected(self, tmp_path):
         path = tmp_path / "scores.jsonl"
         path.write_text('{"doc_id": "a"}\n', encoding="utf-8")
-        with pytest.raises(QualityError, match=":1:"):
+        with pytest.raises(CorpusError, match="first at line 1:"):
             ingest_external_scores(path)
         path.write_text("not json\n", encoding="utf-8")
-        with pytest.raises(QualityError):
+        with pytest.raises(CorpusError):
             ingest_external_scores(path)
+
+    @pytest.mark.parametrize(
+        "line, accepted",
+        [
+            ('{"doc_id": "b", "score": -3.5}', True),
+            ('{"doc_id": "b", "score": true}', False),
+            ('{"doc_id": "b", "score": NaN}', False),
+            ('{"doc_id": "b", "score": -Infinity}', False),
+            ('{"doc_id": "b", "score": "0.9"}', False),
+            ('{"doc_id": 7, "score": 0.9}', False),
+            ('{"doc_id": "b", "score": 1' + "0" * 400 + "}", False),
+        ],
+        ids=["negative", "bool", "nan", "infinity", "string", "int_id", "huge_int"],
+    )
+    def test_score_values_that_change_a_score_refused(self, tmp_path, line, accepted):
+        path = tmp_path / "scores.jsonl"
+        path.write_text('{"doc_id": "a", "score": 0.5}\n' + line + "\n", encoding="utf-8")
+        if accepted:
+            assert ingest_external_scores(path) == {"a": 0.5, "b": -3.5}
+            return
+        with pytest.raises(CorpusError, match=r"scores\.jsonl: 1 bad line\(s\); first at line 2:"):
+            ingest_external_scores(path)
+
+    def test_blank_lines_skipped(self, tmp_path):
+        path = tmp_path / "scores.jsonl"
+        path.write_text(
+            '\n{"doc_id": "a", "score": 0.5}\n  \t\n\n{"doc_id": "b", "score": 1}\n \n',
+            encoding="utf-8",
+        )
+        assert ingest_external_scores(path) == {"a": 0.5, "b": 1.0}
 
     def test_fwe_style_range_with_2p5_threshold(self, tmp_path):
         # External educational-value scores live in [0, 5]; the 2.5
