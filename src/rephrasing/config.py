@@ -17,6 +17,7 @@ import dataclasses
 import functools
 import hashlib
 import json
+import re
 import types
 import typing
 from dataclasses import dataclass, field
@@ -26,7 +27,7 @@ from typing import Mapping
 import yaml
 
 from .corpus import DEFAULT_LANGUAGES
-from .inference import BackendConfig, parse_endpoint
+from .inference import BackendConfig, MockRule, parse_endpoint
 from .mixing import UNIT_DOCUMENTS, UNIT_TOKENS
 from .prompts import (
     EOS_BY_FRAMING,
@@ -204,6 +205,18 @@ class PipelineConfig:
             raise ConfigError(f"unknown backend kind {self.backend_kind!r}")
         if self.backend_kind == "http" and not self.backend.endpoint:
             raise ConfigError("http backend requires an endpoint address")
+        if self.backend_kind == "mock":
+            # Every completion record carries it, and their readers take only a string.
+            model_id = self.mock_backend.get("model_id", "mock")
+            if not isinstance(model_id, str):
+                raise ConfigError(f"backend.mock.model_id: expected a string, got {model_id!r}")
+            for i, rule in enumerate(self.mock_backend.get("rules", [])):
+                try:
+                    MockRule.from_obj(rule).compile()
+                except KeyError as exc:
+                    raise ConfigError(f"backend.mock.rules[{i}]: no {exc} key") from exc
+                except (LookupError, TypeError, re.error) as exc:
+                    raise ConfigError(f"backend.mock.rules[{i}]: {exc}") from exc
         for key, url in (
             ("backend.endpoint", self.backend.endpoint),
             ("estimator.exact_endpoint", self.estimator.exact_endpoint),

@@ -103,10 +103,23 @@ def doc_to_json(doc: Document) -> str:
     )
 
 
+_KIND_NAMES = {str: "a string", int: "an integer", list: "a list", (int, float): "a number"}
+_REQUIRED = object()
+
+
+def typed_field(obj, key, kind=str, default=_REQUIRED):
+    """``obj[key]`` (or ``obj.get(key, default)``), refused unless it is a
+    ``kind`` from ``_KIND_NAMES``: a record field is never converted, and
+    a bool is neither an integer nor a number."""
+    value = obj[key] if default is _REQUIRED else obj.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise CorpusError(f"field {key!r} is {type(value).__name__}, not {_KIND_NAMES[kind]}")
+    return value
+
+
 def doc_from_obj(obj: Mapping, languages: Sequence[str] | None = None) -> Document:
     for name in ("id", "text", "lang"):
-        if not isinstance(obj[name], str):
-            raise CorpusError(f"field {name!r} is {type(obj[name]).__name__}, not a string")
+        typed_field(obj, name)
     meta = obj.get("meta", {})
     if not isinstance(meta, dict):
         raise CorpusError(f"field 'meta' is {type(meta).__name__}, not an object")

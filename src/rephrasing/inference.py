@@ -23,6 +23,7 @@ a pool of standard-library keep-alive connections.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import http.client
 import json
@@ -38,7 +39,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Hashable, Iterable, Mapping, Sequence, Sized, TypeVar
 
-from .corpus import BAD_RECORD, CorpusError, encode_json
+from .corpus import BAD_RECORD, CorpusError, encode_json, typed_field
 from .prompts import RenderedPrompt
 
 FINISH_STOP = "stop_sequence"
@@ -178,7 +179,15 @@ class JobKey:
 
     @staticmethod
     def from_obj(obj: Sequence) -> "JobKey":
-        return JobKey(str(obj[0]), int(obj[1]), str(obj[2]))
+        if (
+            not isinstance(obj, list)
+            or len(obj) != 3
+            or not isinstance(obj[0], str)
+            or type(obj[1]) is not int  # a bool is no index
+            or not isinstance(obj[2], str)
+        ):
+            raise CorpusError(f"field 'key' is {obj!r}, not a [string, integer, string] list")
+        return JobKey(obj[0], obj[1], obj[2])
 
 
 @dataclass(frozen=True)
@@ -237,10 +246,10 @@ class RephraseResult:
     def from_obj(obj: Mapping) -> "RephraseResult":
         return RephraseResult(
             key=JobKey.from_obj(obj["key"]),
-            text=str(obj["text"]),
-            finish=str(obj["finish"]),
-            model_id=str(obj.get("model_id", "")),
-            attempts=int(obj.get("attempts", 1)),
+            text=typed_field(obj, "text"),
+            finish=typed_field(obj, "finish"),
+            model_id=typed_field(obj, "model_id", default=""),
+            attempts=typed_field(obj, "attempts", int, default=1),
         )
 
 
@@ -265,17 +274,67 @@ class CompletionBackend:
         """Release connections; a backend holding none keeps this no-op."""
 
 
+def _kept_template_parse():
+    """``re``'s parse-once pair behind ``Pattern.sub``, ``(_compile_repl,
+    _parser.expand_template)``, if this Python has both and they expand
+    as ``Match.expand`` does; else None."""
+    try:
+        compile_repl, expand_template = re._compile_repl, re._parser.expand_template
+        pattern = re.compile(r"(a)(?P<b>b)")
+        match = pattern.search("ab")
+        probe = r"\g<0>-\1-\g<b>\n"
+        if expand_template(compile_repl(probe, pattern), match) == match.expand(probe):
+            return compile_repl, expand_template
+    except (AttributeError, TypeError, ValueError, LookupError, re.error):
+        pass  # missing, or shaped otherwise than on CPython 3.11
+    return None
+
+
+_KEPT_TEMPLATE_PARSE = _kept_template_parse()
+
+
+def _template_expander(pattern: re.Pattern, response: str) -> Callable[[re.Match], str]:
+    """``lambda match: match.expand(response)`` for matches of ``pattern``,
+    with the template parsed once, here.
+
+    ``Match.expand`` parses its template again on every call, in pure
+    Python, and on a mock backend that parse cost more than the rest of
+    the request.  The standard library has no public compiled template,
+    so this keeps the parse ``Pattern.sub`` caches; on a Python without
+    it, it falls back on ``Match.expand``.  Either way a template that
+    references a group the pattern lacks raises here, before any match:
+    ``re.error`` for a number, ``IndexError`` for a name.
+    """
+    if _KEPT_TEMPLATE_PARSE is None:
+        pattern.sub(response, "")  # parses the template even without a match
+        return lambda match: match.expand(response)
+    compile_repl, expand_template = _KEPT_TEMPLATE_PARSE
+    return functools.partial(expand_template, compile_repl(response, pattern))
+
+
 @dataclass(frozen=True)
 class MockRule:
     pattern: str
     response: str
+
+    @staticmethod
+    def from_obj(obj: Mapping) -> "MockRule":
+        return MockRule(obj["pattern"], obj["response"])
+
+    def compile(self) -> tuple[re.Pattern, Callable[[re.Match], str]]:
+        """The rule's regex and its response's expander; raises as
+        ``re.compile`` and ``_template_expander`` do."""
+        pattern = re.compile(self.pattern, re.DOTALL)
+        return pattern, _template_expander(pattern, self.response)
 
 
 class MockBackend(CompletionBackend):
     """Script-driven backend for tests and dry runs.
 
     ``rules`` map prompt regexes to response templates; the first match
-    wins and the template may reference capture groups (``\\1`` style).
+    wins and the template, in ``Match.expand`` syntax, may reference
+    capture groups (``\\1`` style).  Each template is parsed once, here,
+    so a bad rule raises when the backend is built.
     Responses containing a stop sequence are cut after its first
     occurrence with the stop string included, mirroring a vLLM server
     configured with ``include_stop_str_in_output``.  ``fail_first`` makes
@@ -293,7 +352,7 @@ class MockBackend(CompletionBackend):
         logprob_rules: Iterable[tuple[str, float, float]] = (),
         latency_s: float = 0.0,
     ):
-        self._rules = [(re.compile(r.pattern, re.DOTALL), r.response) for r in rules]
+        self._rules = [rule.compile() for rule in rules]
         self._default_response = default_response
         self._fail_first = fail_first
         self._auth_fail = auth_fail
@@ -309,7 +368,7 @@ class MockBackend(CompletionBackend):
     @staticmethod
     def from_config(obj: Mapping) -> "MockBackend":
         return MockBackend(
-            rules=[MockRule(r["pattern"], r["response"]) for r in obj.get("rules", [])],
+            rules=[MockRule.from_obj(r) for r in obj.get("rules", [])],
             default_response=obj.get("default_response", ""),
             fail_first=int(obj.get("fail_first", 0)),
             auth_fail=bool(obj.get("auth_fail", False)),
@@ -321,10 +380,10 @@ class MockBackend(CompletionBackend):
         )
 
     def _respond(self, prompt: str) -> str:
-        for pattern, response in self._rules:
+        for pattern, expand in self._rules:
             match = pattern.search(prompt)
             if match:
-                return match.expand(response)
+                return expand(match)
         return self._default_response
 
     def complete(self, prompt, *, temperature, stop, max_tokens):
@@ -724,8 +783,14 @@ class LedgerLine:
 
     @staticmethod
     def from_obj(obj: Mapping, offset: int, length: int) -> "LedgerLine":
-        key = JobKey.from_obj(obj["key"])
-        return LedgerLine(key, obj["finish"], len(obj["text"]), obj["attempts"], offset, length)
+        return LedgerLine(
+            JobKey.from_obj(obj["key"]),
+            typed_field(obj, "finish"),
+            len(typed_field(obj, "text")),
+            typed_field(obj, "attempts", int),
+            offset,
+            length,
+        )
 
 
 def load_checkpoint(

@@ -403,7 +403,8 @@ def stage_rephrase(cfg: PipelineConfig, *, on_result=None) -> dict:
     uninterrupted one.  Memory thus holds one shard's index and ledger
     lines, plus those of the ledger's not yet replayed results on a
     resume.  The two files are renamed into place after the last shard,
-    so a stopped run never leaves a partial ``completions.jsonl``.
+    so a stopped run never leaves a partial ``completions.jsonl``; a
+    stage that raises deletes them and leaves earlier outputs as they were.
 
     ``throughput.json`` reports, over the jobs issued in this run (not
     the replayed ones), ``busy_s``, the time spent in requests summed
@@ -474,6 +475,10 @@ def stage_rephrase(cfg: PipelineConfig, *, on_result=None) -> dict:
             # One shard's index at a time: each is freed when its call returns.
             for path in shard_paths:
                 rephrase_shard(path)
+    except BaseException:
+        done_tmp.unlink(missing_ok=True)
+        failed_tmp.unlink(missing_ok=True)
+        raise
     finally:
         backend.close()
     done_tmp.replace(out_dir / "completions.jsonl")

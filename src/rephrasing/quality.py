@@ -123,7 +123,8 @@ def render_scoring_prompt(
     options: Sequence[str] = (OPTION_AFFIRMATIVE, OPTION_NEGATIVE),
 ) -> str:
     template = template or load_builtin("ask_llm")
-    return template.body.replace("{document}", doc_text).replace("{options}", "\n".join(options))
+    # Options first, so a document holding "{options}" is scored as written.
+    return template.body.replace("{options}", "\n".join(options)).replace("{document}", doc_text)
 
 
 def askllm_score(

@@ -13,7 +13,7 @@ import re
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .corpus import Document
+from .corpus import CorpusError, Document, typed_field
 from .tokens import TokenEstimator
 
 MAX_PASSAGE_TOKENS = 350.0
@@ -67,18 +67,23 @@ class Passage:
 
     @staticmethod
     def from_obj(obj: Mapping) -> "Passage":
-        """Parse one passages-shard record; a missing field raises KeyError.
+        """Parse one passages-shard record; a missing field raises KeyError,
+        and a field of the wrong JSON type ``CorpusError``.
 
         ``lang`` has no default: guessing it would pick a template for
         the wrong language without a trace.
         """
+        flags = typed_field(obj, "split_flags", list, default=[])
+        for flag in flags:
+            if not isinstance(flag, str):
+                raise CorpusError(f"split flag {flag!r} is not a string")
         return Passage(
-            doc_id=str(obj["doc_id"]),
-            index=int(obj["index"]),
-            text=str(obj["text"]),
-            est_tokens=float(obj["est_tokens"]),
-            split_flags=frozenset(obj.get("split_flags", [])),
-            lang=str(obj["lang"]),
+            doc_id=typed_field(obj, "doc_id"),
+            index=typed_field(obj, "index", int),
+            text=typed_field(obj, "text"),
+            est_tokens=float(typed_field(obj, "est_tokens", (int, float))),
+            split_flags=frozenset(flags),
+            lang=typed_field(obj, "lang"),
         )
 
 

@@ -112,6 +112,25 @@ class TestExitCodes:
         assert f"{where}: expected one of" in capsys.readouterr().err
         assert not (tmp_path / "work").exists()
 
+    @pytest.mark.parametrize(
+        "rule, message",
+        [
+            ({"pattern": "(?s)(a)", "response": "\\2"}, "invalid group reference 2"),
+            ({"pattern": "(?s)(a)", "response": "\\g<name>"}, "unknown group name 'name'"),
+            ({"pattern": "(?s)(unclosed", "response": "x"}, "missing ), unterminated subpattern"),
+            ({"pattern": "(a)"}, "no 'response' key"),
+            ({"response": "x"}, "no 'pattern' key"),
+        ],
+        ids=["group_number", "group_name", "pattern", "no_response", "no_pattern"],
+    )
+    def test_bad_mock_rule_exits_1_before_any_work(self, tmp_path, capsys, rule, message):
+        rules = [{"pattern": "b", "response": "c"}, rule]
+        path = write_fixture_config(tmp_path, make_docs(5, seed=4), mock_rules=rules)
+        assert run(["run-all", "-c", path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: backend.mock.rules[1]: ") and message in err
+        assert not (tmp_path / "work").exists()
+
     def test_logprob_failure_in_logprob_run_exits_3(self, tmp_path, capsys, monkeypatch):
         make = pipeline.make_backend
         calls = []
@@ -259,6 +278,39 @@ class TestRecordFilesReadOneWay:
         assert f"{Path(name).name}: 1 bad line(s); first at line {index + 1}: " in err
         assert _snapshot(work / output) == before
 
+    @pytest.mark.parametrize(
+        "name, field, value, command, output",
+        [
+            ("passages/passages-00000.jsonl", "doc_id", 7, "rephrase", "rephrase"),
+            ("passages/passages-00000.jsonl", "index", "0", "rephrase", "rephrase"),
+            ("passages/passages-00000.jsonl", "index", True, "rephrase", "rephrase"),
+            ("passages/passages-00000.jsonl", "text", ["a"], "rephrase", "rephrase"),
+            ("rephrase/completions.jsonl", "attempts", "1", "postprocess", "rephrased"),
+            ("rephrase/completions.jsonl", "key", ["doc-000001", 0.0, "qa_opt_en"], "postprocess",
+             "rephrased"),
+        ],
+        ids=["doc_id_int", "index_str", "index_bool", "text_list", "attempts_str", "key_index_float"],
+    )
+    def test_field_of_wrong_json_type_exits_2(
+        self, tmp_path, capsys, name, field, value, command, output
+    ):
+        path = write_fixture_config(tmp_path, make_docs(12, seed=5))
+        for stage in ("preprocess", "rephrase", "postprocess"):
+            assert run([stage, "-c", path]) == 0
+        work = tmp_path / "work"
+        before = _snapshot(work / output)
+        lines = (work / name).read_bytes().splitlines(keepends=True)
+        obj = json.loads(lines[0])
+        obj[field] = value
+        lines[0] = json.dumps(obj).encode("utf-8") + b"\n"
+        (work / name).write_bytes(b"".join(lines))
+        capsys.readouterr()
+        assert run([command, "-c", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ")
+        assert f"{Path(name).name}: 1 bad line(s); first at line 1: field {field!r} is " in err
+        assert _snapshot(work / output) == before
+
     def test_score_file_not_utf8_exits_2(self, tmp_path, capsys):
         docs = make_docs(12, seed=5)
         scores, scorer = _external_scores(tmp_path, docs)
@@ -311,6 +363,27 @@ class TestBadLedgerRecord:
         capsys.readouterr()
         assert run(["rephrase", "-c", path]) == 2
         assert f"checkpoint.jsonl: line {lineno}: " in capsys.readouterr().err
+        assert ledger.read_bytes() == before
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("key", ["doc-000001", "0", "qa_opt_en"]), ("attempts", True), ("text", None)],
+        ids=["key_index_str", "attempts_bool", "text_null"],
+    )
+    def test_rephrase_refuses_a_field_of_wrong_json_type(self, tmp_path, capsys, field, value):
+        path = write_fixture_config(tmp_path, make_docs(6, seed=5))
+        for stage in ("preprocess", "rephrase"):
+            assert run([stage, "-c", path]) == 0
+        ledger = tmp_path / "work" / "rephrase" / "checkpoint.jsonl"
+        lines = ledger.read_bytes().splitlines(keepends=True)
+        record = json.loads(lines[1])
+        record[field] = value
+        ledger.write_bytes(ledger.read_bytes() + json.dumps(record).encode("utf-8") + b"\n")
+        before = ledger.read_bytes()
+        capsys.readouterr()
+        assert run(["rephrase", "-c", path]) == 2
+        err = capsys.readouterr().err
+        assert f"checkpoint.jsonl: line {len(lines) + 1}: " in err and f"field {field!r} is " in err
         assert ledger.read_bytes() == before
 
     @pytest.mark.parametrize("score", [b"2.0", b'"x"'], ids=["out_of_range", "not_a_number"])

@@ -92,6 +92,7 @@ def test_postprocess_regime_refused_as_unknown(tmp_path):
             "custom_templates[0].stop",
             {"custom_templates": [{"id": "c1", "file": "c.txt", "stop": "STOP"}]},
         ),
+        ("backend.mock.model_id", {"backend": {"kind": "mock", "mock": {"model_id": 7}}}),
     ],
 )
 def test_mistyped_value_refused(tmp_path, capsys, where, extra):

@@ -3,6 +3,7 @@ from __future__ import annotations
 import gc
 import json
 import math
+import re
 import signal
 import sys
 import threading
@@ -11,6 +12,7 @@ import weakref
 
 import pytest
 
+from rephrasing import inference
 from rephrasing.config import PipelineConfig
 from rephrasing.corpus import CorpusError
 from rephrasing.inference import (
@@ -107,6 +109,53 @@ class TestMockBackend:
         )
         assert backend.complete("special case", temperature=0, stop=("</s>",), max_tokens=9).text == "A</s>"
         assert backend.complete("other", temperature=0, stop=("</s>",), max_tokens=9).text == "B</s>"
+
+    # (pattern, response, prompt): the rules of tests/conftest.py and
+    # demos/03, and each kind of template reference.
+    EXPANSIONS = [
+        (
+            r"(?s)<text>\n(.*?)\n</text>\[/INST\]",
+            "Question: What does the passage say?\nAnswer: \\1\n</text>",
+            "[INST] Rephrase.\n<text>\nA passage, über two\nlines.\n</text>[/INST]",
+        ),
+        (r"(?s)\"Answer\":\n(.*?)\[/INST\]", "Paraphrase: \\1</s>", '"Answer":\nsome text[/INST]'),
+        (r"passage (\d+)", r"rephrased \1</text>", "passage 17 of 20"),
+        (r"(\w+) (\w+)", r"\g<2> \g<1>", "hello world"),
+        (r"(?P<word>\w+)!", r"<\g<word>>", "well, hi!"),
+        (r"\d+", r"[\g<0>]", "abc 123 def"),
+        (r"(x)(y)?", r"\1|\2|\n|\t|\\", "xz"),
+        (r"(a)", "no reference at all", "cat"),
+    ]
+    EXPANSION_IDS = [
+        "conftest_tagged", "conftest_legacy", "demo_03", "g_number", "g_name", "g_0",
+        "escapes_and_unmatched_group", "no_reference",
+    ]
+
+    @pytest.mark.parametrize("kept_parse", [True, False], ids=["kept_parse", "fallback"])
+    @pytest.mark.parametrize("pattern, response, prompt", EXPANSIONS, ids=EXPANSION_IDS)
+    def test_response_is_what_match_expand_gives(
+        self, pattern, response, prompt, kept_parse, monkeypatch
+    ):
+        if not kept_parse:
+            monkeypatch.setattr(inference, "_KEPT_TEMPLATE_PARSE", None)
+        match = re.search(pattern, prompt, re.DOTALL)
+        assert match is not None
+        completion = MockBackend([MockRule(pattern, response)]).complete(
+            prompt, temperature=0.0, stop=(), max_tokens=100
+        )
+        assert completion.text == match.expand(response)
+
+    @pytest.mark.parametrize("kept_parse", [True, False], ids=["kept_parse", "fallback"])
+    @pytest.mark.parametrize(
+        "response, error",
+        [(r"x \2", re.error), (r"x \g<name>", IndexError)],
+        ids=["group_number", "group_name"],
+    )
+    def test_missing_group_raises_when_built(self, response, error, kept_parse, monkeypatch):
+        if not kept_parse:
+            monkeypatch.setattr(inference, "_KEPT_TEMPLATE_PARSE", None)
+        with pytest.raises(error):
+            MockBackend([MockRule("(a)", "fine"), MockRule("(b)", response)])
 
     def test_logprob_rules_and_default_hash(self):
         backend = MockBackend(logprob_rules=[("good", 0.0, -5.0)])

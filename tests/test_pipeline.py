@@ -492,6 +492,31 @@ class TestRephraseLedger:
         with pytest.raises(StageError, match="checkpoint.jsonl holds .* where .* was recorded"):
             stage_rephrase(cfg)
 
+    @pytest.mark.parametrize("ending", ["on_result_raises", "bad_second_line"])
+    def test_raising_run_removes_its_temporary_outputs(self, tmp_path, ending):
+        cfg = self.cfg_for(tmp_path, "work")
+        stage_preprocess(cfg)
+        stage_rephrase(cfg)
+        outputs = rephrase_outputs(cfg)
+        out_dir = cfg.work_dir / "rephrase"
+        (out_dir / "checkpoint.jsonl").unlink()  # so the next run issues its jobs again
+
+        def stop(result):
+            raise _Stop
+
+        if ending == "on_result_raises":
+            with pytest.raises(_Stop):
+                stage_rephrase(cfg, on_result=stop)
+        else:
+            shard = cfg.work_dir / "passages" / "passages-00000.jsonl"
+            lines = shard.read_bytes().splitlines(keepends=True)
+            lines[1] = b"{}\n"
+            shard.write_bytes(b"".join(lines))
+            with pytest.raises(CorpusError, match="first at line 2"):
+                stage_rephrase(cfg)
+        assert sorted(p.name for p in out_dir.iterdir() if p.name.endswith(".tmp")) == []
+        assert rephrase_outputs(cfg) == outputs
+
     @pytest.mark.parametrize("ending", ["finished", "stopped", "bad_second_shard"])
     def test_files_closed_on_every_path(self, tmp_path, ending):
         cfg = self.cfg_for(tmp_path, "work")

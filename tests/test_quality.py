@@ -160,6 +160,12 @@ class TestAskLlmScore:
         assert "yes\nno" in prompt
         assert prompt.endswith("Choice:")
 
+    def test_document_holding_placeholders_is_scored_as_written(self):
+        text = "keep {options} and {document} as they are"
+        prompt = render_scoring_prompt(text)
+        assert f"###DOCUMENT_START###\n{text}\n###DOCUMENT_END###" in prompt
+        assert prompt.count("yes\nno") == 1
+
 
 class TestThresholdFilter:
     DOCS = [
