@@ -22,17 +22,18 @@ import types
 import typing
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping
+from typing import Literal, Mapping
 
 import yaml
 
 from .corpus import DEFAULT_LANGUAGES
-from .inference import BackendConfig, MockRule, parse_endpoint
+from .inference import BackendConfig, MockSettings, parse_endpoint
 from .mixing import UNIT_DOCUMENTS, UNIT_TOKENS
 from .prompts import (
-    EOS_BY_FRAMING,
     LEGACY,
     MISTRAL_INST,
+    QWEN2_CHATML,
+    RAW,
     TAGGED,
     PromptError,
     PromptTemplate,
@@ -60,30 +61,24 @@ class EstimatorSettings:
 
 @dataclass(frozen=True)
 class CustomTemplateSettings:
-    template_id: str
+    id: str
     file: Path
     language: str = "en"
-    framing: str = MISTRAL_INST
-    extraction: str = TAGGED
+    framing: Literal[MISTRAL_INST, QWEN2_CHATML, RAW] = MISTRAL_INST
+    extraction: Literal[LEGACY, TAGGED] = TAGGED
     completion_prefix: str = ""
     # None derives the stop list from framing and extraction mode.
     stop: tuple[str, ...] | None = None
 
     def load(self) -> PromptTemplate:
-        if self.framing not in EOS_BY_FRAMING:
-            raise ConfigError(f"custom template {self.template_id!r}: unknown framing {self.framing!r}")
-        if self.extraction not in (LEGACY, TAGGED):
-            raise ConfigError(
-                f"custom template {self.template_id!r}: unknown extraction {self.extraction!r}"
-            )
         try:
             body = self.file.read_bytes().decode("utf-8")
         except OSError as exc:
             raise ConfigError(
-                f"custom template {self.template_id!r}: cannot read {self.file}: {exc.strerror}"
+                f"custom template {self.id!r}: cannot read {self.file}: {exc.strerror}"
             ) from exc
         return PromptTemplate(
-            template_id=self.template_id,
+            template_id=self.id,
             language=self.language,
             framing=self.framing,
             extraction=self.extraction,
@@ -100,7 +95,7 @@ class PostprocessSettings:
 
 @dataclass(frozen=True)
 class FilterSettings:
-    scorer: str = "ask_llm"
+    scorer: Literal[SCORER_ASK_LLM, SCORER_EXTERNAL] = SCORER_ASK_LLM
     threshold: float = 0.6
     external_scores: Path | None = None
 
@@ -115,7 +110,7 @@ class MixSourceSettings:
 @dataclass(frozen=True)
 class MixSettings:
     sources: tuple[MixSourceSettings, ...] = ()
-    unit: str = "tokens"
+    unit: Literal[UNIT_TOKENS, UNIT_DOCUMENTS] = UNIT_TOKENS
     target: float | None = None
     # None uses the pipeline seed.
     seed: int | None = None
@@ -138,8 +133,10 @@ class PipelineConfig:
     template_by_lang: tuple[tuple[str, str], ...] = ()
     custom_templates: tuple[CustomTemplateSettings, ...] = ()
     temperature: float = 0.7
-    backend_kind: str = "mock"
+    backend_kind: Literal["mock", "http"] = "mock"
     backend: BackendConfig = BackendConfig()
+    mock: MockSettings = MockSettings()
+    # backend.mock as written, which the fingerprint hashes.
     mock_backend: Mapping = field(default_factory=dict)
     postprocess: PostprocessSettings = PostprocessSettings()
     filter: FilterSettings = FilterSettings()
@@ -186,12 +183,6 @@ class PipelineConfig:
                 )
         if self.shard_size < 1:
             raise ConfigError(f"shard_size must be at least 1, got {self.shard_size}")
-        choices = [("filter.scorer", self.filter.scorer, (SCORER_ASK_LLM, SCORER_EXTERNAL))]
-        if self.mix is not None:
-            choices.append(("mix.unit", self.mix.unit, (UNIT_TOKENS, UNIT_DOCUMENTS)))
-        for key, value, allowed in choices:
-            if value not in allowed:
-                raise ConfigError(f"{key}: expected one of {list(allowed)}, got {value!r}")
         if self.estimator.sample_size < 1:
             raise ConfigError(
                 f"estimator.sample_size: must be at least 1, got {self.estimator.sample_size}"
@@ -201,22 +192,8 @@ class PipelineConfig:
         for i, source in enumerate(self.mix.sources if self.mix else ()):
             if source.weight <= 0:
                 raise ConfigError(f"mix.sources[{i}].weight: must be above 0, got {source.weight}")
-        if self.backend_kind not in ("mock", "http"):
-            raise ConfigError(f"unknown backend kind {self.backend_kind!r}")
         if self.backend_kind == "http" and not self.backend.endpoint:
             raise ConfigError("http backend requires an endpoint address")
-        if self.backend_kind == "mock":
-            # Every completion record carries it, and their readers take only a string.
-            model_id = self.mock_backend.get("model_id", "mock")
-            if not isinstance(model_id, str):
-                raise ConfigError(f"backend.mock.model_id: expected a string, got {model_id!r}")
-            for i, rule in enumerate(self.mock_backend.get("rules", [])):
-                try:
-                    MockRule.from_obj(rule).compile()
-                except KeyError as exc:
-                    raise ConfigError(f"backend.mock.rules[{i}]: no {exc} key") from exc
-                except (LookupError, TypeError, re.error) as exc:
-                    raise ConfigError(f"backend.mock.rules[{i}]: {exc}") from exc
         for key, url in (
             ("backend.endpoint", self.backend.endpoint),
             ("estimator.exact_endpoint", self.estimator.exact_endpoint),
@@ -231,7 +208,7 @@ class PipelineConfig:
         """Stable hash over every output-determining setting."""
         custom = [
             {
-                "id": t.template_id,
+                "id": t.id,
                 "checksum": hashlib.sha256(t.file.read_bytes()).hexdigest(),
                 "language": t.language,
                 "framing": t.framing,
@@ -326,34 +303,47 @@ def _field_types(cls: type) -> dict[str, object]:
 
 
 def _convert(tp, value, where: str, base_dir: Path):
-    """One YAML value as the field's type; a value of another type is refused."""
+    """One YAML value as the field's type; a value of another type is refused.
+
+    A dataclass is a section, named by its own key (``mix``, not
+    ``config.mix``), and a tuple is a list of its item type.
+    """
     if isinstance(tp, types.UnionType):  # X | None
         if value is None:
             return None
         (tp,) = (arg for arg in typing.get_args(tp) if arg is not type(None))
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if dataclasses.is_dataclass(tp):
+        return _section(tp, value, where.removeprefix("config."), base_dir)
+    if origin is Literal:
+        if value in args:
+            return value
+        raise ConfigError(f"{where}: expected one of {list(args)}, got {value!r}")
+    if origin is tuple:
+        if type(value) is not list:
+            raise ConfigError(f"{where}: expected a list, got {value!r}")
+        return tuple(_convert(args[0], v, f"{where}[{i}]", base_dir) for i, v in enumerate(value))
     if tp is float and type(value) in (int, float):
         return float(value)
     if tp in (int, bool, str) and type(value) is tp:
         return value
     if tp is Path and type(value) is str and value:
         return base_dir / value
-    if tp == tuple[str, ...] and type(value) is list and all(type(v) is str for v in value):
-        return tuple(value)
-    expected = "a list of strings" if tp == tuple[str, ...] else tp.__name__
-    raise ConfigError(f"{where}: expected {expected}, got {value!r}")
+    raise ConfigError(f"{where}: expected {tp.__name__}, got {value!r}")
 
 
 def _section(cls, mapping, name: str, base_dir: Path, **fixed):
     """Build dataclass ``cls`` from one config section.
 
     Every field not in ``fixed`` is a key the section may set; absent
-    keys keep the field's default.  ``fixed`` holds the fields the caller
-    builds itself.
+    keys keep the field's default, and a field without one must be set.
+    ``fixed`` holds the fields the caller builds itself.  An error the
+    dataclass raises itself is named by the section.
     """
     if not isinstance(mapping, Mapping):
         raise ConfigError(f"{name}: expected a mapping, got {mapping!r}")
     hints = _field_types(cls)
-    settable = [f for f in dataclasses.fields(cls) if f.name not in fixed]
+    settable = [f for f in dataclasses.fields(cls) if f.init and f.name not in fixed]
     unknown = set(mapping) - {f.name for f in settable}
     if unknown:
         raise ConfigError(f"unknown key(s) in {name}: {sorted(unknown)}")
@@ -363,53 +353,33 @@ def _section(cls, mapping, name: str, base_dir: Path, **fixed):
             values[f.name] = _convert(hints[f.name], mapping[f.name], f"{name}.{f.name}", base_dir)
         elif isinstance(f.default, Path):
             values[f.name] = base_dir / f.default
-    return cls(**values, **fixed)
+        elif f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING:
+            raise ConfigError(f"{name}: no {f.name!r} key")
+    try:
+        return cls(**values, **fixed)
+    except (ValueError, LookupError, re.error) as exc:
+        raise ConfigError(f"{name}: {exc}") from exc
 
 
 def config_from_obj(obj: Mapping, base_dir: Path) -> PipelineConfig:
-    top = dict(obj)
-    split = _section(SplitConfig, top.pop("split", {}), "split", base_dir)
-    estimator = _section(EstimatorSettings, top.pop("estimator", {}), "estimator", base_dir)
-    postprocess = _section(PostprocessSettings, top.pop("postprocess", {}), "postprocess", base_dir)
-    filter_settings = _section(FilterSettings, top.pop("filter", {}), "filter", base_dir)
+    # An empty or null mix or custom_templates means none.
+    top = {k: v for k, v in obj.items() if v or k not in ("mix", "custom_templates")}
+    backend = top.get("backend", {})
+    if not isinstance(backend, Mapping):
+        raise ConfigError(f"backend: expected a mapping, got {backend!r}")
+    # kind and mock are settings of their own next to the BackendConfig.
+    top["backend"] = {k: v for k, v in backend.items() if k not in ("kind", "mock")}
+    kind_type = _field_types(PipelineConfig)["backend_kind"]
+    kind = _convert(kind_type, backend.get("kind", PipelineConfig.backend_kind), "backend.kind", base_dir)
+    mock = backend.get("mock", {})
 
-    backend_obj = dict(top.pop("backend", {}))
-    backend_kind = backend_obj.pop("kind", PipelineConfig.backend_kind)
-    mock_backend = dict(backend_obj.pop("mock", {}))
-    backend = _section(BackendConfig, backend_obj, "backend", base_dir)
-
-    customs = tuple(
-        _section(
-            CustomTemplateSettings,
-            {key: value for key, value in dict(entry).items() if key != "id"},
-            f"custom_templates[{i}]",
-            base_dir,
-            template_id=str(entry["id"]),
+    template = top.pop("template", PipelineConfig.template_id)
+    by_lang = template if isinstance(template, Mapping) else {}
+    if not all(type(s) is str for s in ([*by_lang, *by_lang.values()] if by_lang else [template])):
+        raise ConfigError(
+            f"template: expected a template id or a mapping of languages to template ids, "
+            f"got {template!r}"
         )
-        for i, entry in enumerate(top.pop("custom_templates", None) or [])
-    )
-
-    mix = None
-    mix_obj = top.pop("mix", None)
-    if mix_obj:
-        mix_obj = dict(mix_obj)
-        sources = tuple(
-            _section(MixSourceSettings, s, f"mix.sources[{i}]", base_dir)
-            for i, s in enumerate(mix_obj.pop("sources", []))
-        )
-        mix = _section(MixSettings, mix_obj, "mix", base_dir, sources=sources)
-
-    template_selection = top.pop("template", PipelineConfig.template_id)
-    if isinstance(template_selection, Mapping):
-        template_id = ""
-        template_by_lang = tuple(
-            (str(lang), str(tid)) for lang, tid in sorted(template_selection.items())
-        )
-        if not template_by_lang:
-            raise ConfigError("template mapping must select at least one language")
-    else:
-        template_id = str(template_selection)
-        template_by_lang = ()
 
     return _section(
         PipelineConfig,
@@ -417,15 +387,9 @@ def config_from_obj(obj: Mapping, base_dir: Path) -> PipelineConfig:
         "config",
         base_dir,
         config_dir=base_dir,
-        split=split,
-        estimator=estimator,
-        template_id=template_id,
-        template_by_lang=template_by_lang,
-        custom_templates=customs,
-        backend_kind=backend_kind,
-        backend=backend,
-        mock_backend=mock_backend,
-        postprocess=postprocess,
-        filter=filter_settings,
-        mix=mix,
+        template_id="" if by_lang else template,
+        template_by_lang=tuple(sorted(by_lang.items())),
+        backend_kind=kind,
+        mock=_section(MockSettings, mock, "backend.mock", base_dir),
+        mock_backend=mock,
     )

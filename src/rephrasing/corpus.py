@@ -103,16 +103,23 @@ def doc_to_json(doc: Document) -> str:
     )
 
 
-_KIND_NAMES = {str: "a string", int: "an integer", list: "a list", (int, float): "a number"}
+_KIND_NAMES = {
+    str: "a string",
+    int: "an integer",
+    bool: "a boolean",
+    list: "a list",
+    dict: "an object",
+    (int, float): "a number",
+}
 _REQUIRED = object()
 
 
 def typed_field(obj, key, kind=str, default=_REQUIRED):
     """``obj[key]`` (or ``obj.get(key, default)``), refused unless it is a
     ``kind`` from ``_KIND_NAMES``: a record field is never converted, and
-    a bool is neither an integer nor a number."""
+    a bool is neither an integer nor a number, but the only boolean."""
     value = obj[key] if default is _REQUIRED else obj.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, kind):
+    if not isinstance(value, kind) or isinstance(value, bool) and kind is not bool:
         raise CorpusError(f"field {key!r} is {type(value).__name__}, not {_KIND_NAMES[kind]}")
     return value
 
@@ -240,10 +247,10 @@ class ShardEntry:
     @staticmethod
     def from_obj(obj: Mapping) -> "ShardEntry":
         return ShardEntry(
-            path=str(obj["path"]),
-            docs=int(obj["docs"]),
-            chars=int(obj["chars"]),
-            est_tokens=float(obj["est_tokens"]),
+            path=typed_field(obj, "path"),
+            docs=typed_field(obj, "docs", int),
+            chars=typed_field(obj, "chars", int),
+            est_tokens=float(typed_field(obj, "est_tokens", (int, float))),
         )
 
 
@@ -315,11 +322,11 @@ class ShardManifest:
         try:
             obj = json.loads(Path(path).read_text(encoding="utf-8"))
             manifest = ShardManifest(
-                stage=str(obj["stage"]),
-                fingerprint=str(obj["fingerprint"]),
-                shards=[ShardEntry.from_obj(s) for s in obj.get("shards", [])],
+                stage=typed_field(obj, "stage"),
+                fingerprint=typed_field(obj, "fingerprint"),
+                shards=[ShardEntry.from_obj(s) for s in typed_field(obj, "shards", list, default=[])],
             )
-            total = int(obj.get("total_docs", manifest.total_docs))
+            total = typed_field(obj, "total_docs", int, default=manifest.total_docs)
         except BAD_RECORD as exc:
             raise CorpusError(f"manifest {path} is not readable: {exc!r}") from exc
         if total != manifest.total_docs:

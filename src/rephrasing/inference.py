@@ -35,7 +35,7 @@ import ssl
 import threading
 import time
 import urllib.parse
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Hashable, Iterable, Mapping, Sequence, Sized, TypeVar
 
@@ -314,18 +314,49 @@ def _template_expander(pattern: re.Pattern, response: str) -> Callable[[re.Match
 
 @dataclass(frozen=True)
 class MockRule:
+    """A prompt regex and its response template, both parsed when the
+    rule is made, so a bad rule raises then, as ``re.compile`` and
+    ``_template_expander`` do."""
+
     pattern: str
     response: str
+    compiled: tuple[re.Pattern, Callable[[re.Match], str]] = field(
+        init=False, repr=False, compare=False
+    )
 
-    @staticmethod
-    def from_obj(obj: Mapping) -> "MockRule":
-        return MockRule(obj["pattern"], obj["response"])
-
-    def compile(self) -> tuple[re.Pattern, Callable[[re.Match], str]]:
-        """The rule's regex and its response's expander; raises as
-        ``re.compile`` and ``_template_expander`` do."""
+    def __post_init__(self) -> None:
         pattern = re.compile(self.pattern, re.DOTALL)
-        return pattern, _template_expander(pattern, self.response)
+        object.__setattr__(self, "compiled", (pattern, _template_expander(pattern, self.response)))
+
+
+@dataclass(frozen=True)
+class MockLogprobRule:
+    """The two options' log-probabilities for prompts ``pattern``
+    matches; it unpacks as the ``(pattern, yes, no)`` triple
+    ``MockBackend`` takes."""
+
+    pattern: str
+    yes: float
+    no: float
+
+    def __post_init__(self) -> None:
+        re.compile(self.pattern, re.DOTALL)  # a bad pattern raises when the rule is made
+
+    def __iter__(self):
+        return iter((self.pattern, self.yes, self.no))
+
+
+@dataclass(frozen=True)
+class MockSettings:
+    """The config's ``backend.mock`` section: ``MockBackend``'s settings,
+    ``latency_s`` aside."""
+
+    rules: tuple[MockRule, ...] = ()
+    default_response: str = ""
+    fail_first: int = 0
+    auth_fail: bool = False
+    model_id: str = "mock"
+    logprob_rules: tuple[MockLogprobRule, ...] = ()
 
 
 class MockBackend(CompletionBackend):
@@ -333,8 +364,8 @@ class MockBackend(CompletionBackend):
 
     ``rules`` map prompt regexes to response templates; the first match
     wins and the template, in ``Match.expand`` syntax, may reference
-    capture groups (``\\1`` style).  Each template is parsed once, here,
-    so a bad rule raises when the backend is built.
+    capture groups (``\\1`` style).  Each template is parsed once, when
+    its ``MockRule`` is made, so a bad rule raises then.
     Responses containing a stop sequence are cut after its first
     occurrence with the stop string included, mirroring a vLLM server
     configured with ``include_stop_str_in_output``.  ``fail_first`` makes
@@ -352,7 +383,7 @@ class MockBackend(CompletionBackend):
         logprob_rules: Iterable[tuple[str, float, float]] = (),
         latency_s: float = 0.0,
     ):
-        self._rules = [rule.compile() for rule in rules]
+        self._rules = [rule.compiled for rule in rules]
         self._default_response = default_response
         self._fail_first = fail_first
         self._auth_fail = auth_fail
@@ -364,20 +395,6 @@ class MockBackend(CompletionBackend):
         self._attempts: dict[str, int] = {}
         self._lock = threading.Lock()
         self.calls = 0
-
-    @staticmethod
-    def from_config(obj: Mapping) -> "MockBackend":
-        return MockBackend(
-            rules=[MockRule.from_obj(r) for r in obj.get("rules", [])],
-            default_response=obj.get("default_response", ""),
-            fail_first=int(obj.get("fail_first", 0)),
-            auth_fail=bool(obj.get("auth_fail", False)),
-            model_id=obj.get("model_id", "mock"),
-            logprob_rules=[
-                (r["pattern"], float(r["yes"]), float(r["no"]))
-                for r in obj.get("logprob_rules", [])
-            ],
-        )
 
     def _respond(self, prompt: str) -> str:
         for pattern, expand in self._rules:
@@ -1144,15 +1161,23 @@ def run_batch(
     """
     order = (plan or schedule(jobs)).order if jobs else ()
     todo = [jobs[i] for i in order]
-    results = None if checkpoint is not None else {}
 
     def record(result: RephraseResult) -> None:
-        if results is None:
+        if checkpoint is not None:
             checkpoint.append(result)
-        else:
-            results[result.key] = result
         if on_result is not None:
             on_result(result)
 
-    pull_map(lambda job: _run_one(job, backend, cfg), todo, cfg.max_in_flight, record, keep=False)
-    return None if results is None else [results[job.key] for job in jobs]
+    kept = pull_map(
+        lambda job: _run_one(job, backend, cfg),
+        todo,
+        cfg.max_in_flight,
+        record,
+        keep=checkpoint is None,
+    )
+    if kept is None:
+        return None
+    results = [None] * len(jobs)
+    for i, result in zip(order, kept):
+        results[i] = result
+    return results

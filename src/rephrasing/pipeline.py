@@ -220,7 +220,7 @@ def load_estimator(cfg: PipelineConfig) -> TokenEstimator:
 
 def make_backend(cfg: PipelineConfig) -> CompletionBackend:
     if cfg.backend_kind == "mock":
-        return MockBackend.from_config(cfg.mock_backend)
+        return MockBackend(**vars(cfg.mock))
     return HttpBackend(cfg.backend)
 
 

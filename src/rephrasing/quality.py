@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .corpus import CorpusError, Document, ShardReader
+from .corpus import CorpusError, Document, ShardReader, typed_field
 from .inference import (
     AuthError,
     BackendConfig,
@@ -87,9 +87,10 @@ class ScoredDocument:
 
     @staticmethod
     def from_obj(obj: Mapping) -> "ScoredDocument":
-        scorer = sys.intern(str(obj["scorer"]))
+        scorer = sys.intern(typed_field(obj, "scorer"))
+        score = float(typed_field(obj, "score", (int, float)))
         try:
-            return ScoredDocument(str(obj["doc_id"]), float(obj["score"]), scorer)
+            return ScoredDocument(typed_field(obj, "doc_id"), score, scorer)
         except QualityError as exc:  # a recorded score out of its range
             raise CorpusError(str(exc)) from exc
 

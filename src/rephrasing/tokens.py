@@ -97,12 +97,16 @@ class TokenEstimator:
 
     @staticmethod
     def from_obj(obj: Mapping) -> "TokenEstimator":
+        from .corpus import typed_field  # corpus imports this module
+
+        number = (int, float)
+        per_language = typed_field(obj, "per_language", dict, default={})
         return TokenEstimator(
-            tokens_per_char=float(obj["tokens_per_char"]),
-            per_language={k: float(v) for k, v in obj.get("per_language", {}).items()},
-            sample_size=int(obj.get("sample_size", 0)),
-            seed=int(obj.get("seed", 0)),
-            calibrated=bool(obj.get("calibrated", False)),
+            tokens_per_char=float(typed_field(obj, "tokens_per_char", number)),
+            per_language={k: float(typed_field(per_language, k, number)) for k in per_language},
+            sample_size=typed_field(obj, "sample_size", int, default=0),
+            seed=typed_field(obj, "seed", int, default=0),
+            calibrated=typed_field(obj, "calibrated", bool, default=False),
         )
 
     def save(self, path: Path | str) -> None:
@@ -110,7 +114,13 @@ class TokenEstimator:
 
     @staticmethod
     def load(path: Path | str) -> "TokenEstimator":
-        return TokenEstimator.from_obj(json.loads(Path(path).read_text(encoding="utf-8")))
+        """Read a saved estimator; a file that is not one is a ``CorpusError``."""
+        from .corpus import BAD_RECORD, CorpusError  # corpus imports this module
+
+        try:
+            return TokenEstimator.from_obj(json.loads(Path(path).read_text(encoding="utf-8")))
+        except BAD_RECORD as exc:
+            raise CorpusError(f"calibration report {path} is not readable: {exc!r}") from exc
 
 
 def _reservoir_sample(docs: Iterable["Document"], k: int, seed: int) -> list["Document"]:

@@ -131,6 +131,15 @@ class TestExitCodes:
         assert err.startswith("config error: backend.mock.rules[1]: ") and message in err
         assert not (tmp_path / "work").exists()
 
+    def test_unreadable_calibration_report_exits_2(self, tmp_path, capsys):
+        path = write_fixture_config(tmp_path, make_docs(5, seed=4))
+        assert run(["preprocess", "-c", path]) == 0
+        report = tmp_path / "work" / "calibration.json"
+        report.write_text("{}", encoding="utf-8")
+        capsys.readouterr()
+        assert run(["rephrase", "-c", path]) == 2
+        assert f"calibration report {report} is not readable" in capsys.readouterr().err
+
     def test_logprob_failure_in_logprob_run_exits_3(self, tmp_path, capsys, monkeypatch):
         make = pipeline.make_backend
         calls = []
@@ -382,6 +391,26 @@ class TestBadLedgerRecord:
         before = ledger.read_bytes()
         capsys.readouterr()
         assert run(["rephrase", "-c", path]) == 2
+        err = capsys.readouterr().err
+        assert f"checkpoint.jsonl: line {len(lines) + 1}: " in err and f"field {field!r} is " in err
+        assert ledger.read_bytes() == before
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("doc_id", 7), ("score", True), ("scorer", None)],
+        ids=["doc_id_int", "score_bool", "scorer_null"],
+    )
+    def test_score_refuses_a_field_of_wrong_json_type(self, tmp_path, capsys, field, value):
+        path = write_fixture_config(tmp_path, make_docs(6, seed=5))
+        for stage in ("preprocess", "rephrase", "postprocess", "score"):
+            assert run([stage, "-c", path]) == 0
+        ledger = tmp_path / "work" / "scores" / "checkpoint.jsonl"
+        lines = ledger.read_bytes().splitlines(keepends=True)
+        record = {**json.loads(lines[1]), field: value}
+        ledger.write_bytes(ledger.read_bytes() + json.dumps(record).encode("utf-8") + b"\n")
+        before = ledger.read_bytes()
+        capsys.readouterr()
+        assert run(["score", "-c", path]) == 2
         err = capsys.readouterr().err
         assert f"checkpoint.jsonl: line {len(lines) + 1}: " in err and f"field {field!r} is " in err
         assert ledger.read_bytes() == before

@@ -93,6 +93,17 @@ def test_postprocess_regime_refused_as_unknown(tmp_path):
             {"custom_templates": [{"id": "c1", "file": "c.txt", "stop": "STOP"}]},
         ),
         ("backend.mock.model_id", {"backend": {"kind": "mock", "mock": {"model_id": 7}}}),
+        ("backend.mock.auth_fail", {"backend": {"kind": "mock", "mock": {"auth_fail": "false"}}}),
+        ("backend.mock.fail_first", {"backend": {"kind": "mock", "mock": {"fail_first": "2"}}}),
+        (
+            "backend.mock.default_response",
+            {"backend": {"kind": "mock", "mock": {"default_response": 5}}},
+        ),
+        (
+            "backend.mock.logprob_rules[0].yes",
+            {"backend": {"mock": {"logprob_rules": [{"pattern": "x", "yes": "x", "no": -1.0}]}}},
+        ),
+        ("custom_templates[0].id", {"custom_templates": [{"id": 7, "file": "c.txt"}]}),
     ],
 )
 def test_mistyped_value_refused(tmp_path, capsys, where, extra):
@@ -102,6 +113,47 @@ def test_mistyped_value_refused(tmp_path, capsys, where, extra):
         load_config(path)
     assert main(["preprocess", "-c", str(path)]) == 1
     assert where in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "message, extra",
+    [
+        (
+            "unknown key(s) in backend.mock: ['rule']",
+            {"backend": {"kind": "mock", "mock": {"rule": [{"pattern": "a", "response": "b"}]}}},
+        ),
+        (
+            "custom_templates[0].framing: expected one of ",
+            {"custom_templates": [{"id": "c1", "file": "c.txt", "framing": "bogus"}]},
+        ),
+        ("mix.sources[0]: no 'manifest' key", {"mix": {"sources": [{"name": "o"}]}}),
+        ("backend: max_in_flight must be >= 1", {"backend": {"max_in_flight": 0}}),
+        (
+            "backend.mock.logprob_rules[0]: missing ), unterminated subpattern",
+            {"backend": {"mock": {"logprob_rules": [{"pattern": "(x", "yes": 0, "no": -1}]}}},
+        ),
+    ],
+    ids=["unknown_mock_key", "framing", "no_manifest", "post_init", "logprob_pattern"],
+)
+def test_bad_list_entry_or_section_refused_before_any_work(tmp_path, capsys, message, extra):
+    (tmp_path / "c.txt").write_text("{text}", encoding="utf-8")
+    path = write_fixture_config(tmp_path, make_docs(3), extra=extra)
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        load_config(path)
+    assert main(["run-all", "-c", str(path)]) == 1
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "work").exists()
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [{"mix": {}}, {"mix": None}, {"custom_templates": None}, {"custom_templates": []}],
+    ids=["mix_empty", "mix_null", "custom_templates_null", "custom_templates_empty"],
+)
+def test_empty_optional_section_means_absent(tmp_path, extra):
+    cfg = load_config(write_fixture_config(tmp_path, make_docs(3), extra=extra))
+    assert (cfg.mix, cfg.custom_templates) == (None, ())
+    assert cfg.fingerprint() == "4d6691d1a42ffd36"
 
 
 @pytest.mark.parametrize(

@@ -130,6 +130,20 @@ class TestManifest:
         with pytest.raises(CorpusError, match="manifest says"):
             manifest.verify(tmp_path)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("docs", 2.9), ("path", 5), ("est_tokens", True), ("chars", "8")],
+        ids=["docs_float", "path_int", "est_tokens_bool", "chars_str"],
+    )
+    def test_mistyped_shard_field_refused(self, tmp_path, field, value):
+        write_corpus(make_docs(5), tmp_path, stage="input", fingerprint="fp")
+        path = tmp_path / "manifest.json"
+        obj = json.loads(path.read_text(encoding="utf-8"))
+        obj["shards"][0][field] = value
+        path.write_text(json.dumps(obj), encoding="utf-8")
+        with pytest.raises(CorpusError, match=f"manifest {re.escape(str(path))} .*'{field}'"):
+            ShardManifest.load(path)
+
     def test_empty_corpus_gets_one_empty_shard(self, tmp_path):
         manifest = write_corpus([], tmp_path, stage="input", fingerprint="fp")
         assert manifest.total_docs == 0
@@ -229,6 +243,16 @@ class TestLineDecoding:
         assert [doc.id for doc in drain(reader)] == [json.loads(lines[i])["id"] for i in (0, 2)]
         assert [error.lineno for error in reader.errors] == [2]
         assert f"field {field!r} is" in reader.errors[0].message
+
+
+def test_no_reader_converts_a_parsed_value():
+    """Record and config readers take each field as parsed, with its
+    type checked, so no module converts a subscript or ``.get(`` of a
+    parsed mapping: ``int(obj["docs"])`` would read 2.9 as 2."""
+    converts = re.compile(r"\b(str|int|float|bool)\(\w+(\[|\.get\()")
+    for path in Path(rephrasing.corpus.__file__).parent.glob("*.py"):
+        lines = path.read_text(encoding="utf-8").splitlines()
+        assert [line for line in lines if converts.search(line)] == [], path.name
 
 
 def test_only_the_reader_checks_its_errors():

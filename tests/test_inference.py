@@ -175,6 +175,12 @@ class TestRunBatch:
         assert [r.key for r in results] == [j.key for j in jobs]
         assert results[42].text == "OK 042</text>"
 
+    def test_jobs_sharing_a_key_get_their_own_results(self):
+        jobs = [make_job(1), make_job(2)]
+        jobs[1] = RephraseJob(key=jobs[0].key, prompt=jobs[1].prompt)
+        results = run_batch(jobs, MockBackend(ECHO_RULES), CFG)
+        assert [r.text for r in results] == ["OK 001</text>", "OK 002</text>"]
+
     def test_fail_first_attempt_retried(self):
         jobs = make_jobs(20)
         backend = MockBackend(ECHO_RULES, fail_first=1)

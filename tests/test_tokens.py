@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import json
 import random
+import re
 
 import pytest
 
-from rephrasing.corpus import Document
+from rephrasing.corpus import CorpusError, Document
 from rephrasing.tokens import (
     RATIO_QUANTUM,
     CalibrationError,
@@ -118,6 +120,25 @@ class TestRoundTrip:
         est = TokenEstimator(0.25, {"de": 0.5}, sample_size=9, seed=3, calibrated=True)
         est.save(tmp_path / "cal.json")
         assert TokenEstimator.load(tmp_path / "cal.json") == est
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"calibrated": "false"},
+            {"sample_size": 2.9},
+            {"tokens_per_char": True},
+            {"per_language": {"de": "0.5"}},
+            {"tokens_per_char": None},
+        ],
+        ids=["calibrated_str", "sample_size_float", "ratio_bool", "per_language_str", "ratio_null"],
+    )
+    def test_mistyped_field_refused(self, tmp_path, change):
+        path = tmp_path / "cal.json"
+        TokenEstimator(0.25, {"de": 0.5}, sample_size=9, seed=3, calibrated=True).save(path)
+        obj = {**json.loads(path.read_text(encoding="utf-8")), **change}
+        path.write_text(json.dumps(obj), encoding="utf-8")
+        with pytest.raises(CorpusError, match=f"calibration report {re.escape(str(path))} "):
+            TokenEstimator.load(path)
 
     def test_quantum_is_exactly_representable(self):
         assert RATIO_QUANTUM == 2.0**-20
