@@ -465,7 +465,7 @@ def corpus_stats(
     for doc in iter_corpus(manifest, base_dir, languages):
         docs += 1
         if exact_counter is not None:
-            tokens += int(exact_counter(doc.text))
+            tokens += exact_counter(doc.text)
         else:
             tokens += est.estimate_text(doc.text, doc.lang)
     method = METHOD_EXACT if exact_counter is not None else METHOD_ESTIMATED

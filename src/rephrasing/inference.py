@@ -799,6 +799,10 @@ class LedgerLine:
         return self.finish == FINISH_ERROR
 
     @staticmethod
+    def of(result: RephraseResult, offset: int, length: int) -> "LedgerLine":
+        return LedgerLine(result.key, result.finish, len(result.text), result.attempts, offset, length)
+
+    @staticmethod
     def from_obj(obj: Mapping, offset: int, length: int) -> "LedgerLine":
         return LedgerLine(
             JobKey.from_obj(obj["key"]),
@@ -808,6 +812,10 @@ class LedgerLine:
             offset,
             length,
         )
+
+    @staticmethod
+    def head(key: JobKey) -> bytes:
+        return b'{"key": ' + encode_json(key.to_obj()).encode("utf-8") + b", "
 
 
 def load_checkpoint(

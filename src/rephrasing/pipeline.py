@@ -20,8 +20,10 @@ Work directory layout::
 Every paid backend call lands in a ``checkpoint.jsonl`` ledger as it
 finishes; rephrase and score write it with one ``CheckpointWriter`` and
 replay it with one ``resume``, so a stopped run re-issues only the calls
-it had not recorded.  Rephrase's ledger is also its result store: its
-output files are written from it.
+it had not recorded.  The ledger is also each paid stage's result store:
+one runner, ``_run_ledgered``, writes both stages' outputs from it, one
+chunk at a time (a passages shard, or a ``shard_size`` run of the
+scored corpus), copying each line in item order.
 """
 
 from __future__ import annotations
@@ -29,13 +31,15 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import json
+import math
 import os
 import shutil
 import time
 from collections import Counter
-from contextlib import contextmanager
+from contextlib import closing, contextmanager
+from operator import attrgetter
 from pathlib import Path
-from typing import Callable, Iterator
+from typing import Callable, Hashable, Iterable, Iterator
 
 from .config import PipelineConfig
 from .corpus import (
@@ -58,6 +62,7 @@ from .corpus import (
 )
 from .inference import (
     FINISH_LENGTH,
+    BackendError,
     CheckpointMismatchError,
     CheckpointWriter,
     CompletionBackend,
@@ -95,6 +100,7 @@ from .prompts import (
 from .quality import (
     SCORER_EXTERNAL,
     ScoredDocument,
+    ScoreLine,
     ThresholdFilter,
     askllm_score,
     askllm_score_first,
@@ -195,7 +201,8 @@ def _exact_counter(cfg: PipelineConfig) -> Iterator[Callable[[str], int] | None]
 
     Yields None when no endpoint is configured.  Every count goes over
     one keep-alive client, closed on exit, and transient errors are
-    retried like every other backend request.
+    retried like every other backend request.  An answer whose
+    ``tokens`` is missing or not a JSON integer raises ``BackendError``.
     """
     if not cfg.estimator.exact_endpoint:
         yield None
@@ -203,7 +210,11 @@ def _exact_counter(cfg: PipelineConfig) -> Iterator[Callable[[str], int] | None]
     client = JsonClient(cfg.estimator.exact_endpoint, timeout_s=60.0)
 
     def count(text: str) -> int:
-        return int(with_retries(lambda: client.post({"text": text}), cfg.backend)["tokens"])
+        answer = with_retries(lambda: client.post({"text": text}), cfg.backend)
+        tokens = answer.get("tokens")
+        if type(tokens) is not int:  # a bool is no count
+            raise BackendError(f"tokenizer answered {encode_json(answer)[:60]}: no integer 'tokens'")
+        return tokens
 
     try:
         yield count
@@ -383,6 +394,61 @@ class _PassageShard:
         self.close()
 
 
+def _run_ledgered(
+    chunks: Iterable[Iterable],
+    key: Callable[[object], Hashable],
+    replay: dict,
+    checkpoint: CheckpointWriter,
+    line_type: type,
+    issue: Callable[[Iterator, Callable], None],
+) -> Iterator[tuple]:
+    """Run a paid stage's items through its ledger, and yield each item's
+    ledger line and output line, chunk by chunk, in item order.
+
+    ``replay`` holds the ledger's replayable lines by key, as ``resume``
+    loads them with ``line_type.from_obj``; each is popped when its item
+    is met.  A chunk's other items go, as they are drawn, to
+    ``issue(todo, landed)``, which must run every one, append each result
+    to ``checkpoint`` and then pass it to ``landed``, one at a time.  Once
+    ``issue`` returns, each item's line is copied from the ledger by
+    ``record_line``, replayed or issued alike, and refused unless it
+    starts as ``line_type.head`` says the line of the item's own key does.
+    Memory holds one chunk's keys and lines, and the lines not replayed yet.
+    """
+    with checkpoint.path.open("rb", buffering=0) as ledger:
+        for chunk in chunks:
+            keys: list = []
+            lines: dict = {}
+
+            def todo() -> Iterator:
+                for item in chunk:
+                    item_key = key(item)
+                    keys.append(item_key)
+                    line = replay.pop(item_key, None)
+                    if line is None:
+                        yield item
+                    else:
+                        lines[item_key] = line
+
+            def landed(result) -> None:
+                lines[result.key] = line_type.of(result, *checkpoint.position)
+
+            issue(todo(), landed)
+            for item_key in keys:
+                line = lines[item_key]
+                out = record_line(os.pread(ledger.fileno(), line.length, line.offset))
+                head = line_type.head(item_key)
+                if not out.startswith(head):
+                    raise StageError(
+                        f"ledger {checkpoint.path} holds {out[: len(head)]!r} at byte "
+                        f"{line.offset}, where {item_key} was recorded"
+                    )
+                yield line, out
+            # Freed before the next chunk is drawn (and a shard indexed).
+            keys.clear()
+            lines.clear()
+
+
 def stage_rephrase(cfg: PipelineConfig, *, on_result=None) -> dict:
     """Drive the backend over every passage and store raw completions.
 
@@ -392,19 +458,16 @@ def stage_rephrase(cfg: PipelineConfig, *, on_result=None) -> dict:
     each reads its passage back and renders its prompt (the template
     comes from the passage's ``lang``) only when a request slot pulls it.
 
-    The ledger ``checkpoint.jsonl`` is the result store.  Each result is
-    appended to it as it lands, so a killed run resumes without
-    re-issuing finished requests, then reported to ``on_result``, and
-    only its ``LedgerLine`` is kept.  Once a shard's jobs are done, its
-    lines go in passage order to ``completions.jsonl.tmp`` and
-    ``failed.jsonl.tmp``, each copied from the ledger by ``record_line``
-    whether replayed or issued, and refused unless it starts with its
-    passage's key; so a resumed run writes the same bytes as an
-    uninterrupted one.  Memory thus holds one shard's index and ledger
-    lines, plus those of the ledger's not yet replayed results on a
-    resume.  The two files are renamed into place after the last shard,
-    so a stopped run never leaves a partial ``completions.jsonl``; a
-    stage that raises deletes them and leaves earlier outputs as they were.
+    The ledger ``checkpoint.jsonl`` is the result store, run by
+    ``_run_ledgered`` with one ``run_batch`` per shard: each result is
+    appended to it as it lands, then reported to ``on_result``, and once
+    a shard's jobs are done its lines are copied in passage order to
+    ``completions.jsonl.tmp`` and ``failed.jsonl.tmp``.  Memory thus
+    holds one shard's index and ledger lines, plus those of the ledger's
+    not yet replayed results on a resume.  The two files are renamed
+    into place after the last shard, so a stopped run never leaves a
+    partial ``completions.jsonl``; a stage that raises deletes them and
+    leaves earlier outputs as they were.
 
     ``throughput.json`` reports, over the jobs issued in this run (not
     the replayed ones), ``busy_s``, the time spent in requests summed
@@ -422,59 +485,48 @@ def stage_rephrase(cfg: PipelineConfig, *, on_result=None) -> dict:
     out_dir.mkdir(parents=True, exist_ok=True)
     checkpoint_path = out_dir / "checkpoint.jsonl"
     replay = resume(checkpoint_path, fingerprint, LedgerLine.from_obj, located=True)
+    replayable = len(replay)
     done_tmp = out_dir / "completions.jsonl.tmp"
     failed_tmp = out_dir / "failed.jsonl.tmp"
 
     totals: Counter = Counter()
     attempts: Counter = Counter()
     times = RequestTimes()
+
+    def shard_jobs() -> Iterator[list[_PassageJob]]:
+        """Each shard's jobs; the shard stays open until the next is asked for."""
+        for path in shard_paths:
+            with _PassageShard(path, cfg, registry) as shard:
+                totals.update(jobs=len(shard.jobs), tag_collisions=shard.tag_collisions)
+                yield shard.jobs
+
     backend = make_backend(cfg)
     try:
-        with CheckpointWriter(checkpoint_path, fingerprint) as checkpoint, checkpoint_path.open(
-            "rb", buffering=0
-        ) as ledger, done_tmp.open("wb") as done_out, failed_tmp.open("wb") as failed_out:
+        with CheckpointWriter(checkpoint_path, fingerprint) as checkpoint, closing(
+            shard_jobs()
+        ) as shards, done_tmp.open("wb") as done_out, failed_tmp.open("wb") as failed_out:
 
-            def rephrase_shard(path: Path) -> None:
-                """Run one shard's jobs, then copy its lines in passage order."""
-                with _PassageShard(path, cfg, registry) as shard:
-                    lines = {job.key: replay.pop(job.key) for job in shard.jobs if job.key in replay}
-                    totals.update(
-                        jobs=len(shard.jobs), replayed=len(lines), tag_collisions=shard.tag_collisions
-                    )
+            def issue(todo: Iterator[_PassageJob], landed: Callable) -> None:
+                def record(result: RephraseResult) -> None:
+                    landed(result)
+                    times.add(result.latency_s, result.busy_s)
+                    if on_result is not None:
+                        on_result(result)
 
-                    def record(result: RephraseResult) -> None:
-                        offset, length = checkpoint.position
-                        lines[result.key] = LedgerLine(
-                            result.key, result.finish, len(result.text), result.attempts, offset, length
-                        )
-                        times.add(result.latency_s, result.busy_s)
-                        if on_result is not None:
-                            on_result(result)
+                run_batch(list(todo), backend, cfg.backend, checkpoint=checkpoint, on_result=record)
 
-                    todo = [job for job in shard.jobs if job.key not in lines]
-                    run_batch(todo, backend, cfg.backend, checkpoint=checkpoint, on_result=record)
-                for job in shard.jobs:
-                    line = lines[job.key]
-                    out = record_line(os.pread(ledger.fileno(), line.length, line.offset))
-                    head = b'{"key": ' + encode_json(job.key.to_obj()).encode("utf-8") + b", "
-                    if not out.startswith(head):
-                        raise StageError(
-                            f"ledger {checkpoint_path} holds {out[: len(head)]!r} at byte "
-                            f"{line.offset}, where {job.key} was recorded"
-                        )
-                    attempts[line.attempts] += 1
-                    if line.failed:
-                        failed_out.write(out)
-                        totals["failed"] += 1
-                        continue
-                    done_out.write(out)
-                    totals["done"] += 1
-                    totals["length_capped"] += line.finish == FINISH_LENGTH
-                    totals["output_est_tokens"] += estimator.estimate_chars(line.chars)
-
-            # One shard's index at a time: each is freed when its call returns.
-            for path in shard_paths:
-                rephrase_shard(path)
+            for line, out in _run_ledgered(
+                shards, attrgetter("key"), replay, checkpoint, LedgerLine, issue
+            ):
+                attempts[line.attempts] += 1
+                if line.failed:
+                    failed_out.write(out)
+                    totals["failed"] += 1
+                    continue
+                done_out.write(out)
+                totals["done"] += 1
+                totals["length_capped"] += line.finish == FINISH_LENGTH
+                totals["output_est_tokens"] += estimator.estimate_chars(line.chars)
     except BaseException:
         done_tmp.unlink(missing_ok=True)
         failed_tmp.unlink(missing_ok=True)
@@ -485,12 +537,13 @@ def stage_rephrase(cfg: PipelineConfig, *, on_result=None) -> dict:
     failed_tmp.replace(out_dir / "failed.jsonl")
     wall = time.monotonic() - started
 
+    replayed = replayable - len(replay)
     output_tokens = totals["output_est_tokens"]
     report = {
         "stage": "rephrase",
         "jobs": totals["jobs"],
-        "replayed": totals["replayed"],
-        "issued": totals["jobs"] - totals["replayed"],
+        "replayed": replayed,
+        "issued": totals["jobs"] - replayed,
         "done": totals["done"],
         "failed": totals["failed"],
         "length_capped": totals["length_capped"],
@@ -661,17 +714,21 @@ def stage_score(cfg: PipelineConfig, manifest_path: Path | None = None) -> dict:
     """Score documents with the informative-signal prompt.
 
     The corpus is checked in full before the first request, so a bad
-    line late in it costs no paid request.  Documents then stream into
-    the request pool, which pulls each one only when a slot is free, and
-    each score is appended to the ledger ``scores/checkpoint.jsonl`` as
-    it lands, so a stopped run resumes without re-issuing a scored
-    document.  One scorer serves the whole run: the replayed scores', or
-    else the one the first document gets before the pool starts.  Memory
-    holds the scores, which ``scores.jsonl`` lists in corpus order.
+    line late in it costs no paid request.  One scorer serves the whole
+    run: the replayed scores', or else the one the first document gets
+    before any other is sent.  The ledger ``scores/checkpoint.jsonl`` is
+    the result store, run by ``_run_ledgered`` over ``shard_size`` runs
+    of the corpus: a run's unscored documents stream into the request
+    pool, which pulls each one only when a slot is free, each score is
+    appended to the ledger as it lands, and once the run is scored its
+    lines are copied in corpus order to ``scores.jsonl.tmp``, renamed
+    into place at the end.  Memory holds one run's ids and ledger lines,
+    plus those of the ledger's not yet replayed scores on a resume.
 
-    The report times the documents scored in this run (not the replayed
-    ones), in O(1) memory, as rephrase's ``throughput.json`` times its
-    jobs: ``busy_s``, ``latency_max_s`` and ``slot_utilisation``.
+    The report's count, mean, min and max are taken as the lines are
+    copied.  It times the documents scored in this run (not the replayed
+    ones), as rephrase's ``throughput.json`` times its jobs: ``busy_s``,
+    ``latency_max_s`` and ``slot_utilisation``.
     """
     started = time.monotonic()
     estimator = load_estimator(cfg)
@@ -685,16 +742,19 @@ def stage_score(cfg: PipelineConfig, manifest_path: Path | None = None) -> dict:
     # bytes tell whose scores a ledger holds; another corpus starts afresh.
     fingerprint = f"{cfg.fingerprint()}-{corpus_digest[:16]}"
     try:
-        replay = resume(ledger_path, fingerprint, ScoredDocument.from_obj)
+        replay = resume(ledger_path, fingerprint, ScoreLine.from_obj, located=True)
     except CheckpointMismatchError:
         ledger_path.unlink()
         replay = {}
     docs = iter_corpus(manifest, base_dir, cfg.languages)
+    scores_tmp = out_dir / "scores.jsonl.tmp"
 
     times = RequestTimes()
+    count = 0
+    low, high = math.inf, -math.inf
     backend = make_backend(cfg)
     try:
-        with CheckpointWriter(ledger_path, fingerprint) as ledger:
+        with CheckpointWriter(ledger_path, fingerprint) as ledger, scores_tmp.open("wb") as scores_out:
             head = None if replay else next(docs, None)
             if head is not None:
                 model_id = cfg.backend.model or cfg.backend_kind
@@ -704,39 +764,49 @@ def stage_score(cfg: PipelineConfig, manifest_path: Path | None = None) -> dict:
                 )
                 times.add(*clock.read())
                 ledger.append(first)
-                replay[first.doc_id] = first
+                replay[first.doc_id] = ScoreLine.of(first, *ledger.position)
                 docs = itertools.chain((head,), docs)
             scorer = next(iter(replay.values())).scorer if replay else ""
 
             def score(doc: Document) -> ScoredDocument:
-                replayed = replay.get(doc.id)
-                if replayed is not None:
-                    return replayed
                 clock = Stopwatch()
                 scored = askllm_score(doc, backend, estimator, scorer=scorer, backend_cfg=cfg.backend)
                 times.add(*clock.read())
                 return scored
 
-            def record(scored: ScoredDocument) -> None:
-                if scored.doc_id not in replay:
+            def issue(todo: Iterator[Document], landed: Callable) -> None:
+                def record(scored: ScoredDocument) -> None:
                     ledger.append(scored)
+                    landed(scored)
 
-            scores = pull_map(score, docs, cfg.backend.max_in_flight, record)
+                pull_map(score, todo, cfg.backend.max_in_flight, record, keep=False)
+
+            def copied() -> Iterator[float]:
+                """Each score in corpus order, once its line is in scores.jsonl.tmp."""
+                nonlocal count, low, high
+                runs = shard_runs(docs, cfg.shard_size)
+                for line, out in _run_ledgered(runs, attrgetter("id"), replay, ledger, ScoreLine, issue):
+                    scores_out.write(out)
+                    count += 1
+                    low, high = min(low, line.score), max(high, line.score)
+                    yield line.score
+
+            # sum() in corpus order: the mean is the same float however the scores landed.
+            total = sum(copied())
+    except BaseException:
+        scores_tmp.unlink(missing_ok=True)
+        raise
     finally:
         backend.close()
-
-    with (out_dir / "scores.jsonl.tmp").open("w", encoding="utf-8") as handle:
-        for scored in scores:
-            handle.write(encode_json(scored.to_obj()) + "\n")
-    (out_dir / "scores.jsonl.tmp").replace(out_dir / "scores.jsonl")
+    scores_tmp.replace(out_dir / "scores.jsonl")
     wall = time.monotonic() - started
     report = {
         "stage": "score",
-        "docs": len(scores),
-        "scorers": [scorer] if scores else [],
-        "mean_score": sum(s.score for s in scores) / len(scores) if scores else 0.0,
-        "min_score": min((s.score for s in scores), default=0.0),
-        "max_score": max((s.score for s in scores), default=0.0),
+        "docs": count,
+        "scorers": [scorer] if count else [],
+        "mean_score": total / count if count else 0.0,
+        "min_score": low if count else 0.0,
+        "max_score": high if count else 0.0,
         **times.report(cfg.backend.max_in_flight, wall),
         "seconds": round(wall, 3),
     }

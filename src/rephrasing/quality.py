@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .corpus import CorpusError, Document, ShardReader, typed_field
+from .corpus import CorpusError, Document, ShardReader, encode_json, typed_field
 from .inference import (
     AuthError,
     BackendConfig,
@@ -93,6 +93,33 @@ class ScoredDocument:
             return ScoredDocument(typed_field(obj, "doc_id"), score, scorer)
         except QualityError as exc:  # a recorded score out of its range
             raise CorpusError(str(exc)) from exc
+
+
+@dataclass(frozen=True, slots=True)
+class ScoreLine:
+    """What score keeps of a ledger record, replayed or appended: its
+    document id, the score and scorer its report reads, and where its
+    line lies, as ``inference.LedgerLine`` does for rephrase."""
+
+    key: str
+    score: float
+    scorer: str
+    offset: int
+    length: int
+
+    failed = False  # as ``ScoredDocument.failed``
+
+    @staticmethod
+    def of(scored: ScoredDocument, offset: int, length: int) -> "ScoreLine":
+        return ScoreLine(scored.doc_id, scored.score, scored.scorer, offset, length)
+
+    @staticmethod
+    def from_obj(obj: Mapping, offset: int, length: int) -> "ScoreLine":
+        return ScoreLine.of(ScoredDocument.from_obj(obj), offset, length)
+
+    @staticmethod
+    def head(doc_id: str) -> bytes:
+        return b'{"doc_id": ' + encode_json(doc_id).encode("utf-8") + b", "
 
 
 def score_from_logprobs(lp_affirmative: float, lp_negative: float) -> float:

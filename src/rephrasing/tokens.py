@@ -165,7 +165,7 @@ def calibrate(
     by_lang: dict[str, list[int]] = {}
     try:
         for doc in sample:
-            n_tokens = int(count_tokens(doc.text))
+            n_tokens = count_tokens(doc.text)
             chars_total += len(doc.text)
             tokens_total += n_tokens
             acc = by_lang.setdefault(doc.lang, [0, 0])

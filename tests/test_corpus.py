@@ -248,8 +248,21 @@ class TestLineDecoding:
 def test_no_reader_converts_a_parsed_value():
     """Record and config readers take each field as parsed, with its
     type checked, so no module converts a subscript or ``.get(`` of a
-    parsed mapping: ``int(obj["docs"])`` would read 2.9 as 2."""
-    converts = re.compile(r"\b(str|int|float|bool)\(\w+(\[|\.get\()")
+    parsed mapping, or of a call's result: ``int(obj["docs"])`` would
+    read 2.9 as 2."""
+    of_name = r"[\w.]+(\[|\.get\()"
+    # A call's result read by a string key; a slice of it is no field.
+    of_call = r"[\w.]+\(.*\)(\[[\"']|\.get\()"
+    converts = re.compile(rf"\b(str|int|float|bool)\(({of_name}|{of_call})")
+    samples = {
+        'return int(with_retries(lambda: client.post({"text": text}), cfg.backend)["tokens"])': True,
+        'docs = int(obj["docs"])': True,
+        'ratio = float(self.obj.get("ratio"))': True,
+        '"attempts": {str(k): attempts[k] for k in sorted(attempts)},': False,
+        'n_tokens = int(max_tokens / self.ratio_for(lang))': False,
+        'u = int(hashlib.sha256(prompt.encode("utf-8")).hexdigest()[:8], 16) / 2**32': False,
+    }
+    assert {line: bool(converts.search(line)) for line in samples} == samples
     for path in Path(rephrasing.corpus.__file__).parent.glob("*.py"):
         lines = path.read_text(encoding="utf-8").splitlines()
         assert [line for line in lines if converts.search(line)] == [], path.name

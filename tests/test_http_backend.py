@@ -95,8 +95,9 @@ class _Handler(BaseHTTPRequestHandler):
             return
 
         if self.path == "/tokenize":
-            # Exact tokenizer wire interface: one token per 4 chars.
-            self._reply(200, {"tokens": len(payload["text"]) // 4})
+            # Exact tokenizer wire interface: one token per 4 chars,
+            # unless a test sets its own "tokenize_answer".
+            self._reply(200, state.get("tokenize_answer", {"tokens": len(payload["text"]) // 4}))
             return
 
         prompt = payload["prompt"]
@@ -595,3 +596,19 @@ class TestExactTokenizerWire:
         assert report["calibration_fallback"] in record.getMessage()
         saved = json.loads((tmp_path / "work" / "calibration.json").read_text(encoding="utf-8"))
         assert saved == report["estimator"]
+
+    @pytest.mark.parametrize(
+        "answer",
+        [{"tokens": "12"}, {"tokens": 12.9}, {"tokens": True}, {}],
+        ids=["string", "float", "bool", "missing"],
+    )
+    def test_answer_without_integer_tokens_refused(self, server, tmp_path, capsys, answer):
+        server.state["tokenize_answer"] = answer
+        config_path = tokenizer_config(tmp_path, endpoint(server, "/tokenize"))
+        assert main(["stats", "-c", str(config_path)]) == 3
+        assert "no integer 'tokens'" in capsys.readouterr().err
+        report = stage_preprocess(load_config(config_path))
+        assert report["estimator"]["calibrated"] is False
+        assert report["calibration_fallback"] == (
+            f"BackendError: tokenizer answered {json.dumps(answer)}: no integer 'tokens'"
+        )

@@ -28,9 +28,12 @@ N = 150
 # index (measured on CPython 3.11, rounded up):
 # - postprocess: the ids of documents with a failed passage, a set of at
 #   most one entry per document (about 165 bytes an entry);
-# - score: one ScoredDocument per scored document (about 120 bytes with
-#   its id and score); score_resumed, which replays every document from
-#   the ledger, adds the replay table (about 145 bytes in all);
+# - score: nothing per document.  Like rephrase it writes its output
+#   from the ledger, one shard_size run at a time (25 documents here),
+#   and holds that run's ids and the ScoreLines that say where their
+#   ledger lines lie; score_resumed, which replays every document from
+#   the ledger, holds a ScoreLine per document until its run comes
+#   (about 200 bytes with its id and score);
 # - filter: the score table, one id -> score entry per document (about
 #   105 bytes);
 # - mix: offset, length and weight of every source document (20 bytes,
@@ -38,13 +41,18 @@ N = 150
 #   an 8-byte shuffle slot per document of the source being drawn.
 INDEX_BYTES_PER_DOC = {
     "postprocess": 170,
-    "score": 300,
+    "score": 0,
     "filter": 150,
     "mix": 80,
     "score_resumed": 300,
 }
 # Per-shard manifest entries, dict and list growth steps.
 SLACK_BYTES = 64 * 1024
+# Score keeps nothing that grows with the corpus.  Its peak swings by
+# up to about 17 KB either way with how many documents and prompts the
+# request threads hold at that instant, so its slack is 32 KiB: a score
+# list of about 110 bytes a document (48 to 57 KB here) exceeds it.
+SLACK_BYTES_OF = {"score": 32 * 1024}
 
 # Upper bound, in bytes per passage, of what rephrase keeps of one shard:
 # each passage's job (key, prompt length, line offset and length), the
@@ -117,7 +125,7 @@ def peaks(tmp_path_factory):
 @pytest.mark.parametrize("stage", list(INDEX_BYTES_PER_DOC))
 def test_peak_grows_only_by_index(peaks, stage):
     small, large = peaks
-    allowed = 3 * N * INDEX_BYTES_PER_DOC[stage] + SLACK_BYTES
+    allowed = 3 * N * INDEX_BYTES_PER_DOC[stage] + SLACK_BYTES_OF.get(stage, SLACK_BYTES)
     growth = large[stage] - small[stage]
     assert growth <= allowed, (
         f"{stage}: traced peak {small[stage]} -> {large[stage]} bytes from {N} to {4 * N} "

@@ -32,6 +32,15 @@ SPECS = {
         "trace": True,
         "steps": ["preprocess", "rephrase_stopped", "rephrase", "postprocess", "score", "filter"],
     },
+    # The only spec where rephrase and score meet the stub's 503 retries:
+    # 12 documents are the fewest of which the workload makes one busy.
+    "endpoint_stub_traced": {
+        "workload": "endpoint_stub",
+        "docs": 12,
+        "setup": True,
+        "trace": True,
+        "steps": ["run_all"],
+    },
     "endpoint_stub_probe": {"workload": "endpoint_stub", "docs": 8, "probe": True},
 }
 
@@ -48,3 +57,5 @@ def test_worker_completes(tmp_path, name):
     result = json.loads(result_path.read_text(encoding="utf-8"))
     assert "error" not in result, result["error"]
     assert ("probe" in result) == bool(spec.get("probe"))
+    if name == "endpoint_stub_traced":
+        assert result["layers"]["inference.retries"] > 0

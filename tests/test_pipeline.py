@@ -1028,6 +1028,51 @@ class TestScoreLedger:
         clocks = dict.fromkeys(("busy_s", "latency_max_s", "slot_utilisation", "seconds"), 0)
         assert {**second, **clocks} == {**first, **clocks}
 
+    def test_replayed_line_of_another_key_refused(self, rephrased, monkeypatch):
+        stage_score(rephrased)
+        load = pipeline.resume
+
+        def swapped(*args, **kwargs):
+            replay = load(*args, **kwargs)
+            first, second, *_ = replay
+            replay[first], replay[second] = replay[second], replay[first]
+            return replay
+
+        monkeypatch.setattr(pipeline, "resume", swapped)
+        with pytest.raises(StageError, match="checkpoint.jsonl holds .* where .* was recorded"):
+            stage_score(rephrased)
+        assert not (rephrased.work_dir / "scores" / "scores.jsonl.tmp").exists()
+
+    def test_many_threads_replay_and_record_into_one_run(self, tmp_path):
+        """Pool threads pull documents, replaying some, while others note
+        where their scores landed; the scores match a one-slot run's."""
+        docs = make_docs(60, seed=5)
+
+        def cfg_for(work: str, slots: int):
+            backend = {"kind": "mock", "model": "mock-model", "max_in_flight": slots}
+            extra = {"work_dir": work, "shard_size": 7, "backend": backend}
+            cfg = load_config(write_fixture_config(tmp_path, docs, extra=extra, name=f"{work}.yaml"))
+            stage_preprocess(cfg)
+            return cfg
+
+        reference = cfg_for("one", 1)
+        stage_score(reference, reference.input_manifest)
+        cfg = cfg_for("many", 32)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            stage_score(cfg, cfg.input_manifest)
+            ledger = cfg.work_dir / "scores" / "checkpoint.jsonl"
+            lines = ledger.read_bytes().splitlines(keepends=True)
+            ledger.write_bytes(b"".join(lines[:1] + lines[1::2]))  # every other score replays
+            report = stage_score(cfg, cfg.input_manifest)
+        finally:
+            sys.setswitchinterval(interval)
+        assert report["docs"] == len(docs)
+        assert (cfg.work_dir / "scores" / "scores.jsonl").read_bytes() == (
+            reference.work_dir / "scores" / "scores.jsonl"
+        ).read_bytes()
+
     def test_score_input_after_rephrased_replays_nothing(self, rephrased, backends):
         stage_score(rephrased)
         input_report = stage_score(rephrased, manifest_path=rephrased.input_manifest)
