@@ -29,6 +29,7 @@ import yaml
 from .corpus import DEFAULT_LANGUAGES
 from .inference import BackendConfig, MockSettings, parse_endpoint
 from .mixing import UNIT_DOCUMENTS, UNIT_TOKENS
+from .postprocess import load_marker_patterns
 from .prompts import (
     LEGACY,
     MISTRAL_INST,
@@ -187,6 +188,13 @@ class PipelineConfig:
             raise ConfigError(
                 f"estimator.sample_size: must be at least 1, got {self.estimator.sample_size}"
             )
+        pattern_file = self.postprocess.pattern_file
+        # A missing file is left to the stages that read it.
+        if pattern_file is not None and pattern_file.is_file():
+            try:
+                load_marker_patterns(pattern_file)
+            except ValueError as exc:
+                raise ConfigError(f"postprocess.pattern_file: {exc}") from exc
         if self.filter.scorer == SCORER_EXTERNAL and self.filter.external_scores is None:
             raise ConfigError("filter.external_scores: required when filter.scorer is external")
         for i, source in enumerate(self.mix.sources if self.mix else ()):

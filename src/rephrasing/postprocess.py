@@ -40,8 +40,8 @@ REJECTION_REASONS = (
 EOS_ARTIFACTS = ("</s>", "<|im_end|>")
 
 # Marker lines that introduce one paraphrase alternative.  Ordered so
-# longer markers strip before their substrings; extend via a pattern
-# file when a model invents new headers.
+# longer markers strip before their substrings.  A pattern file
+# replaces this list when a model invents new headers.
 DEFAULT_MARKER_PATTERNS: tuple[str, ...] = (
     r"Toddler-friendly paraphrase\s*:",
     r"Erudite paraphrase\s*:",
@@ -52,12 +52,34 @@ DEFAULT_MARKER_PATTERNS: tuple[str, ...] = (
 
 
 def load_marker_patterns(path: Path | str) -> tuple[str, ...]:
-    """One regex per line; blank lines and ``#`` comments ignored."""
+    """The marker regexes of a pattern file, used instead of the built-in ones.
+
+    One regex per line; blank lines and ``#`` comments are ignored.  A
+    file that is not UTF-8, holds no pattern, or holds a pattern that
+    does not compile or matches the empty string raises ``ValueError``.
+    """
+    try:
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"not UTF-8: {exc}") from exc
     patterns = []
-    for raw in Path(path).read_text(encoding="utf-8").splitlines():
+    for number, raw in enumerate(lines, 1):
         line = raw.strip()
-        if line and not line.startswith("#"):
-            patterns.append(line)
+        if not line or line.startswith("#"):
+            continue
+        try:
+            compiled = re.compile(line)
+        except re.error as exc:
+            raise ValueError(f"line {number}: {line!r} does not compile: {exc}") from exc
+        if compiled.match(""):
+            raise ValueError(f"line {number}: {line!r} matches the empty string")
+        patterns.append(line)
+    if not patterns:
+        raise ValueError("no pattern; blank lines and # comments are ignored")
+    try:
+        _marker_line_re(tuple(patterns))
+    except re.error as exc:
+        raise ValueError(f"the patterns do not compile as one alternation: {exc}") from exc
     return tuple(patterns)
 
 
@@ -87,9 +109,34 @@ def _compiled(patterns: tuple[str, ...]) -> tuple[re.Pattern, ...]:
     return tuple(re.compile(p) for p in patterns)
 
 
+def _line_start_matches(marker: re.Pattern, text: str) -> list[re.Match]:
+    r"""``list(marker.finditer(text))`` for a ``^``-anchored MULTILINE marker.
+
+    ``^`` holds only at offset 0 and just after a ``\n``, so the marker
+    is tried there alone.  After a match the next try is the first line
+    start at or after its end, since a marker's ``\s`` may cross a line
+    end.  An empty match, which only a pattern that can match empty
+    allows, leaves the whole scan to ``finditer``.
+    """
+    matches = []
+    start = 0
+    while True:
+        match = marker.match(text, start)
+        if match is None:
+            end = start + 1
+        elif match.end() == start:
+            return list(marker.finditer(text))
+        else:
+            matches.append(match)
+            end = match.end()
+        start = text.find("\n", end - 1) + 1
+        if not start:
+            return matches
+
+
 def _paraphrase_blocks(text: str, patterns: tuple[str, ...]) -> list[str]:
     """Segments following each marker line; the whole text when none match."""
-    matches = list(_marker_line_re(patterns).finditer(text))
+    matches = _line_start_matches(_marker_line_re(patterns), text)
     if not matches:
         return [text]
     blocks = []
@@ -116,6 +163,8 @@ def clean_legacy(
     parallel orderings reproduce the same choice.
     """
     patterns = tuple(patterns)
+    if not patterns:
+        raise ValueError("no marker pattern")
     blocks = _paraphrase_blocks(raw, patterns)
     if len(blocks) == 1:
         survivor = blocks[0]
@@ -153,7 +202,6 @@ class CleanedPassage:
     doc_id: str
     index: int
     text: str
-    regime: str
     rejection: str | None = None
 
     @property
@@ -178,7 +226,7 @@ def clean_passage(
         text = clean_legacy(raw, seed=seed, doc_id=doc_id, index=index, patterns=patterns)
     else:
         raise ValueError(f"unknown postprocessing regime {regime!r}")
-    return CleanedPassage(doc_id, index, text, regime, filter_verdict(text))
+    return CleanedPassage(doc_id, index, text, filter_verdict(text))
 
 
 DOC_DROP_TOO_SHORT = "doc_too_short"

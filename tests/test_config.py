@@ -115,6 +115,18 @@ def test_mistyped_value_refused(tmp_path, capsys, where, extra):
     assert where in capsys.readouterr().err
 
 
+# Marker pattern files that postprocess cannot use; each passed the
+# config and then kept one random line, stripped every space, or
+# failed after the paid rephrase.
+PATTERN_FILES = {
+    "comments.txt": b"# headers of a new model\n\n",
+    "empty_match.txt": b"Rewrite\\s*:\n\\s*\n",
+    "unclosed.txt": b"(unclosed\n",
+    "latin1.txt": "R\u00e9sum\u00e9\\s*:\n".encode("latin-1"),
+    "same_group.txt": b"(?P<n>Option)\\s*:\n(?P<n>Version)\\s*:\n",
+}
+
+
 @pytest.mark.parametrize(
     "message, extra",
     [
@@ -132,11 +144,45 @@ def test_mistyped_value_refused(tmp_path, capsys, where, extra):
             "backend.mock.logprob_rules[0]: missing ), unterminated subpattern",
             {"backend": {"mock": {"logprob_rules": [{"pattern": "(x", "yes": 0, "no": -1}]}}},
         ),
+        (
+            "postprocess.pattern_file: no pattern; blank lines and # comments are ignored",
+            {"postprocess": {"pattern_file": "comments.txt"}},
+        ),
+        (
+            r"postprocess.pattern_file: line 2: '\\s*' matches the empty string",
+            {"postprocess": {"pattern_file": "empty_match.txt"}},
+        ),
+        (
+            "postprocess.pattern_file: line 1: '(unclosed' does not compile: missing ), ",
+            {"postprocess": {"pattern_file": "unclosed.txt"}},
+        ),
+        (
+            "postprocess.pattern_file: not UTF-8: 'utf-8' codec can't decode byte 0xe9",
+            {"postprocess": {"pattern_file": "latin1.txt"}},
+        ),
+        (
+            "postprocess.pattern_file: the patterns do not compile as one alternation: "
+            "redefinition of group name 'n'",
+            {"postprocess": {"pattern_file": "same_group.txt"}},
+        ),
     ],
-    ids=["unknown_mock_key", "framing", "no_manifest", "post_init", "logprob_pattern"],
+    ids=[
+        "unknown_mock_key",
+        "framing",
+        "no_manifest",
+        "post_init",
+        "logprob_pattern",
+        "pattern_file_comments_only",
+        "pattern_file_empty_match",
+        "pattern_file_unclosed",
+        "pattern_file_not_utf8",
+        "pattern_file_group_twice",
+    ],
 )
 def test_bad_list_entry_or_section_refused_before_any_work(tmp_path, capsys, message, extra):
     (tmp_path / "c.txt").write_text("{text}", encoding="utf-8")
+    for name, body in PATTERN_FILES.items():
+        (tmp_path / name).write_bytes(body)
     path = write_fixture_config(tmp_path, make_docs(3), extra=extra)
     with pytest.raises(ConfigError, match=re.escape(message)):
         load_config(path)
@@ -200,6 +246,14 @@ def test_fingerprints_pinned(tmp_path):
     )
     legacy = write_fixture_config(tmp_path, make_docs(3), template="qa", name="qa.yaml")
     assert load_config(legacy).fingerprint() == "e84d8fefd6bbb711"
+
+
+def test_missing_pattern_file_left_to_the_stages(tmp_path, capsys):
+    extra = {"postprocess": {"pattern_file": "nope.txt"}}
+    path = write_fixture_config(tmp_path, make_docs(3), extra=extra)
+    load_config(path)
+    assert main(["preprocess", "-c", str(path)]) == 2
+    assert "data error: " in capsys.readouterr().err
 
 
 def test_missing_file(tmp_path):

@@ -728,6 +728,25 @@ class TestPostprocess:
             assert "Paraphrase:" not in doc.text
             assert "</s>" not in doc.text
 
+    def test_pattern_file_replaces_builtin_markers(self, tmp_path):
+        # The file leaves out the built-in `Paraphrase\s*:`, which is then
+        # neither split on nor stripped.
+        (tmp_path / "markers.txt").write_text("Rewrite\\s*:\n", encoding="utf-8")
+        path = write_fixture_config(
+            tmp_path,
+            make_docs(5, seed=9),
+            template="qa",
+            mock_rules=QA_LEGACY_RULES,
+            extra={"postprocess": {"pattern_file": "markers.txt"}},
+        )
+        cfg = load_config(path)
+        stage_preprocess(cfg)
+        stage_rephrase(cfg)
+        assert stage_postprocess(cfg)["emitted_docs"] > 0
+        manifest = ShardManifest.load(cfg.work_dir / "rephrased" / "manifest.json")
+        for doc in iter_corpus(manifest, cfg.work_dir / "rephrased"):
+            assert doc.text.startswith("Paraphrase: ")
+
 
 class TestPerLanguageTemplates:
     TEMPLATE_MAP = {

@@ -7,6 +7,7 @@ import pytest
 
 from rephrasing.corpus import Provenance
 from rephrasing.postprocess import (
+    DEFAULT_MARKER_PATTERNS,
     DOC_DROP_NO_PASSAGES,
     DOC_DROP_TOO_SHORT,
     REJECT_EMPTY,
@@ -21,6 +22,7 @@ from rephrasing.postprocess import (
     filter_verdict,
     load_marker_patterns,
 )
+from rephrasing.postprocess import _line_start_matches, _marker_line_re
 
 REPHRASED = Provenance.rephrased("qa", "mock")
 
@@ -98,6 +100,42 @@ class TestCleanLegacy:
     def test_only_marker_yields_empty(self):
         assert clean_legacy("Paraphrase:") == ""
 
+    def test_no_pattern_refused(self):
+        with pytest.raises(ValueError, match="no marker pattern"):
+            clean_legacy("Paraphrase: text.", patterns=())
+
+
+class TestLineStartMatches:
+    """The marker scan returns exactly what ``finditer`` returns."""
+
+    PIECES = (
+        "Paraphrase 1:", "Paraphrase\n3\n:", "Paraphrase:", "Option 2 :", "Erudite paraphrase:",
+        "Toddler-friendly paraphrase :", "x", "xa", " ", "\t", " \t", "\n", "\n", "\r\n",
+        "Some words.", "ab", ".", "",
+    )
+    PATTERN_SETS = (
+        DEFAULT_MARKER_PATTERNS,
+        # Each can match empty: greedy, whitespace-only and lazy.
+        ("x?",),
+        (r"\s*",),
+        ("x??",),
+        (r"Paraphrase\s*:", "x?"),
+    )
+
+    @staticmethod
+    def spans(matches):
+        return [(m.span(), m.group()) for m in matches]
+
+    @pytest.mark.parametrize("patterns", PATTERN_SETS, ids=["builtin", "x?", "ws*", "x??", "mixed"])
+    def test_fuzzed_completions_match_finditer(self, patterns):
+        marker = _marker_line_re(patterns)
+        rng = random.Random(17)
+        texts = ["", "\n", "xa", "a\nx", "Paraphrase 1: a\nParaphrase\n2\n: b"]
+        texts += ["".join(rng.choices(self.PIECES, k=rng.randint(1, 24))) for _ in range(3000)]
+        for text in texts:
+            expected = self.spans(marker.finditer(text))
+            assert self.spans(_line_start_matches(marker, text)) == expected, text
+
 
 class TestFilterVerdict:
     def test_49_chars_too_short(self):
@@ -156,7 +194,7 @@ class TestCleanPassage:
 
 class TestAssembleDocument:
     def make(self, i, text, rejection=None):
-        return CleanedPassage("doc", i, text, "tagged", rejection)
+        return CleanedPassage("doc", i, text, rejection)
 
     def test_three_80_char_passages(self):
         passages = [self.make(i, "y" * 79 + ".") for i in range(3)]
