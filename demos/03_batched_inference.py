@@ -51,16 +51,18 @@ with tempfile.TemporaryDirectory() as tmp:
 
     seen = 0
 
-    def preempt(result):
-        global seen
-        seen += 1
-        if seen >= 5:
-            raise Preempted
-
     try:
         with CheckpointWriter(checkpoint_path, "demo") as checkpoint:
+
+            def preempt(result):
+                global seen
+                checkpoint.append(result)
+                seen += 1
+                if seen >= 5:
+                    raise Preempted
+
             run_batch(jobs, MockBackend([MockRule(r"passage (\d+)", r"rephrased \1</text>")]),
-                      cfg, checkpoint=checkpoint, on_result=preempt)
+                      cfg, on_result=preempt)
     except Preempted:
         print("\npreempted after 5 completions")
 
@@ -69,8 +71,8 @@ with tempfile.TemporaryDirectory() as tmp:
     print(f"resume: {len(replayed)} replayed from checkpoint, {len(todo)} to run")
     with CheckpointWriter(checkpoint_path, "demo") as checkpoint:
         run_batch(todo, MockBackend([MockRule(r"passage (\d+)", r"rephrased \1</text>")]),
-                  cfg, checkpoint=checkpoint)
-    # The ledger is the result store: a run with a checkpoint keeps no results.
+                  cfg, on_result=checkpoint.append)
+    # The ledger is the result store: a run with on_result keeps no results.
     recorded = load_checkpoint(checkpoint_path, "demo")
     resumed = [recorded[job.key] for job in jobs]
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -34,6 +35,17 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_BACKEND = 3
+
+
+def _number(text: str) -> float:
+    """A float argument other than NaN, which no threshold compares with."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if math.isnan(value):
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}")
+    return value
 
 
 class _Parser(argparse.ArgumentParser):
@@ -66,7 +78,7 @@ def build_parser() -> _Parser:
 
     filt = add("filter", "keep documents scoring strictly above the threshold")
     filt.add_argument("--input", help="manifest of the corpus to filter (default: rephrased output)")
-    filt.add_argument("--threshold", type=float, help="override the configured score threshold")
+    filt.add_argument("--threshold", type=_number, help="override the configured score threshold")
 
     add("mix", "compose the configured corpus mixture")
     add("stats", "emit the corpus overview table (text + JSON)")

@@ -17,6 +17,7 @@ import dataclasses
 import functools
 import hashlib
 import json
+import math
 import re
 import types
 import typing
@@ -332,6 +333,8 @@ def _convert(tp, value, where: str, base_dir: Path):
             raise ConfigError(f"{where}: expected a list, got {value!r}")
         return tuple(_convert(args[0], v, f"{where}[{i}]", base_dir) for i, v in enumerate(value))
     if tp is float and type(value) in (int, float):
+        if math.isnan(value):
+            raise ConfigError(f"{where}: expected a number, got NaN")
         return float(value)
     if tp in (int, bool, str) and type(value) is tp:
         return value

@@ -2,16 +2,16 @@
 
 Jobs are sorted longest prompt first, so the short jobs fill the tail of
 a batch, and pulled in that order through ``max_in_flight`` request
-slots.  Each finished job is appended to an append-only checkpoint and
-only then reported, so the checkpoint always holds exactly the results
-reported so far, and preempted runs resume without re-issuing them and
-still produce byte-identical output.  A stop discards at most
-``max_in_flight - 1`` results of requests in flight, and sends no retry
-and no new job.  Transient backend errors are retried by one helper,
-``with_retries``, wherever a request is sent; on a pool thread a
-request waiting out its retry backoff gives its slot to the next job.
-With a checkpoint the ledger is the result store and no result stays in
-memory; without one, results come back in the original job order
+slots.  The pool only reports each finished job to a callback, one at a
+time; the pipeline's callback appends it to an append-only checkpoint,
+so the checkpoint holds exactly the results reported so far, and
+preempted runs resume without re-issuing them and still produce
+byte-identical output.  A stop discards at most ``max_in_flight - 1``
+results of requests in flight, and sends no retry and no new job.
+Transient backend errors are retried by one helper, ``with_retries``,
+wherever a request is sent; on a pool thread a request waiting out its
+retry backoff gives its slot to the next job.  Called without a
+callback, ``run_batch`` returns the results in the original job order
 regardless of scheduling.
 
 The wire protocol is a plain-text completion interface (prompt in,
@@ -653,8 +653,8 @@ class ExecutionPlan:
 
     Longest first (LPT; Graham 1969) leaves the short jobs for the end,
     so the slots finish close together.  ``order[k]`` is the original
-    index of the k-th job to execute; the permutation is inverted on
-    output so results return in input order.
+    index of the k-th job to execute; ``run_batch`` tags each result with
+    it, so that results can return in input order.
     """
 
     order: tuple[int, ...]
@@ -818,16 +818,17 @@ class LedgerLine:
         return b'{"key": ' + encode_json(key.to_obj()).encode("utf-8") + b", "
 
 
+def _rephrase_result(obj: Mapping, offset: int, length: int) -> RephraseResult:
+    return RephraseResult.from_obj(obj)
+
+
 def load_checkpoint(
     path: Path | str,
     fingerprint: str,
-    parse: Callable[..., L] = RephraseResult.from_obj,
-    *,
-    located: bool = False,
+    parse: Callable[[Mapping, int, int], L] = _rephrase_result,
 ) -> dict[Hashable, L]:
-    """Records of a ledger by key, each parsed by ``parse(obj)``, or with
-    ``located`` by ``parse(obj, offset, length)`` from the line's byte
-    offset and length.
+    """Records of a ledger by key, each parsed by ``parse(obj, offset,
+    length)`` from the line's JSON object, byte offset and length.
 
     A final line without its newline (crash mid-write) is ignored, as
     ``CheckpointWriter`` cuts it, even when it holds a whole record, so
@@ -862,7 +863,7 @@ def load_checkpoint(
                 if not isinstance(obj, dict):
                     raise CorpusError("line is not a JSON object")
                 if obj.get("kind") == _CHECKPOINT_RESULT:
-                    record = parse(obj, offset, length) if located else parse(obj)
+                    record = parse(obj, offset, length)
                     records[record.key] = record
             except BAD_RECORD as exc:
                 raise CorpusError(f"{path}: line {lineno}: {exc!r}") from exc
@@ -873,16 +874,14 @@ def load_checkpoint(
 def resume(
     checkpoint_path: Path | str,
     fingerprint: str,
-    parse: Callable[..., L] = RephraseResult.from_obj,
-    *,
-    located: bool = False,
+    parse: Callable[[Mapping, int, int], L] = _rephrase_result,
 ) -> dict[Hashable, L]:
     """Records a run can replay from the ledger instead of re-issuing,
     loaded as ``load_checkpoint`` loads them.
 
     Failed records are left out, so that work runs again.
     """
-    recorded = load_checkpoint(checkpoint_path, fingerprint, parse, located=located)
+    recorded = load_checkpoint(checkpoint_path, fingerprint, parse)
     return {key: record for key, record in recorded.items() if not record.failed}
 
 
@@ -946,23 +945,20 @@ class _Pool:
     Slots change hands only when a backoff starts (``release``), when a
     thread back from one waits for a slot (``reclaim``), and when a
     thread exits, so a run without retries takes no lock per item
-    beyond the pull lock and the result lock.
+    beyond the pull lock and the report lock.
     """
 
-    def __init__(self, fn, items, slots: int, on_done, keep: bool) -> None:
+    def __init__(self, fn, items, slots: int, on_done) -> None:
         self.fn = fn
         self.on_done = on_done
         self.source = iter(items)
-        # Grown under ``pull``, filled in under ``lock``: list.append and
-        # item assignment are each atomic.  None when results are not kept.
-        self.results: list | None = [] if keep else None
         # The pull lock guards pulls, the slot counts below and
         # ``threads``.  Threads that need a slot wait on ``slot_freed``,
         # a condition on the same lock; taking the plain lock keeps the
         # per-item path free of the condition's Python-level methods.
         self.pull = threading.Lock()
         self.slot_freed = threading.Condition(self.pull)
-        # Guards results, errors and on_done.
+        # Guards errors and on_done.
         self.lock = threading.Lock()
         self.errors: list[BaseException] = []
         self.exhausted = False
@@ -972,7 +968,7 @@ class _Pool:
         self.threads = [threading.Thread(target=self.work, args=(True,)) for _ in range(slots)]
         self.max_threads = 2 * slots
 
-    def run(self) -> list | None:
+    def run(self) -> None:
         for thread in list(self.threads):
             thread.start()
         try:
@@ -991,7 +987,6 @@ class _Pool:
             raise
         if self.errors:
             raise self.errors[0]
-        return self.results
 
     def work(self, held: bool) -> None:
         """Run items until the pool is done, then free the slot held."""
@@ -1008,7 +1003,7 @@ class _Pool:
         """Returns whether this thread still holds a slot."""
         # Locals for the per-item path; none of these is rebound.
         pull, lock, source, fn, on_done = self.pull, self.lock, self.source, self.fn, self.on_done
-        results, errors = self.results, self.errors
+        errors = self.errors
         while True:
             with pull:
                 if held and self.waiting > self.free:
@@ -1037,9 +1032,6 @@ class _Pool:
                     with lock:
                         errors.append(exc)
                     return True
-                if results is not None:
-                    index = len(results)
-                    results.append(None)
             # A backoff inside fn gives the slot up and takes one back
             # (release, reclaim), so fn returns holding a slot.
             try:
@@ -1053,16 +1045,13 @@ class _Pool:
             with lock:
                 if errors:
                     return True
-                if results is not None:
-                    results[index] = result
-                if on_done is not None:
-                    try:
-                        on_done(result)
-                    except BaseException as exc:
-                        # Recorded before the lock is released, so no
-                        # other result is reported after this one.
-                        errors.append(exc)
-                        return True
+                try:
+                    on_done(result)
+                except BaseException as exc:
+                    # Recorded before the lock is released, so no
+                    # other result is reported after this one.
+                    errors.append(exc)
+                    return True
 
     def release(self) -> None:
         """Give the calling thread's slot up for a backoff.
@@ -1105,11 +1094,10 @@ def pull_map(
     fn: Callable[[T], R],
     items: Iterable[T],
     max_workers: int,
-    on_done: Callable[[R], None] | None = None,
-    *,
-    keep: bool = True,
-) -> list[R] | None:
-    """Apply ``fn`` to every item, with at most ``max_workers`` running.
+    on_done: Callable[[R], None],
+) -> None:
+    """Apply ``fn`` to every item, with at most ``max_workers`` running,
+    and report each result to ``on_done``, in the order they finish.
 
     ``max_workers`` request slots are held by worker threads, and only a
     slot holder pulls the next item from ``items`` (under a pull lock)
@@ -1121,20 +1109,19 @@ def pull_map(
     when the backoff ends the thread takes the next free slot, ahead of
     any new item.  At most ``2 * max_workers`` threads run.
 
-    Results, errors and ``on_done(result)`` take a second lock, so a
-    pull (which may parse its item) and the recording of a result (which
-    may write a checkpoint) never wait on each other; ``on_done`` runs
-    on the worker thread and its calls never overlap.  The first
-    exception -- from ``fn``, from ``on_done``, from the iterator
-    itself, or an interrupt in the joining thread -- stops the pool: no
-    item is pulled and no retry is sent after it, results that finish
-    after it are dropped without ``on_done``, and the exception is
-    re-raised once every thread has been joined.  Results come back in
-    item order; with ``keep=False`` none is kept once ``on_done`` has
-    seen it, and ``None`` comes back.
+    Errors and ``on_done(result)`` take a second lock, so a pull (which
+    may parse its item) and the report of a result (which may write a
+    checkpoint) never wait on each other; ``on_done`` runs on the worker
+    thread and its calls never overlap.  No result is kept once
+    ``on_done`` has seen it.  The first exception -- from ``fn``, from
+    ``on_done``, from the iterator itself, or an interrupt in the
+    joining thread -- stops the pool: no item is pulled and no retry is
+    sent after it, results that finish after it are dropped without
+    ``on_done``, and the exception is re-raised once every thread has
+    been joined.
     """
     slots = min(max_workers, len(items)) if isinstance(items, Sized) else max_workers
-    return _Pool(fn, items, slots, on_done, keep).run()
+    _Pool(fn, items, slots, on_done).run()
 
 
 def run_batch(
@@ -1143,7 +1130,6 @@ def run_batch(
     cfg: BackendConfig,
     *,
     plan: ExecutionPlan | None = None,
-    checkpoint: CheckpointWriter | None = None,
     on_result: Callable[[RephraseResult], None] | None = None,
 ) -> list[RephraseResult] | None:
     """Execute jobs with bounded concurrency.
@@ -1153,39 +1139,27 @@ def run_batch(
     slots, so at most ``cfg.max_in_flight`` requests are outstanding at
     any instant, and a job waiting out a retry backoff lends its slot to
     the next job.  A job's ``render()`` runs on the worker thread that
-    pulled it, outside the pull lock.  Each finished job is appended to
-    the checkpoint and then passed to ``on_result``, on the worker thread
-    and serialised with every other append and ``on_result`` call, so
-    ``on_result`` may read ``checkpoint.position`` to find its result's
-    line.  The first exception, including one raised by ``on_result``,
-    stops the run from issuing more jobs and retries and is re-raised once
-    the in-flight ones return; their results are discarded unrecorded, so
-    the checkpoint holds exactly the results ``on_result`` saw, and a stop
-    wastes at most ``cfg.max_in_flight - 1`` requests.
+    pulled it, outside the pull lock.  Each finished job is passed to
+    ``on_result``, on the worker thread and serialised with every other
+    ``on_result`` call, so it may append the result to a
+    ``CheckpointWriter`` and read ``position`` to find its line.  The
+    first exception, including one raised by ``on_result``, stops the
+    run from issuing more jobs and retries and is re-raised once the
+    in-flight ones return; their results are discarded unreported, and
+    a stop wastes at most ``cfg.max_in_flight - 1`` requests.
 
-    Without a checkpoint, returns every job's result in job order.  With
-    one, the ledger is the result store: no result is kept once it is
-    appended and reported, and ``None`` comes back.
+    With ``on_result`` no result is kept once it is reported, and
+    ``None`` comes back.  Without it, every job's result comes back in
+    job order.
     """
     order = (plan or schedule(jobs)).order if jobs else ()
-    todo = [jobs[i] for i in order]
-
-    def record(result: RephraseResult) -> None:
-        if checkpoint is not None:
-            checkpoint.append(result)
-        if on_result is not None:
-            on_result(result)
-
-    kept = pull_map(
-        lambda job: _run_one(job, backend, cfg),
-        todo,
-        cfg.max_in_flight,
-        record,
-        keep=checkpoint is None,
-    )
-    if kept is None:
+    if on_result is not None:
+        pull_map(lambda i: _run_one(jobs[i], backend, cfg), order, cfg.max_in_flight, on_result)
         return None
-    results = [None] * len(jobs)
-    for i, result in zip(order, kept):
-        results[i] = result
+    results: list = [None] * len(jobs)
+
+    def keep(tagged: tuple[int, RephraseResult]) -> None:
+        results[tagged[0]] = tagged[1]
+
+    pull_map(lambda i: (i, _run_one(jobs[i], backend, cfg)), order, cfg.max_in_flight, keep)
     return results

@@ -18,12 +18,13 @@ Work directory layout::
       stats/                    corpus overview table (text + JSON)
 
 Every paid backend call lands in a ``checkpoint.jsonl`` ledger as it
-finishes; rephrase and score write it with one ``CheckpointWriter`` and
-replay it with one ``resume``, so a stopped run re-issues only the calls
-it had not recorded.  The ledger is also each paid stage's result store:
-one runner, ``_run_ledgered``, writes both stages' outputs from it, one
-chunk at a time (a passages shard, or a ``shard_size`` run of the
-scored corpus), copying each line in item order.
+finishes.  Rephrase and score load it with one ``resume`` and run
+through one runner, ``_run_ledgered``, the only code that appends to a
+ledger, so a stopped run re-issues only the calls it had not recorded.
+The ledger is also each paid stage's result store: the runner writes
+both stages' outputs from it, one chunk at a time (a passages shard, or
+a ``shard_size`` run of the scored corpus), copying each line in item
+order.
 """
 
 from __future__ import annotations
@@ -408,12 +409,14 @@ def _run_ledgered(
     ``replay`` holds the ledger's replayable lines by key, as ``resume``
     loads them with ``line_type.from_obj``; each is popped when its item
     is met.  A chunk's other items go, as they are drawn, to
-    ``issue(todo, landed)``, which must run every one, append each result
-    to ``checkpoint`` and then pass it to ``landed``, one at a time.  Once
-    ``issue`` returns, each item's line is copied from the ledger by
-    ``record_line``, replayed or issued alike, and refused unless it
-    starts as ``line_type.head`` says the line of the item's own key does.
-    Memory holds one chunk's keys and lines, and the lines not replayed yet.
+    ``issue(todo, record)``, which must run every one and pass each
+    result to ``record``, one at a time.  ``record`` is the only place a
+    paid result is recorded: it appends the result to ``checkpoint`` and
+    notes where its line landed.  Once ``issue`` returns, each item's line
+    is copied from the ledger by ``record_line``, replayed or issued
+    alike, and refused unless it starts as ``line_type.head`` says the
+    line of the item's own key does.  Memory holds one chunk's keys and
+    lines, and the lines not replayed yet.
     """
     with checkpoint.path.open("rb", buffering=0) as ledger:
         for chunk in chunks:
@@ -430,10 +433,11 @@ def _run_ledgered(
                     else:
                         lines[item_key] = line
 
-            def landed(result) -> None:
+            def record(result) -> None:
+                checkpoint.append(result)
                 lines[result.key] = line_type.of(result, *checkpoint.position)
 
-            issue(todo(), landed)
+            issue(todo(), record)
             for item_key in keys:
                 line = lines[item_key]
                 out = record_line(os.pread(ledger.fileno(), line.length, line.offset))
@@ -459,15 +463,16 @@ def stage_rephrase(cfg: PipelineConfig, *, on_result=None) -> dict:
     comes from the passage's ``lang``) only when a request slot pulls it.
 
     The ledger ``checkpoint.jsonl`` is the result store, run by
-    ``_run_ledgered`` with one ``run_batch`` per shard: each result is
-    appended to it as it lands, then reported to ``on_result``, and once
-    a shard's jobs are done its lines are copied in passage order to
-    ``completions.jsonl.tmp`` and ``failed.jsonl.tmp``.  Memory thus
-    holds one shard's index and ledger lines, plus those of the ledger's
-    not yet replayed results on a resume.  The two files are renamed
-    into place after the last shard, so a stopped run never leaves a
-    partial ``completions.jsonl``; a stage that raises deletes them and
-    leaves earlier outputs as they were.
+    ``_run_ledgered`` with one ``run_batch`` per shard: the runner
+    appends each result as it lands, then it is reported to
+    ``on_result``, and once a shard's jobs are done its lines are copied
+    in passage order to ``completions.jsonl.tmp`` and
+    ``failed.jsonl.tmp``.  Memory thus holds one shard's index and
+    ledger lines, plus those of the ledger's not yet replayed results on
+    a resume.  The two files are renamed into place after the last
+    shard, so a stopped run never leaves a partial
+    ``completions.jsonl``; a stage that raises deletes them and leaves
+    earlier outputs as they were.
 
     ``throughput.json`` reports, over the jobs issued in this run (not
     the replayed ones), ``busy_s``, the time spent in requests summed
@@ -484,7 +489,7 @@ def stage_rephrase(cfg: PipelineConfig, *, on_result=None) -> dict:
     out_dir = cfg.work_dir / "rephrase"
     out_dir.mkdir(parents=True, exist_ok=True)
     checkpoint_path = out_dir / "checkpoint.jsonl"
-    replay = resume(checkpoint_path, fingerprint, LedgerLine.from_obj, located=True)
+    replay = resume(checkpoint_path, fingerprint, LedgerLine.from_obj)
     replayable = len(replay)
     done_tmp = out_dir / "completions.jsonl.tmp"
     failed_tmp = out_dir / "failed.jsonl.tmp"
@@ -506,14 +511,14 @@ def stage_rephrase(cfg: PipelineConfig, *, on_result=None) -> dict:
             shard_jobs()
         ) as shards, done_tmp.open("wb") as done_out, failed_tmp.open("wb") as failed_out:
 
-            def issue(todo: Iterator[_PassageJob], landed: Callable) -> None:
-                def record(result: RephraseResult) -> None:
-                    landed(result)
+            def issue(todo: Iterator[_PassageJob], record: Callable) -> None:
+                def recorded(result: RephraseResult) -> None:
+                    record(result)
                     times.add(result.latency_s, result.busy_s)
                     if on_result is not None:
                         on_result(result)
 
-                run_batch(list(todo), backend, cfg.backend, checkpoint=checkpoint, on_result=record)
+                run_batch(list(todo), backend, cfg.backend, on_result=recorded)
 
             for line, out in _run_ledgered(
                 shards, attrgetter("key"), replay, checkpoint, LedgerLine, issue
@@ -714,16 +719,18 @@ def stage_score(cfg: PipelineConfig, manifest_path: Path | None = None) -> dict:
     """Score documents with the informative-signal prompt.
 
     The corpus is checked in full before the first request, so a bad
-    line late in it costs no paid request.  One scorer serves the whole
-    run: the replayed scores', or else the one the first document gets
-    before any other is sent.  The ledger ``scores/checkpoint.jsonl`` is
-    the result store, run by ``_run_ledgered`` over ``shard_size`` runs
-    of the corpus: a run's unscored documents stream into the request
-    pool, which pulls each one only when a slot is free, each score is
-    appended to the ledger as it lands, and once the run is scored its
-    lines are copied in corpus order to ``scores.jsonl.tmp``, renamed
-    into place at the end.  Memory holds one run's ids and ledger lines,
-    plus those of the ledger's not yet replayed scores on a resume.
+    line late in it costs no paid request.  The ledger
+    ``scores/checkpoint.jsonl`` is the result store, run by
+    ``_run_ledgered`` over ``shard_size`` runs of the corpus: a run's
+    unscored documents stream into the request pool, which pulls each
+    one only when a slot is free, the runner appends each score to the
+    ledger as it lands, and once the run is scored its lines are copied
+    in corpus order to ``scores.jsonl.tmp``, renamed into place at the
+    end.  One scorer serves the whole run: the replayed scores', or else
+    the one the first document issued gets before any other is sent;
+    that document's score is recorded by the runner like every other.
+    Memory holds one run's ids and ledger lines, plus those of the
+    ledger's not yet replayed scores on a resume.
 
     The report's count, mean, min and max are taken as the lines are
     copied.  It times the documents scored in this run (not the replayed
@@ -742,7 +749,7 @@ def stage_score(cfg: PipelineConfig, manifest_path: Path | None = None) -> dict:
     # bytes tell whose scores a ledger holds; another corpus starts afresh.
     fingerprint = f"{cfg.fingerprint()}-{corpus_digest[:16]}"
     try:
-        replay = resume(ledger_path, fingerprint, ScoreLine.from_obj, located=True)
+        replay = resume(ledger_path, fingerprint, ScoreLine.from_obj)
     except CheckpointMismatchError:
         ledger_path.unlink()
         replay = {}
@@ -755,18 +762,7 @@ def stage_score(cfg: PipelineConfig, manifest_path: Path | None = None) -> dict:
     backend = make_backend(cfg)
     try:
         with CheckpointWriter(ledger_path, fingerprint) as ledger, scores_tmp.open("wb") as scores_out:
-            head = None if replay else next(docs, None)
-            if head is not None:
-                model_id = cfg.backend.model or cfg.backend_kind
-                clock = Stopwatch()
-                first = askllm_score_first(
-                    head, backend, estimator, model_id=model_id, backend_cfg=cfg.backend
-                )
-                times.add(*clock.read())
-                ledger.append(first)
-                replay[first.doc_id] = ScoreLine.of(first, *ledger.position)
-                docs = itertools.chain((head,), docs)
-            scorer = next(iter(replay.values())).scorer if replay else ""
+            scorer = next(iter(replay.values())).scorer if replay else None
 
             def score(doc: Document) -> ScoredDocument:
                 clock = Stopwatch()
@@ -774,12 +770,20 @@ def stage_score(cfg: PipelineConfig, manifest_path: Path | None = None) -> dict:
                 times.add(*clock.read())
                 return scored
 
-            def issue(todo: Iterator[Document], landed: Callable) -> None:
-                def record(scored: ScoredDocument) -> None:
-                    ledger.append(scored)
-                    landed(scored)
-
-                pull_map(score, todo, cfg.backend.max_in_flight, record, keep=False)
+            def issue(todo: Iterator[Document], record: Callable) -> None:
+                nonlocal scorer
+                # Without replayed scores, the first document issued fixes the scorer.
+                head = next(todo, None) if scorer is None else None
+                if head is not None:
+                    model_id = cfg.backend.model or cfg.backend_kind
+                    clock = Stopwatch()
+                    first = askllm_score_first(
+                        head, backend, estimator, model_id=model_id, backend_cfg=cfg.backend
+                    )
+                    times.add(*clock.read())
+                    record(first)
+                    scorer = first.scorer
+                pull_map(score, todo, cfg.backend.max_in_flight, record)
 
             def copied() -> Iterator[float]:
                 """Each score in corpus order, once its line is in scores.jsonl.tmp."""

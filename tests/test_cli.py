@@ -490,6 +490,17 @@ class TestCommands:
         assert run(["filter", "-c", path, "--threshold", "0.5"]) == 0
         assert (tmp_path / "work" / "filtered" / "manifest.json").is_file()
 
+    def test_filter_threshold_nan_exits_1(self, tmp_path, capsys):
+        path = write_fixture_config(tmp_path, make_docs(12, seed=8))
+        for command in ("preprocess", "rephrase", "postprocess", "score"):
+            assert run([command, "-c", path]) == 0
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc_info:
+            run(["filter", "-c", path, "--threshold", "nan"])
+        assert exc_info.value.code == 1
+        assert "argument --threshold: expected a number, got 'nan'" in capsys.readouterr().err
+        assert not (tmp_path / "work" / "filtered").exists()
+
 
 def tree_bytes(root: Path) -> dict[str, bytes]:
     """Deterministic output files: shards, manifests, stats, calibration."""

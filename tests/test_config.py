@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import re
 from pathlib import Path
 
@@ -165,6 +166,16 @@ PATTERN_FILES = {
             "redefinition of group name 'n'",
             {"postprocess": {"pattern_file": "same_group.txt"}},
         ),
+        ("filter.threshold: expected a number, got NaN", {"filter": {"threshold": math.nan}}),
+        ("config.temperature: expected a number, got NaN", {"temperature": math.nan}),
+        (
+            "mix.sources[0].weight: expected a number, got NaN",
+            {"mix": {"sources": [{"name": "o", "manifest": "input/manifest.json", "weight": math.nan}]}},
+        ),
+        (
+            "backend.mock.logprob_rules[0].no: expected a number, got NaN",
+            {"backend": {"mock": {"logprob_rules": [{"pattern": "x", "yes": 0.0, "no": math.nan}]}}},
+        ),
     ],
     ids=[
         "unknown_mock_key",
@@ -177,6 +188,10 @@ PATTERN_FILES = {
         "pattern_file_unclosed",
         "pattern_file_not_utf8",
         "pattern_file_group_twice",
+        "threshold_nan",
+        "temperature_nan",
+        "mix_weight_nan",
+        "logprob_nan",
     ],
 )
 def test_bad_list_entry_or_section_refused_before_any_work(tmp_path, capsys, message, extra):
@@ -189,6 +204,17 @@ def test_bad_list_entry_or_section_refused_before_any_work(tmp_path, capsys, mes
     assert main(["run-all", "-c", str(path)]) == 1
     assert f"config error: {message}" in capsys.readouterr().err
     assert not (tmp_path / "work").exists()
+
+
+def test_infinite_numbers_accepted(tmp_path):
+    # -inf is a log-probability, and a threshold over external logits.
+    extra = {
+        "filter": {"threshold": -math.inf},
+        "backend": {"mock": {"logprob_rules": [{"pattern": "x", "yes": 0.0, "no": -math.inf}]}},
+    }
+    cfg = load_config(write_fixture_config(tmp_path, make_docs(3), extra=extra))
+    assert cfg.filter.threshold == -math.inf
+    assert cfg.mock.logprob_rules[0].no == -math.inf
 
 
 @pytest.mark.parametrize(

@@ -338,7 +338,7 @@ class TestMalformed200:
         backend = backend_for(server)
         path = tmp_path / "checkpoint.jsonl"
         with CheckpointWriter(path, "fp") as checkpoint:
-            run_batch(jobs, backend, backend.cfg, checkpoint=checkpoint)
+            run_batch(jobs, backend, backend.cfg, on_result=checkpoint.append)
         recorded = load_checkpoint(path, "fp")
         assert set(recorded) == {j.key for j in jobs}
         assert [key for key, result in recorded.items() if result.failed] == [jobs[3].key]
@@ -443,8 +443,18 @@ class TestOptionSpanMemo:
         backend = backend_for(server)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
+        scores = [None] * len(prompts)
+
+        def place(tagged):
+            scores[tagged[0]] = tagged[1]
+
         try:
-            scores = pull_map(lambda p: backend.option_logprobs(p, OPTIONS), prompts, 8)
+            pull_map(
+                lambda i: (i, backend.option_logprobs(prompts[i], OPTIONS)),
+                range(len(prompts)),
+                8,
+                place,
+            )
         finally:
             sys.setswitchinterval(interval)
         assert 2 * len(prompts) + 1 <= len(echo_requests(server)) <= 2 * len(prompts) + 8

@@ -38,7 +38,7 @@ from rephrasing.inference import (
     schedule,
 )
 from rephrasing.prompts import RenderedPrompt
-from rephrasing.quality import ScoredDocument
+from rephrasing.quality import ScoredDocument, ScoreLine
 
 CFG = BackendConfig(max_in_flight=4, max_retries=3, retry_backoff_s=0.0)
 
@@ -59,6 +59,17 @@ def make_job(i: int, length: int = 0) -> RephraseJob:
 
 def make_jobs(n: int) -> list[RephraseJob]:
     return [make_job(i) for i in range(n)]
+
+
+def appending(checkpoint, on_result):
+    """A ``run_batch`` ``on_result`` that appends each result to
+    ``checkpoint`` and then passes it to ``on_result``."""
+
+    def record(result):
+        checkpoint.append(result)
+        on_result(result)
+
+    return record
 
 
 class TestSchedule:
@@ -252,7 +263,7 @@ class TestRunBatch:
         try:
             with CheckpointWriter(path, "fp") as checkpoint:
                 returned = run_batch(
-                    make_jobs(64), backend, cfg, checkpoint=checkpoint, on_result=on_result
+                    make_jobs(64), backend, cfg, on_result=appending(checkpoint, on_result)
                 )
         finally:
             sys.setswitchinterval(interval)
@@ -327,9 +338,9 @@ class TestBackoffFreesSlot:
         backend = Recording(failures={0: 1})
         cfg = BackendConfig(max_in_flight=1, max_retries=2, retry_backoff_s=0.2)
         done = []
-        results = run_batch(make_jobs(3), backend, cfg, on_result=lambda r: done.append(r.key.doc_id))
-        assert all(not r.failed for r in results)
-        assert done == ["doc001", "doc002", "doc000"]
+        run_batch(make_jobs(3), backend, cfg, on_result=done.append)
+        assert all(not r.failed for r in done)
+        assert [r.key.doc_id for r in done] == ["doc001", "doc002", "doc000"]
         assert backend.started == [0, 1, 2, 0]
         assert backend.peak == 1
 
@@ -383,8 +394,14 @@ class TestPullMapOverIterator:
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
+        results = [None] * 2000
+
+        def place(tagged):
+            assert results[tagged[0]] is None
+            results[tagged[0]] = tagged[1]
+
         try:
-            results = pull_map(fn, iter(range(2000)), 32)
+            pull_map(lambda i: (i, fn(i)), iter(range(2000)), 32, place)
         finally:
             sys.setswitchinterval(interval)
         assert results == [i * 10 for i in range(2000)]
@@ -396,7 +413,7 @@ class TestPullMapOverIterator:
 
         refs = []
         returned = pull_map(
-            lambda i: Result(), iter(range(50)), 4, lambda r: refs.append(weakref.ref(r)), keep=False
+            lambda i: Result(), iter(range(50)), 4, lambda r: refs.append(weakref.ref(r))
         )
         assert returned is None
         gc.collect()
@@ -422,7 +439,9 @@ class TestPullMapOverIterator:
                 unfinished -= 1
             return i
 
-        assert pull_map(fn, items(), 4) == list(range(60))
+        done = []
+        pull_map(fn, items(), 4, done.append)
+        assert sorted(done) == list(range(60))
         assert 1 < peak <= 4
 
     def test_nothing_pulled_after_first_error(self):
@@ -442,7 +461,7 @@ class TestPullMapOverIterator:
 
         threads_before = threading.active_count()
         with pytest.raises(ValueError, match="boom"):
-            pull_map(fn, items(), 3)
+            pull_map(fn, items(), 3, lambda result: None)
         assert pulled == [0, 1, 2]
         assert threading.active_count() == threads_before
 
@@ -518,7 +537,7 @@ class TestCheckpoint:
         assert [record_line(line) for line in lines] == [
             (json.dumps(r.to_obj(), ensure_ascii=False) + "\n").encode("utf-8") for r in results
         ]
-        located = load_checkpoint(path, "fp", LedgerLine.from_obj, located=True)
+        located = load_checkpoint(path, "fp", LedgerLine.from_obj)
         assert [(line.offset, line.length) for line in located.values()] == positions
         assert not any(line.failed for line in located.values())
 
@@ -591,9 +610,9 @@ class TestCheckpoint:
             writer.append(good)
         with path.open("a", encoding="utf-8") as handle:
             handle.write(record + "\n")
-        parser = {"rephrase": LedgerLine.from_obj, "score": ScoredDocument.from_obj}[parse]
+        parser = {"rephrase": LedgerLine.from_obj, "score": ScoreLine.from_obj}[parse]
         with pytest.raises(CorpusError, match=r"cp\.jsonl: line 3: "):
-            load_checkpoint(path, "fp", parser, located=parse == "rephrase")
+            load_checkpoint(path, "fp", parser)
 
     def test_complete_line_not_json_skipped(self, tmp_path):
         path = tmp_path / "cp.jsonl"
@@ -629,7 +648,7 @@ class TestResume:
         backend = MockBackend(ECHO_RULES)
         with CheckpointWriter(path, "fp") as checkpoint:
             with pytest.raises(Killed):
-                run_batch(jobs, backend, CFG, checkpoint=checkpoint, on_result=bomb)
+                run_batch(jobs, backend, CFG, on_result=appending(checkpoint, bomb))
         return backend
 
     def test_kill_at_50_resume_issues_exactly_50(self, tmp_path):
@@ -644,7 +663,7 @@ class TestResume:
         resumed_backend = MockBackend(ECHO_RULES)
         todo = [job for job in fresh_jobs if job.key not in replayed]
         with CheckpointWriter(path, "fp") as checkpoint:
-            run_batch(todo, resumed_backend, CFG, checkpoint=checkpoint)
+            run_batch(todo, resumed_backend, CFG, on_result=checkpoint.append)
         recorded = load_checkpoint(path, "fp")
         results = [recorded[job.key] for job in fresh_jobs]
         assert resumed_backend.calls == 50
@@ -673,7 +692,9 @@ class TestResume:
         backend = MockBackend(ECHO_RULES, latency_s=0.001)
         with CheckpointWriter(path, "fp") as checkpoint:
             with pytest.raises(KeyboardInterrupt):
-                run_batch(make_jobs(200), backend, CFG, checkpoint=checkpoint, on_result=interrupt_at_10)
+                run_batch(
+                    make_jobs(200), backend, CFG, on_result=appending(checkpoint, interrupt_at_10)
+                )
         assert list(load_checkpoint(path, "fp")) == seen
         assert backend.calls <= len(seen) + CFG.max_in_flight
         assert backend.calls < 200
@@ -685,8 +706,7 @@ class TestResume:
                 make_jobs(40),
                 MockBackend(ECHO_RULES),
                 CFG,
-                checkpoint=checkpoint,
-                on_result=lambda r: refs.append(weakref.ref(r)),
+                on_result=appending(checkpoint, lambda r: refs.append(weakref.ref(r))),
             )
         assert returned is None
         gc.collect()
@@ -700,7 +720,7 @@ class TestResume:
         path = tmp_path / "cp.jsonl"
         jobs = make_jobs(10)
         with CheckpointWriter(path, "fp") as checkpoint:
-            run_batch(jobs, MockBackend(ECHO_RULES), CFG, checkpoint=checkpoint)
+            run_batch(jobs, MockBackend(ECHO_RULES), CFG, on_result=checkpoint.append)
         replayed = resume(path, "fp")
         assert set(replayed) == {job.key for job in jobs}
         backend = MockBackend(ECHO_RULES)
@@ -712,7 +732,9 @@ class TestResume:
         path = tmp_path / "cp.jsonl"
         jobs = make_jobs(5)
         with CheckpointWriter(path, "fp") as checkpoint:
-            run_batch(jobs, MockBackend(ECHO_RULES, fail_first=99), CFG, checkpoint=checkpoint)
+            run_batch(
+                jobs, MockBackend(ECHO_RULES, fail_first=99), CFG, on_result=checkpoint.append
+            )
         assert len(load_checkpoint(path, "fp")) == 5
         assert resume(path, "fp") == {}
 

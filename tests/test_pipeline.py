@@ -1037,6 +1037,15 @@ class TestScoreLedger:
         clocks = dict.fromkeys(("busy_s", "latency_max_s", "slot_utilisation", "seconds"), 0)
         assert {**resumed, **clocks} == {**reference, **clocks}
 
+    def test_ledger_line_is_kind_then_output_line(self, rephrased):
+        # The first document's line, which fixes the scorer, included.
+        report = stage_score(rephrased)
+        scores_dir = rephrased.work_dir / "scores"
+        lines = (scores_dir / "scores.jsonl").read_bytes().splitlines(keepends=True)
+        ledger = (scores_dir / "checkpoint.jsonl").read_bytes().splitlines(keepends=True)[1:]
+        assert len(lines) == len(ledger) == report["docs"] > 0
+        assert sorted(ledger) == sorted(b'{"kind": "result", ' + line[1:] for line in lines)
+
     def test_second_score_issues_no_request(self, rephrased, backends):
         first = stage_score(rephrased)
         scores = (rephrased.work_dir / "scores" / "scores.jsonl").read_bytes()

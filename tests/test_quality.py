@@ -282,7 +282,7 @@ class TestScoreIO:
         with CheckpointWriter(ledger, "fp") as writer:
             for score in scores:
                 writer.append(score)
-        replayed = load_checkpoint(ledger, "fp", ScoredDocument.from_obj)
+        replayed = load_checkpoint(ledger, "fp", lambda obj, *_: ScoredDocument.from_obj(obj))
         assert list(replayed.values()) == scores
         # One scorer string serves every replayed score.
         assert replayed["a"].scorer is replayed["b"].scorer
