@@ -18,19 +18,21 @@ The wire protocol is a plain-text completion interface (prompt in,
 completion out, with stop sequences and temperature) as served by
 vLLM-style servers; the prompts embed their own chat framing, so no
 chat-message interface is needed.  Requests go through ``JsonClient``,
-a pool of standard-library keep-alive connections.
+which speaks HTTP/1.1 over a pool of keep-alive sockets: bodies framed
+by length, by chunks or by the connection closing, and ``1xx``
+responses skipped; no proxies, redirects or compression.
 """
 
 from __future__ import annotations
 
 import functools
 import hashlib
-import http.client
 import json
 import math
 import os
 import re
 import select
+import socket
 import ssl
 import threading
 import time
@@ -144,26 +146,57 @@ class Stopwatch:
 
 
 class RequestTimes:
-    """Busy time summed and the longest latency over timed calls, in O(1)
-    memory; ``add`` may be called from any thread."""
+    """Busy time summed, the longest latency and a latency histogram over
+    timed calls, in O(1) memory; ``add`` may be called from any thread.
+
+    The histogram's bins are fixed: ``BINS_PER_DECADE`` log-spaced bins
+    per decade from ``FLOOR_S`` up, and one below it.  A percentile is
+    read as the upper edge of the bin that holds it, or the longest
+    latency if that is less, so it reads high by less than one bin.
+    """
+
+    FLOOR_S = 1e-4
+    BINS_PER_DECADE = 20
+    BINS = 10 * BINS_PER_DECADE + 1  # up to 10^6 s
 
     def __init__(self) -> None:
         self.busy_s = 0.0
         self.latency_max_s = 0.0
+        self._counts = [0] * self.BINS
         self._lock = threading.Lock()
 
     def add(self, latency_s: float, busy_s: float) -> None:
+        at = 0
+        if latency_s >= self.FLOOR_S:
+            at = min(int(math.log10(latency_s / self.FLOOR_S) * self.BINS_PER_DECADE) + 1, self.BINS - 1)
         with self._lock:
             self.busy_s += busy_s
+            self._counts[at] += 1
             if latency_s > self.latency_max_s:
                 self.latency_max_s = latency_s
 
+    def percentile(self, share: float) -> float:
+        """The latency below which ``share`` of the timed calls fall, 0.0
+        before any call is timed."""
+        rank = math.ceil(share * sum(self._counts))
+        if rank == 0:
+            return 0.0
+        seen = 0
+        for at, count in enumerate(self._counts):
+            seen += count
+            if seen >= rank:
+                break
+        return min(self.FLOOR_S * 10 ** (at / self.BINS_PER_DECADE), self.latency_max_s)
+
     def report(self, slots: int, wall_s: float) -> dict:
-        """``busy_s``, ``latency_max_s`` and ``slot_utilisation``, the
-        busy share of ``slots`` request slots over ``wall_s``."""
+        """``busy_s``, ``latency_max_s``, ``latency_p50_s``,
+        ``latency_p95_s`` and ``slot_utilisation``, the busy share of
+        ``slots`` request slots over ``wall_s``."""
         return {
             "busy_s": round(self.busy_s, 6),
             "latency_max_s": round(self.latency_max_s, 6),
+            "latency_p50_s": round(self.percentile(0.5), 6),
+            "latency_p95_s": round(self.percentile(0.95), 6),
             "slot_utilisation": round(self.busy_s / (slots * wall_s), 6) if wall_s > 0 else 0.0,
         }
 
@@ -438,78 +471,198 @@ class MockBackend(CompletionBackend):
         return [math.log(u), math.log(1 - u)][: len(options)]
 
 
+_NOT_IN_URL = re.compile("[\x00-\x20\x7f]")
+_STATUS_LINE = re.compile(rb"HTTP/1\.(\d) (\d{3})(?: |$)")
+_CHUNK_SIZE = re.compile(rb"[0-9A-Fa-f]+")
+
+
 def parse_endpoint(url: str) -> urllib.parse.SplitResult:
-    """Split an endpoint URL; ValueError unless it is http(s) with a host."""
+    """Split an endpoint URL; ValueError unless it is http(s) with a host
+    and all of it is ASCII without spaces or control characters."""
     parts = urllib.parse.urlsplit(url)
     if parts.scheme not in ("http", "https") or not parts.hostname:
         raise ValueError(f"endpoint {url!r} is not an http:// or https:// URL with a host")
+    if not url.isascii() or _NOT_IN_URL.search(url):
+        raise ValueError(f"endpoint {url!r} holds a space, a control or a non-ASCII character")
     parts.port  # raises ValueError on a malformed port
     return parts
+
+
+def _receive(sock: socket.socket, buf: bytearray) -> bool:
+    """Append the next bytes the peer sent to ``buf``; False at their end."""
+    data = sock.recv(65536)
+    buf += data
+    return bool(data)
+
+
+def _find(sock: socket.socket, buf: bytearray, sep: bytes) -> int:
+    """Index of ``sep`` in ``buf``, receiving until it has arrived within
+    the first 64 KiB."""
+    while (at := buf.find(sep)) < 0:
+        if len(buf) > 65536:
+            raise TransientBackendError(f"no {sep!r} in 64 KiB of a response head or chunk line")
+        if not _receive(sock, buf):
+            raise TransientBackendError("connection closed inside a response")
+    return at
+
+
+def _fill(sock: socket.socket, buf: bytearray, size: int) -> None:
+    """Receive until ``buf`` holds at least ``size`` bytes."""
+    while len(buf) < size:
+        if not _receive(sock, buf):
+            raise TransientBackendError(f"connection closed after {len(buf)} of {size} body bytes")
+
+
+def _chunked_body(sock: socket.socket, buf: bytearray) -> bytes:
+    """Decode a chunked body from the front of ``buf``; trailers are dropped."""
+    body = bytearray()
+    while True:
+        end = _find(sock, buf, b"\r\n")
+        size = bytes(buf[:end]).split(b";", 1)[0].strip()
+        if not _CHUNK_SIZE.fullmatch(size):
+            raise TransientBackendError(f"bad chunk size {size[:40]!r}")
+        size = int(size, 16)
+        del buf[: end + 2]
+        if size == 0:
+            break
+        _fill(sock, buf, size + 2)
+        if buf[size : size + 2] != b"\r\n":
+            raise TransientBackendError("chunk not followed by CRLF")
+        body += buf[:size]
+        del buf[: size + 2]
+    while (end := _find(sock, buf, b"\r\n")) > 0:
+        del buf[: end + 2]
+    del buf[:2]
+    return bytes(body)
 
 
 class JsonClient:
     """JSON POSTs to one http(s) endpoint over pooled keep-alive connections.
 
+    The client speaks HTTP/1.1 over plain sockets.  A request is one
+    ``sendall``: a head built once, its ``Content-Length`` and the body.
+    Of a response it reads the status line, skipping ``1xx`` responses,
+    the ``Content-Length``, ``Transfer-Encoding`` and ``Connection``
+    headers, and a body framed by its length, by chunks or by the server
+    closing the connection.  Proxies, redirects and compression are not
+    supported: the proxy variables are not read, a redirect is a status
+    like any other, and the request asks for ``identity`` encoding.
+
     A request takes an idle connection, or opens one when none is idle,
     and hands it back once the response is read, so the pool never
-    holds more connections than requests were in flight at once.  An
-    idle connection the peer has closed is reopened before use, so it
-    costs no retry.  Connection and protocol errors discard the
-    connection and raise ``TransientBackendError``; retrying is left to
+    holds more connections than requests were in flight at once.  Only
+    an HTTP/1.1 response with a framed body, no ``Connection: close``
+    and no byte after it hands its connection back.  An idle connection
+    the peer has closed is reopened before use, so it costs no retry.
+    Connection errors and malformed responses discard the connection
+    and raise ``TransientBackendError``; retrying is left to
     ``with_retries``.  Status 401/403 raise ``AuthError``, 429 and 5xx
     ``TransientBackendError``, any other status or a 200 whose body is
     not a JSON object ``BackendError``.  ``timeout_s`` bounds the connect
-    and every socket read.  ``http.client`` sets TCP_NODELAY on every
-    connection.  HTTPS verifies against the system trust store; proxy
-    variables are not read.
+    and every socket read and write.  Every connection sets TCP_NODELAY.
+    HTTPS checks the certificate and the host name against the system
+    trust store.
     """
 
     def __init__(self, url: str, *, timeout_s: float, headers: Mapping[str, str] | None = None):
         parts = parse_endpoint(url)
-        self._target = (parts.path or "/") + (f"?{parts.query}" if parts.query else "")
-        self._headers = {"Content-Type": "application/json", **(headers or {})}
-        if parts.scheme == "https":
-            context = ssl.create_default_context()
-            self._open = lambda: http.client.HTTPSConnection(
-                parts.hostname, parts.port, timeout=timeout_s, context=context
-            )
-        else:
-            self._open = lambda: http.client.HTTPConnection(
-                parts.hostname, parts.port, timeout=timeout_s
-            )
-        self._idle: list[http.client.HTTPConnection] = []
+        default_port = 443 if parts.scheme == "https" else 80
+        self._address = (parts.hostname, parts.port or default_port)
+        self._timeout_s = timeout_s
+        self._tls = ssl.create_default_context() if parts.scheme == "https" else None
+        host = f"[{parts.hostname}]" if ":" in parts.hostname else parts.hostname
+        if parts.port not in (None, default_port):
+            host += f":{parts.port}"
+        fields = {"Host": host, "Content-Type": "application/json", "Accept-Encoding": "identity"}
+        fields.update(headers or {})
+        if any("\r" in value or "\n" in value for value in fields.values()):
+            raise ValueError("a request header value holds a line break")
+        target = (parts.path or "/") + (f"?{parts.query}" if parts.query else "")
+        head = [f"POST {target} HTTP/1.1", *(f"{name}: {value}" for name, value in fields.items())]
+        self._head = "\r\n".join([*head, "Content-Length: "]).encode("latin-1")
+        self._idle: list[socket.socket] = []
         self._lock = threading.Lock()
 
-    def _checkout(self) -> http.client.HTTPConnection:
+    def _connect(self) -> socket.socket:
+        sock = socket.create_connection(self._address, self._timeout_s)
+        try:
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            if self._tls is not None:
+                sock = self._tls.wrap_socket(sock, server_hostname=self._address[0])
+        except BaseException:
+            sock.close()
+            raise
+        return sock
+
+    def _checkout(self) -> socket.socket | None:
+        """An idle connection still open, or None."""
         with self._lock:
-            conn = self._idle.pop() if self._idle else None
-        if conn is None:
-            return self._open()
-        if select.select([conn.sock], [], [], 0)[0]:
+            sock = self._idle.pop() if self._idle else None
+        if sock is not None and select.select([sock], [], [], 0)[0]:
             # Readable while idle: the peer closed it, or sent bytes no
-            # request asked for.  A closed HTTPConnection reconnects on
-            # its next request.
-            conn.close()
-        return conn
+            # request asked for.
+            sock.close()
+            return None
+        return sock
+
+    def _exchange(self, sock: socket.socket, body: bytes) -> tuple[int, bytes, bool]:
+        """Send one request and read its response: (status, body, whether
+        the connection may carry another request)."""
+        sock.sendall(b"%b%d\r\n\r\n%b" % (self._head, len(body), body))
+        buf = bytearray()
+        status = 100
+        while 100 <= status < 200:
+            end = _find(sock, buf, b"\r\n\r\n")
+            lines = bytes(buf[:end]).split(b"\r\n")
+            del buf[: end + 4]
+            match = _STATUS_LINE.match(lines[0])
+            if match is None:
+                raise TransientBackendError(f"bad status line {lines[0][:80]!r}")
+            status = int(match.group(2))
+        reusable = match.group(1) != b"0"
+        length = 0 if status in (204, 304) else None
+        chunked = False
+        for line in lines[1:]:
+            name, _, value = line.partition(b":")
+            name = name.strip().lower()
+            if name == b"content-length" and length is None:
+                value = value.strip()
+                if not value.isdigit():
+                    raise TransientBackendError(f"bad Content-Length {value[:40]!r}")
+                length = int(value)
+            elif name == b"transfer-encoding":
+                chunked = value.rsplit(b",", 1)[-1].strip().lower() == b"chunked"
+            elif name == b"connection" and b"close" in [t.strip() for t in value.lower().split(b",")]:
+                reusable = False
+        if chunked:
+            data = _chunked_body(sock, buf)
+        elif length is not None:
+            _fill(sock, buf, length)
+            data = bytes(buf[:length])
+            del buf[:length]
+        else:
+            while _receive(sock, buf):
+                pass
+            data, reusable = bytes(buf), False
+            buf.clear()
+        return status, data, reusable and not buf
 
     def post(self, payload: Mapping) -> dict:
         body = json.dumps(payload).encode("utf-8")
-        conn = self._checkout()
+        sock = self._checkout()
+        reusable = False
         try:
-            conn.request("POST", self._target, body, self._headers)
-            with conn.getresponse() as response:
-                data = response.read()
-        except (OSError, http.client.HTTPException) as exc:
-            conn.close()
+            if sock is None:
+                sock = self._connect()
+            status, data, reusable = self._exchange(sock, body)
+        except OSError as exc:
             raise TransientBackendError(f"{type(exc).__name__}: {exc}") from exc
-        except BaseException:
-            conn.close()
-            raise
-        # http.client has already closed a connection the response ends.
-        if not response.will_close:
-            with self._lock:
-                self._idle.append(conn)
-        status = response.status
+        finally:
+            if reusable:
+                with self._lock:
+                    self._idle.append(sock)
+            elif sock is not None:
+                sock.close()
         if status in (401, 403):
             raise AuthError(f"endpoint returned {status}")
         if status == 429 or status >= 500:
@@ -526,8 +679,8 @@ class JsonClient:
         """Close every pooled connection; a later request opens anew."""
         with self._lock:
             idle, self._idle = self._idle, []
-        for conn in idle:
-            conn.close()
+        for sock in idle:
+            sock.close()
 
 
 # The exact types a parsed JSON number or null has; true and false parse

@@ -477,8 +477,10 @@ def stage_rephrase(cfg: PipelineConfig, *, on_result=None) -> dict:
     ``throughput.json`` reports, over the jobs issued in this run (not
     the replayed ones), ``busy_s``, the time spent in requests summed
     over jobs, retry backoffs left out since they hold no request slot;
-    ``latency_max_s``, the longest job from first try to result; and
-    ``slot_utilisation``, ``busy_s / (max_in_flight * seconds)``.
+    ``latency_max_s``, the longest job from first try to result;
+    ``latency_p50_s`` and ``latency_p95_s``, read from a fixed histogram
+    of those latencies; and ``slot_utilisation``,
+    ``busy_s / (max_in_flight * seconds)``.
     """
     started = time.monotonic()
     estimator = load_estimator(cfg)
@@ -735,7 +737,8 @@ def stage_score(cfg: PipelineConfig, manifest_path: Path | None = None) -> dict:
     The report's count, mean, min and max are taken as the lines are
     copied.  It times the documents scored in this run (not the replayed
     ones), as rephrase's ``throughput.json`` times its jobs: ``busy_s``,
-    ``latency_max_s`` and ``slot_utilisation``.
+    ``latency_max_s``, ``latency_p50_s``, ``latency_p95_s`` and
+    ``slot_utilisation``.
     """
     started = time.monotonic()
     estimator = load_estimator(cfg)

@@ -51,12 +51,24 @@ DEFAULT_MARKER_PATTERNS: tuple[str, ...] = (
 )
 
 
+# A group referred to by number, outside a character class and a
+# comment: \1 to \99 (three octal digits make a character instead) or
+# the condition of (?(1)...).  Escapes, classes and comments are
+# consumed whole; only group 1 is such a reference.
+_GROUP_BY_NUMBER = re.compile(
+    r"\\[0-7]{3}|(\\[1-9]|\(\?\(\d)|\\.|\(\?#[^)]*\)|\[\^?\]?(?:\\.|[^\]\\])*\]", re.DOTALL
+)
+
+
 def load_marker_patterns(path: Path | str) -> tuple[str, ...]:
     """The marker regexes of a pattern file, used instead of the built-in ones.
 
     One regex per line; blank lines and ``#`` comments are ignored.  A
     file that is not UTF-8, holds no pattern, or holds a pattern that
     does not compile or matches the empty string raises ``ValueError``.
+    So does a pattern after the first that refers to a group by number:
+    the patterns are matched as one alternation, where its groups are
+    numbered after those of the patterns before it.
     """
     try:
         lines = Path(path).read_text(encoding="utf-8").splitlines()
@@ -73,6 +85,11 @@ def load_marker_patterns(path: Path | str) -> tuple[str, ...]:
             raise ValueError(f"line {number}: {line!r} does not compile: {exc}") from exc
         if compiled.match(""):
             raise ValueError(f"line {number}: {line!r} matches the empty string")
+        if patterns and any(match[1] for match in _GROUP_BY_NUMBER.finditer(line)):
+            raise ValueError(
+                f"line {number}: {line!r} refers to a group by number, which the patterns before it "
+                "renumber; name the group: (?P<name>...) and (?P=name)"
+            )
         patterns.append(line)
     if not patterns:
         raise ValueError("no pattern; blank lines and # comments are ignored")

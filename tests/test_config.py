@@ -125,6 +125,7 @@ PATTERN_FILES = {
     "unclosed.txt": b"(unclosed\n",
     "latin1.txt": "R\u00e9sum\u00e9\\s*:\n".encode("latin-1"),
     "same_group.txt": b"(?P<n>Option)\\s*:\n(?P<n>Version)\\s*:\n",
+    "numbered_ref.txt": b"(P)araphrase\\s*:\n(O)ption \\1\\s*:\n",
 }
 
 
@@ -166,6 +167,10 @@ PATTERN_FILES = {
             "redefinition of group name 'n'",
             {"postprocess": {"pattern_file": "same_group.txt"}},
         ),
+        (
+            r"postprocess.pattern_file: line 2: '(O)ption \\1\\s*:' refers to a group by number",
+            {"postprocess": {"pattern_file": "numbered_ref.txt"}},
+        ),
         ("filter.threshold: expected a number, got NaN", {"filter": {"threshold": math.nan}}),
         ("config.temperature: expected a number, got NaN", {"temperature": math.nan}),
         (
@@ -188,6 +193,7 @@ PATTERN_FILES = {
         "pattern_file_unclosed",
         "pattern_file_not_utf8",
         "pattern_file_group_twice",
+        "pattern_file_group_by_number",
         "threshold_nan",
         "temperature_nan",
         "mix_weight_nan",
@@ -300,6 +306,8 @@ def test_http_backend_requires_endpoint(tmp_path):
         ("backend", "endpoint", "ftp://example.org/v1/completions"),
         ("backend", "endpoint", "http:///v1/completions"),
         ("backend", "endpoint", "http://host:port/v1/completions"),
+        ("backend", "endpoint", "http://host/v1/chat completions"),
+        ("backend", "endpoint", "http://h\u00f6st/v1/completions"),
         ("estimator", "exact_endpoint", "127.0.0.1:9000/tokenize"),
     ],
 )

@@ -6,10 +6,14 @@ import importlib.util
 import json
 import logging
 import re
+import shutil
 import socket
+import ssl
+import subprocess
 import sys
 import threading
 import time
+from contextlib import contextmanager
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
@@ -79,6 +83,13 @@ class _Handler(BaseHTTPRequestHandler):
         state["requests"].append({"path": self.path, "payload": payload,
                                   "auth": self.headers.get("Authorization"),
                                   "port": self.client_address[1]})
+        if state.get("raw"):
+            # A test's raw replies, one a request, sent as they are; each
+            # says whether the server then closes the connection.
+            reply, close = state["raw"].pop(0)
+            self.wfile.write(reply)
+            self.close_connection = close
+            return
         if "delay_s" in state:
             time.sleep(state["delay_s"])
         if "barrier" in state:
@@ -137,9 +148,11 @@ class _Handler(BaseHTTPRequestHandler):
             self.connection.shutdown(socket.SHUT_WR)
 
 
-@pytest.fixture
-def server():
+@contextmanager
+def serving(tls: ssl.SSLContext | None = None):
     httpd = ThreadingHTTPServer(("127.0.0.1", 0), _Handler)
+    if tls is not None:
+        httpd.socket = tls.wrap_socket(httpd.socket, server_side=True)
     httpd.state = {"requests": []}
     httpd.cond = threading.Condition()
     httpd.open_conns = 0
@@ -151,6 +164,12 @@ def server():
         httpd.shutdown()
         httpd.server_close()
         thread.join(timeout=5)
+
+
+@pytest.fixture
+def server():
+    with serving() as httpd:
+        yield httpd
 
 
 def endpoint(server, path="/v1/completions") -> str:
@@ -290,6 +309,120 @@ class TestCompletionWire:
         assert scored.scorer == "ask_llm:m"
         assert scored.score == 0.5
         assert [bool(r["payload"].get("echo")) for r in server.state["requests"]] == [True] * 4
+
+
+RAW_COMPLETION = json.dumps(
+    {"model": "stub-model", "choices": [{"text": "raw reply", "finish_reason": "stop"}]}
+).encode("utf-8")
+
+
+def chunked(body: bytes) -> bytes:
+    """``body`` in three chunks, the first with an extension, and a trailer."""
+    third = len(body) // 3
+    parts = [body[:third], body[third : 2 * third], body[2 * third :]]
+    chunks = [b"%x;ext=1\r\n%b\r\n" % (len(parts[0]), parts[0])]
+    chunks += [b"%X\r\n%b\r\n" % (len(part), part) for part in parts[1:]]
+    return b"".join(chunks) + b"0\r\nX-Trailer: t\r\n\r\n"
+
+
+LENGTH_200 = b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n%b" % (len(RAW_COMPLETION), RAW_COMPLETION)
+
+# Raw replies: (bytes, whether the server closes the connection after
+# them, whether the client may send its next request on it).
+WIRE_REPLIES = {
+    "chunked": (b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n" + chunked(RAW_COMPLETION), False, True),
+    "continue_first": (b"HTTP/1.1 100 Continue\r\n\r\n" + LENGTH_200, False, True),
+    "http_1_0": (LENGTH_200.replace(b"HTTP/1.1", b"HTTP/1.0", 1), False, False),
+    "no_length": (b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n\r\n" + RAW_COMPLETION, True, False),
+    "odd_case_length": (LENGTH_200.replace(b"Content-Length", b"cOnTeNt-LeNgTh"), False, True),
+    "odd_case_chunked": (
+        b"HTTP/1.1 200 OK\r\ntransfer-ENCODING: Chunked\r\n\r\n" + chunked(RAW_COMPLETION), False, True
+    ),
+    "odd_case_close": (LENGTH_200.replace(b"\r\n\r\n", b"\r\ncOnNeCtIoN: keep-alive, CLOSE\r\n\r\n"), False, False),
+    "bytes_after_body": (LENGTH_200 + b"HTTP/1.1 200 OK\r\n", False, False),
+}
+
+# Raw replies the client refuses: (bytes, whether the server closes).
+MALFORMED_REPLIES = {
+    "short_body": (LENGTH_200.replace(b"Content-Length: ", b"Content-Length: 1"), True),
+    "garbage_status_line": (b"garbage\r\nContent-Length: 2\r\n\r\n{}", False),
+    "endless_head": (b"HTTP/1.1 200 OK\r\nX-Padding: " + b"a" * 70_000, False),
+}
+
+
+class TestWireFraming:
+    @pytest.mark.parametrize("reply, closes, pooled", list(WIRE_REPLIES.values()), ids=list(WIRE_REPLIES))
+    def test_reply_is_read_and_its_connection_pooled_only_if_kept(
+        self, server, backend_for, reply, closes, pooled
+    ):
+        server.state["raw"] = [(reply, closes)]
+        backend = backend_for(server)
+        assert backend.complete("hi", temperature=0.0, stop=(), max_tokens=8).text == "raw reply"
+        assert backend.complete("hi", temperature=0.0, stop=(), max_tokens=8).text == "echo of 2 chars"
+        first, second = client_ports(server)
+        assert (first == second) == pooled
+
+    @pytest.mark.parametrize("reply, closes", list(MALFORMED_REPLIES.values()), ids=list(MALFORMED_REPLIES))
+    def test_malformed_reply_is_transient_and_its_connection_discarded(
+        self, server, backend_for, reply, closes
+    ):
+        server.state["raw"] = [(reply, closes)]
+        backend = backend_for(server)
+        with pytest.raises(TransientBackendError):
+            backend.complete("hi", temperature=0.0, stop=(), max_tokens=8)
+        backend.complete("hi", temperature=0.0, stop=(), max_tokens=8)
+        first, second = client_ports(server)
+        assert first != second
+
+
+@pytest.fixture
+def tls_server(tmp_path):
+    """A stub server behind a self-signed certificate for 127.0.0.1, and
+    the certificate's path."""
+    if shutil.which("openssl") is None:
+        pytest.skip("openssl is not installed")
+    cert, key = tmp_path / "cert.pem", tmp_path / "key.pem"
+    subprocess.run(
+        ["openssl", "req", "-x509", "-newkey", "rsa:2048", "-nodes", "-days", "1",
+         "-subj", "/CN=localhost", "-addext", "subjectAltName=DNS:localhost,IP:127.0.0.1",
+         "-keyout", str(key), "-out", str(cert)],
+        check=True,
+        capture_output=True,
+    )
+    context = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
+    context.load_cert_chain(cert, key)
+    with serving(context) as httpd:
+        yield httpd, cert
+
+
+def https_backend(server) -> HttpBackend:
+    url = endpoint(server).replace("http://", "https://", 1)
+    return HttpBackend(BackendConfig(endpoint=url, timeout_s=10.0))
+
+
+class TestHttps:
+    def test_trusted_certificate_is_accepted(self, tls_server, monkeypatch):
+        server, cert = tls_server
+        monkeypatch.setenv("SSL_CERT_FILE", str(cert))
+        backend = https_backend(server)
+        try:
+            for _ in range(2):
+                completion = backend.complete("hi", temperature=0.0, stop=(), max_tokens=8)
+                assert completion.text == "echo of 2 chars"
+        finally:
+            backend.close()
+        assert len(set(client_ports(server))) == 1
+
+    def test_untrusted_certificate_is_refused(self, tls_server, monkeypatch):
+        server, _ = tls_server
+        monkeypatch.delenv("SSL_CERT_FILE", raising=False)
+        backend = https_backend(server)
+        try:
+            with pytest.raises(TransientBackendError, match="SSLCertVerificationError"):
+                backend.complete("hi", temperature=0.0, stop=(), max_tokens=8)
+        finally:
+            backend.close()
+        assert server.state["requests"] == []
 
 
 # Words and punctuation, as the benchmark's stub endpoint counts tokens.

@@ -3,11 +3,13 @@ from __future__ import annotations
 import gc
 import json
 import math
+import random
 import re
 import signal
 import sys
 import threading
 import time
+import tracemalloc
 import weakref
 
 import pytest
@@ -29,6 +31,7 @@ from rephrasing.inference import (
     MockRule,
     RephraseJob,
     RephraseResult,
+    RequestTimes,
     TransientBackendError,
     load_checkpoint,
     pull_map,
@@ -752,3 +755,49 @@ class TestCompletionDataclasses:
 
     def test_completion_defaults(self):
         assert Completion("x", "stop_sequence").model_id == ""
+
+
+class TestRequestTimes:
+    # A percentile reads high by less than one bin's width, this factor.
+    BIN = 10 ** (1 / RequestTimes.BINS_PER_DECADE)
+
+    def test_percentiles_land_within_one_bin(self):
+        rng = random.Random(5)
+        latencies = [math.exp(rng.uniform(math.log(1e-3), math.log(300.0))) for _ in range(2001)]
+        times = RequestTimes()
+        for latency in latencies:
+            times.add(latency, latency / 2)
+        ordered = sorted(latencies)
+        for share in (0.5, 0.95):
+            exact = ordered[math.ceil(share * len(ordered)) - 1]
+            assert exact <= times.percentile(share) < exact * self.BIN
+        report = times.report(2, 1000.0)
+        assert report["latency_p50_s"] == round(times.percentile(0.5), 6)
+        assert report["latency_p95_s"] == round(times.percentile(0.95), 6)
+        assert report["latency_max_s"] == round(ordered[-1], 6)
+
+    def test_percentile_never_exceeds_the_longest_latency(self):
+        times = RequestTimes()
+        for latency in (0.0, 0.0, 0.0):
+            times.add(latency, latency)
+        assert times.percentile(0.5) == 0.0
+        times.add(0.0101, 0.0101)
+        assert times.percentile(0.95) == 0.0101
+
+    def test_nothing_timed_reads_zero(self):
+        report = RequestTimes().report(2, 1.0)
+        assert [report[k] for k in ("latency_max_s", "latency_p50_s", "latency_p95_s")] == [0, 0, 0]
+
+    def test_memory_does_not_grow_with_the_calls_timed(self):
+        times = RequestTimes()
+        tracemalloc.start()
+        try:
+            for i in range(50_000):
+                times.add(0.001 * (1 + i % 997), 0.001)
+                if i == 999:
+                    before = tracemalloc.get_traced_memory()[0]
+            after = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        # A list of the latencies would take at least 8 bytes a call.
+        assert after - before < 49_000

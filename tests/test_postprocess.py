@@ -240,3 +240,25 @@ def test_load_marker_patterns(tmp_path):
     patterns = load_marker_patterns(path)
     assert patterns == ("Rewrite\\s*:", "Paraphrase\\s*:")
     assert clean_legacy("Rewrite: Fresh text.", patterns=patterns) == "Fresh text."
+
+
+MARKED_TWICE = "Option O: first text.\nOption O: second text."
+
+
+@pytest.mark.parametrize(
+    "second", [r"(O)ption \1\s*:", r"(O)?ption(?(1) O)\s*:"], ids=["backreference", "condition"]
+)
+def test_later_pattern_referring_to_a_group_by_number_refused(tmp_path, second):
+    path = tmp_path / "patterns.txt"
+    path.write_text(f"(P)araphrase\\s*:\n{second}\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=r"line 2: .* refers to a group by number"):
+        load_marker_patterns(path)
+    # Alone, or first, the pattern's numbers are its own.
+    path.write_text(f"{second}\n(P)araphrase\\s*:\n", encoding="utf-8")
+    assert clean_legacy(MARKED_TWICE, patterns=load_marker_patterns(path)) == "first text."
+
+
+def test_later_pattern_referring_to_a_group_by_name_splits(tmp_path):
+    path = tmp_path / "patterns.txt"
+    path.write_text("(P)araphrase\\s*:\n(?P<o>O)ption (?P=o)\\s*:\n", encoding="utf-8")
+    assert clean_legacy(MARKED_TWICE, patterns=load_marker_patterns(path)) == "first text."
