@@ -17,7 +17,7 @@ from operator import itemgetter
 from pathlib import Path
 from typing import BinaryIO, Callable, Iterable, Iterator, Mapping, Sequence
 
-from .tokens import TokenEstimator
+from .tokens import RATIO_QUANTUM, TokenEstimator, quantize_ratio
 
 DEFAULT_LANGUAGES = ("en", "de", "es", "it")
 
@@ -254,10 +254,75 @@ class ShardEntry:
         )
 
 
+@dataclass(frozen=True)
+class CorpusRecord:
+    """What ``write_corpus`` wrote: the sha256 of the shards' bytes in
+    manifest order, the characters of the texts of each language, and
+    the count of documents that not every reader takes (``_usable``)."""
+
+    sha256: str
+    lang_chars: Mapping[str, int]
+    unusable_docs: int
+
+    def to_obj(self) -> dict:
+        return {
+            "sha256": self.sha256,
+            "lang_chars": dict(sorted(self.lang_chars.items())),
+            "unusable_docs": self.unusable_docs,
+        }
+
+    @staticmethod
+    def from_obj(obj: Mapping) -> "CorpusRecord":
+        lang_chars = typed_field(obj, "lang_chars", dict)
+        return CorpusRecord(
+            sha256=typed_field(obj, "sha256"),
+            lang_chars={lang: typed_field(lang_chars, lang, int) for lang in lang_chars},
+            unusable_docs=typed_field(obj, "unusable_docs", int),
+        )
+
+
+_RECORD_FIELDS = {"sha256", "lang_chars", "unusable_docs"}
+
+
+def _usable(doc: Document) -> bool:
+    """Whether every reader takes the document back from its line:
+    ``doc_from_obj`` refuses an empty or mistyped field, and score a text
+    that is only whitespace."""
+    return (
+        isinstance(doc.id, str)
+        and isinstance(doc.text, str)
+        and isinstance(doc.lang, str)
+        and bool(doc.id)
+        and bool(doc.text)
+        and not doc.text.isspace()
+    )
+
+
+class _Tally:
+    """What ``write_corpus`` learns of its documents as it writes them,
+    across all its shards; ``record`` sums it up."""
+
+    def __init__(self) -> None:
+        self.digest = hashlib.sha256()
+        self.lang_chars: dict[str, int] = {}
+        self.unusable_docs = 0
+
+    def add(self, doc: Document, line: bytes) -> None:
+        self.digest.update(line)
+        if _usable(doc):
+            self.lang_chars[doc.lang] = self.lang_chars.get(doc.lang, 0) + len(doc.text)
+        else:
+            self.unusable_docs += 1
+
+    def record(self) -> CorpusRecord:
+        return CorpusRecord(self.digest.hexdigest(), self.lang_chars, self.unusable_docs)
+
+
 def write_shard(
     docs: Iterable[Document],
     path: Path | str,
     estimator: TokenEstimator | None = None,
+    tally: _Tally | None = None,
 ) -> ShardEntry:
     """Write one JSON object per line; duplicate ids abort the shard."""
     path = Path(path)
@@ -268,12 +333,15 @@ def write_shard(
     n_chars = 0
     est_tokens = 0.0
     try:
-        with path.open("w", encoding="utf-8") as handle:
+        with path.open("wb") as handle:
             for doc in docs:
                 if doc.id in seen:
                     raise CorpusError(f"duplicate document id {doc.id!r} in {path}")
                 seen.add(doc.id)
-                handle.write(doc_to_json(doc) + "\n")
+                line = (doc_to_json(doc) + "\n").encode("utf-8")
+                handle.write(line)
+                if tally is not None:
+                    tally.add(doc, line)
                 n_docs += 1
                 n_chars += len(doc.text)
                 est_tokens += est.estimate_text(doc.text, doc.lang)
@@ -288,12 +356,15 @@ class ShardManifest:
     """Per-stage record of shard files with counts and a config fingerprint.
 
     Resumed runs compare the fingerprint against the active config and
-    refuse to mix artifacts produced under different parameters.
+    refuse to mix artifacts produced under different parameters.  A
+    manifest that ``write_corpus`` saved also holds its ``record``; one
+    written any other way, or by an older version, has none.
     """
 
     stage: str
     fingerprint: str
     shards: list[ShardEntry] = field(default_factory=list)
+    record: CorpusRecord | None = None
 
     @property
     def total_docs(self) -> int:
@@ -309,6 +380,7 @@ class ShardManifest:
             "fingerprint": self.fingerprint,
             "total_docs": self.total_docs,
             "total_est_tokens": self.total_est_tokens,
+            **(self.record.to_obj() if self.record is not None else {}),
             "shards": [s.to_obj() for s in self.shards],
         }
 
@@ -325,6 +397,7 @@ class ShardManifest:
                 stage=typed_field(obj, "stage"),
                 fingerprint=typed_field(obj, "fingerprint"),
                 shards=[ShardEntry.from_obj(s) for s in typed_field(obj, "shards", list, default=[])],
+                record=CorpusRecord.from_obj(obj) if obj.keys() & _RECORD_FIELDS else None,
             )
             total = typed_field(obj, "total_docs", int, default=manifest.total_docs)
         except BAD_RECORD as exc:
@@ -337,13 +410,44 @@ class ShardManifest:
         base = Path(base_dir)
         return [base / s.path for s in self.shards]
 
+    def recorded_digest(
+        self, base_dir: Path | str, languages: Sequence[str] | None = DEFAULT_LANGUAGES
+    ) -> str | None:
+        """The record's sha256 when the shards still hold what
+        ``write_corpus`` recorded and every reader takes all of it: no
+        unusable document, no language outside ``languages`` (unless it is
+        None), the record's characters those of the shard entries, and
+        every shard, hashed line by line in manifest order, with as many
+        lines as its entry has documents.  Otherwise None, and the caller
+        parses the corpus, which raises whatever error it holds."""
+        record = self.record
+        if (
+            record is None
+            or record.unusable_docs
+            or (languages is not None and not set(record.lang_chars) <= set(languages))
+            or sum(record.lang_chars.values()) != sum(s.chars for s in self.shards)
+        ):
+            return None
+        digest = hashlib.sha256()
+        try:
+            for entry, path in zip(self.shards, self.shard_paths(base_dir)):
+                if _hash_lines(path, digest) != entry.docs:
+                    return None
+        except OSError:
+            return None
+        return record.sha256 if digest.hexdigest() == record.sha256 else None
+
     def verify(self, base_dir: Path | str, languages: Sequence[str] | None = DEFAULT_LANGUAGES) -> str:
         """Check that every listed shard exists, parses and matches its
         count, and that no document's text is only whitespace (unscorable).
 
         Returns the sha256 of the shards' bytes in manifest order, which
-        names the corpus's content.
+        names the corpus's content.  Shards that match the manifest's
+        record (``recorded_digest``) are hashed, not parsed.
         """
+        recorded = self.recorded_digest(base_dir, languages)
+        if recorded is not None:
+            return recorded
         digest = hashlib.sha256()
         for entry, path in zip(self.shards, self.shard_paths(base_dir)):
             n = 0
@@ -353,11 +457,18 @@ class ShardManifest:
                     raise CorpusError(f"shard {path}: cannot score empty document {doc.id!r}")
             if n != entry.docs:
                 raise CorpusError(f"shard {path}: has {n} docs, manifest says {entry.docs}")
-            # Line by line, so the hash holds no more than the parse did.
-            with path.open("rb") as handle:
-                for line in handle:
-                    digest.update(line)
+            _hash_lines(path, digest)
         return digest.hexdigest()
+
+
+def _hash_lines(path: Path, digest) -> int:
+    """Feed a file to ``digest`` line by line, so the hash holds no more
+    than a parse does; returns the count of lines."""
+    lines = 0
+    with path.open("rb") as handle:
+        for lines, line in enumerate(handle, start=1):
+            digest.update(line)
+    return lines
 
 
 def shard_runs(items: Iterable, shard_size: int) -> Iterator[Iterator]:
@@ -391,13 +502,17 @@ def write_corpus(
     open shard's ids (for its duplicate check), never a shard of
     documents.  An empty stream still gets one empty shard.  The manifest
     is saved only after the stream is exhausted; an exception from the
-    stream deletes the open shard and leaves no manifest.
+    stream deletes the open shard and leaves no manifest.  It holds the
+    ``CorpusRecord`` of the bytes written, which lets a later reader hash
+    the shards instead of parsing them.
     """
     out_dir = Path(out_dir)
     manifest = ShardManifest(stage=stage, fingerprint=fingerprint)
+    tally = _Tally()
     for run in shard_runs(docs, shard_size):
         path = out_dir / f"shard-{len(manifest.shards):05d}.jsonl"
-        manifest.shards.append(write_shard(run, path, estimator))
+        manifest.shards.append(write_shard(run, path, estimator, tally))
+    manifest.record = tally.record()
     manifest.save(out_dir / "manifest.json")
     return manifest
 
@@ -450,6 +565,33 @@ class CorpusStats:
         }
 
 
+# A sum of estimates on the RATIO_QUANTUM grid is exact, whatever the
+# order of its terms, while it stays below this many tokens (2**33).
+EXACT_SUM_LIMIT = 2**53 * RATIO_QUANTUM
+
+
+def _recorded_stats(
+    manifest: ShardManifest,
+    base_dir: Path | str,
+    est: TokenEstimator,
+    languages: Sequence[str] | None,
+) -> CorpusStats | None:
+    """The estimated stats from the manifest's record, or None unless
+    they provably equal the parse's running sum: every ratio in use lies
+    on the RATIO_QUANTUM grid and the total below EXACT_SUM_LIMIT, so
+    each term and partial sum is exact, and the shards still match the
+    record."""
+    record = manifest.record
+    if record is None or any(quantize_ratio(r) != r for r in map(est.ratio_for, record.lang_chars)):
+        return None
+    tokens = 0.0
+    for lang, chars in sorted(record.lang_chars.items()):
+        tokens += est.estimate_chars(chars, lang)
+    if tokens >= EXACT_SUM_LIMIT or manifest.recorded_digest(base_dir, languages) is None:
+        return None
+    return CorpusStats(manifest.total_docs, tokens)
+
+
 def corpus_stats(
     manifest: ShardManifest,
     base_dir: Path | str,
@@ -458,8 +600,14 @@ def corpus_stats(
     languages: Sequence[str] | None = DEFAULT_LANGUAGES,
 ) -> CorpusStats:
     """Count documents exactly; count tokens via the estimator unless an
-    external exact counter is configured."""
+    external exact counter is configured.  An estimate that the
+    manifest's record gives exactly (``_recorded_stats``) reads no
+    document."""
     est = estimator or TokenEstimator()
+    if exact_counter is None:
+        recorded = _recorded_stats(manifest, base_dir, est, languages)
+        if recorded is not None:
+            return recorded
     docs = 0
     tokens = 0.0
     for doc in iter_corpus(manifest, base_dir, languages):

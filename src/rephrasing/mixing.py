@@ -83,18 +83,15 @@ class MixPlan:
     draws: tuple[SourceDraw, ...]
 
 
-def _source_size(manifest: ShardManifest, unit: str) -> float:
-    if unit == UNIT_DOCUMENTS:
-        return float(manifest.total_docs)
-    return manifest.total_est_tokens
-
-
-def plan_mix(spec: MixSpec, manifests: Mapping[str, ShardManifest] | None = None) -> MixPlan:
-    """Compute per-source quotas and repeat counts from manifest sizes."""
-    manifests = manifests or {
-        s.name: ShardManifest.load(s.manifest_path) for s in spec.sources
-    }
-    sizes = {name: _source_size(m, spec.unit) for name, m in manifests.items()}
+def plan_mix(spec: MixSpec, sizes: Mapping[str, float] | None = None) -> MixPlan:
+    """Compute per-source quotas and repeat counts from source sizes in
+    ``spec.unit``; by default, the sizes the sources' manifests record."""
+    if sizes is None:
+        manifests = {s.name: ShardManifest.load(s.manifest_path) for s in spec.sources}
+        sizes = {
+            name: float(m.total_docs) if spec.unit == UNIT_DOCUMENTS else m.total_est_tokens
+            for name, m in manifests.items()
+        }
     for source in spec.sources:
         if sizes[source.name] <= 0:
             raise MixError(f"source {source.name!r} is empty")
@@ -191,15 +188,20 @@ class _SourceIndex:
         base_dir: Path,
         weigh: Callable[[Document], float],
         languages: Sequence[str] | None,
-    ) -> None:
+    ) -> float:
+        """Index every document of a source; returns their total weight."""
+        total = 0.0
         for path in manifest.shard_paths(base_dir):
             self.shard_paths.append(path)
             self.shard_sources.append(name)
             self.shard_starts.append(len(self.offsets))
             for offset, length, doc in load_shard(path, languages).located():
+                weight = weigh(doc)
                 self.offsets.append(offset)
                 self.lengths.append(length)
-                self.weights.append(weigh(doc))
+                self.weights.append(weight)
+                total += weight
+        return total
 
     def drawn(self, refs: Iterable[int], passes: int) -> Iterator[Document]:
         """Read each ``index * passes + pass`` reference back as its drawn document."""
@@ -233,8 +235,9 @@ def execute_mix(
 
     The draw and the shuffle work on references, not documents: one walk
     of each source records where its documents sit and what they weigh,
-    and each drawn document is one integer, ``index * passes + pass``, in
-    a flat array (8 bytes).  ``random.shuffle`` permutes by length and seed
+    and the plan sizes each source by the sum of those weights.  Each
+    drawn document is one integer, ``index * passes + pass``, in a flat
+    array (8 bytes).  ``random.shuffle`` permutes by length and seed
     alone, so shuffling references draws exactly what shuffling the
     documents did.  The mixed shards are then written from the shuffled
     references, each document read back by its offset, so memory holds
@@ -245,32 +248,37 @@ def execute_mix(
         if Path(source.manifest_path).parent.resolve() == out_dir.resolve():
             raise MixError(f"source {source.name!r} is in the output directory {out_dir}")
     est = estimator or TokenEstimator()
-    manifests = {s.name: ShardManifest.load(s.manifest_path) for s in spec.sources}
-    plan = plan_mix(spec, manifests)
-    draws = {d.name: d for d in plan.draws}
-    # Pass indices run up to full_passes (the remainder's pass).
-    passes = 1 + max(d.full_passes for d in plan.draws)
 
     def doc_weight(doc: Document) -> float:
         if spec.unit == UNIT_DOCUMENTS:
             return 1.0
         return est.estimate_text(doc.text, doc.lang)
 
-    report = MixReport(spec.unit, spec.seed)
+    # Sources are sized by the walk, with the run's estimator, not by
+    # their manifests, which another estimator may have written.
     catalog = _SourceIndex()
-    pool = array("q")
+    starts = []
+    sizes = {}
     for source in spec.sources:
-        first = len(catalog)
+        starts.append(len(catalog))
+        manifest = ShardManifest.load(source.manifest_path)
         base_dir = Path(source.manifest_path).parent
-        catalog.add_source(source.name, manifests[source.name], base_dir, doc_weight, languages)
-        draw = draws[source.name]
+        sizes[source.name] = catalog.add_source(
+            source.name, manifest, base_dir, doc_weight, languages
+        )
+    plan = plan_mix(spec, sizes)
+    # Pass indices run up to full_passes (the remainder's pass).
+    passes = 1 + max(d.full_passes for d in plan.draws)
 
+    report = MixReport(spec.unit, spec.seed)
+    pool = array("q")
+    for draw, first, end in zip(plan.draws, starts, [*starts[1:], len(catalog)]):
         taken_from = len(pool)
         for pass_index in range(draw.full_passes):
-            pool.extend(i * passes + pass_index for i in range(first, len(catalog)))
+            pool.extend(i * passes + pass_index for i in range(first, end))
         if draw.remainder > 0:
-            shuffled = array("q", range(first, len(catalog)))
-            random.Random(f"{spec.seed}|{source.name}").shuffle(shuffled)
+            shuffled = array("q", range(first, end))
+            random.Random(f"{spec.seed}|{draw.name}").shuffle(shuffled)
             realized = 0.0
             for i in shuffled:
                 if realized >= draw.remainder:
@@ -279,7 +287,7 @@ def execute_mix(
                 realized += catalog.weights[i]
             del shuffled
 
-        report.per_source[source.name] = {
+        report.per_source[draw.name] = {
             "docs": len(pool) - taken_from,
             "tokens": sum(catalog.weights[pool[j] // passes] for j in range(taken_from, len(pool))),
             "quota": draw.quota,

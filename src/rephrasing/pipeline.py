@@ -721,7 +721,8 @@ def stage_score(cfg: PipelineConfig, manifest_path: Path | None = None) -> dict:
     """Score documents with the informative-signal prompt.
 
     The corpus is checked in full before the first request, so a bad
-    line late in it costs no paid request.  The ledger
+    line late in it costs no paid request; shards that match their
+    manifest's record are hashed, not parsed.  The ledger
     ``scores/checkpoint.jsonl`` is the result store, run by
     ``_run_ledgered`` over ``shard_size`` runs of the corpus: a run's
     unscored documents stream into the request pool, which pulls each

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import dataclasses
+import hashlib
 import json
 import re
 from pathlib import Path
@@ -15,6 +17,7 @@ from rephrasing.corpus import (
     ShardManifest,
     corpus_stats,
     doc_to_json,
+    encode_json,
     iter_corpus,
     load_shard,
     read_document_at,
@@ -23,7 +26,7 @@ from rephrasing.corpus import (
     write_corpus,
     write_shard,
 )
-from rephrasing.tokens import TokenEstimator
+from rephrasing.tokens import TokenEstimator, quantize_ratio
 
 from conftest import make_docs
 
@@ -326,6 +329,203 @@ class TestStats:
     def test_zero_docs_nonzero_tokens_rejected(self):
         with pytest.raises(CorpusError):
             CorpusStats(0, 5.0)
+
+
+def without_record(manifest: ShardManifest) -> ShardManifest:
+    return dataclasses.replace(manifest, record=None)
+
+
+def outcome(call):
+    """What a call returns, or the type and message of what it raises."""
+    try:
+        result = call()
+    except Exception as exc:
+        return type(exc), str(exc)
+    return encode_json(result.to_obj()) if isinstance(result, CorpusStats) else result
+
+
+@pytest.fixture
+def parsed(monkeypatch):
+    """The shards that ``verify`` and ``corpus_stats`` parse, in order."""
+    paths = []
+    load = rephrasing.corpus.load_shard
+
+    def counting(path, *args, **kwargs):
+        paths.append(Path(path).name)
+        return load(path, *args, **kwargs)
+
+    monkeypatch.setattr(rephrasing.corpus, "load_shard", counting)
+    return paths
+
+
+CALIBRATED = TokenEstimator(
+    quantize_ratio(0.29), {"en": quantize_ratio(0.26), "de": quantize_ratio(0.31)}, calibrated=True
+)
+
+
+class TestCorpusRecord:
+    def test_record_names_the_bytes_written(self, tmp_path):
+        docs = make_docs(25)
+        manifest = write_corpus(docs, tmp_path, stage="input", fingerprint="fp", shard_size=10)
+        written = b"".join(p.read_bytes() for p in manifest.shard_paths(tmp_path))
+        assert written == "".join(doc_to_json(d) + "\n" for d in docs).encode("utf-8")
+        chars = {}
+        for doc in docs:
+            chars[doc.lang] = chars.get(doc.lang, 0) + len(doc.text)
+        assert manifest.record == rephrasing.corpus.CorpusRecord(
+            hashlib.sha256(written).hexdigest(), chars, 0
+        )
+        obj = json.loads((tmp_path / "manifest.json").read_text(encoding="utf-8"))
+        assert obj["sha256"] == manifest.record.sha256
+        assert obj["lang_chars"] == dict(sorted(chars.items()))
+        assert obj["unusable_docs"] == 0
+        assert ShardManifest.load(tmp_path / "manifest.json") == manifest
+
+    @pytest.mark.parametrize("n_docs", [0, 25])
+    @pytest.mark.parametrize(
+        "estimator", [None, TokenEstimator(), CALIBRATED], ids=["none", "default", "calibrated"]
+    )
+    def test_record_gives_what_the_parse_gives_without_parsing(
+        self, tmp_path, parsed, n_docs, estimator
+    ):
+        manifest = write_corpus(
+            make_docs(n_docs), tmp_path, stage="input", fingerprint="fp", shard_size=10
+        )
+
+        def digest_and_stats(m: ShardManifest) -> tuple:
+            return (
+                outcome(lambda: m.verify(tmp_path)),
+                outcome(lambda: corpus_stats(m, tmp_path, estimator)),
+            )
+
+        recorded = digest_and_stats(manifest)
+        assert parsed == []
+        assert recorded == digest_and_stats(without_record(manifest))
+        assert recorded[0] == manifest.record.sha256
+
+    @pytest.mark.parametrize(
+        "stats_args",
+        [
+            {"estimator": TokenEstimator(0.3)},
+            {"estimator": TokenEstimator(0.25, {"de": 0.3})},
+            {"exact_counter": len},
+        ],
+        ids=["off_grid_default", "off_grid_language", "exact_counter"],
+    )
+    def test_stats_parse_what_the_record_cannot_give_exactly(self, tmp_path, parsed, stats_args):
+        manifest = write_corpus(make_docs(25), tmp_path, stage="input", fingerprint="fp")
+        stats = corpus_stats(manifest, tmp_path, **stats_args)
+        assert parsed == ["shard-00000.jsonl"]
+        assert encode_json(stats.to_obj()) == encode_json(
+            corpus_stats(without_record(manifest), tmp_path, **stats_args).to_obj()
+        )
+
+    @pytest.mark.parametrize("chars, parses", [(2**35 - 4, False), (2**35, True)])
+    def test_record_gives_stats_only_below_the_exact_sum_limit(
+        self, tmp_path, parsed, chars, parses
+    ):
+        # A record edited to claim more characters than the shard holds,
+        # with the entry to match, shows which path ran.
+        manifest = write_corpus(
+            [Document("a", "x" * 8, "en")], tmp_path, stage="input", fingerprint="fp"
+        )
+        manifest.shards[0] = dataclasses.replace(manifest.shards[0], chars=chars)
+        manifest.record = dataclasses.replace(manifest.record, lang_chars={"en": chars})
+        stats = corpus_stats(manifest, tmp_path, TokenEstimator(0.25))
+        assert bool(parsed) is parses
+        assert stats.tokens == (2.0 if parses else chars / 4)
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            "flipped_letter",
+            "flipped_brace",
+            "shard_removed",
+            "doc_counts_edited",
+            "lang_chars_edited",
+            "old_format",
+            "shard_missing",
+            "lang_outside",
+            "whitespace_text",
+            "empty_text",
+            "empty_id",
+            "id_not_a_string",
+        ],
+    )
+    def test_what_the_record_cannot_vouch_for_is_parsed(self, tmp_path, parsed, damage):
+        docs = make_docs(12)
+        if damage == "lang_outside":
+            docs[5] = dataclasses.replace(docs[5], lang="fr")
+        elif damage == "whitespace_text":
+            docs[5] = dataclasses.replace(docs[5], text=" \n\u3000")
+        elif damage == "empty_text":
+            docs[5] = dataclasses.replace(docs[5], text="")
+        elif damage == "empty_id":
+            docs[5] = dataclasses.replace(docs[5], id="")
+        elif damage == "id_not_a_string":
+            docs[5] = dataclasses.replace(docs[5], id=5)
+        write_corpus(docs, tmp_path, stage="input", fingerprint="fp", shard_size=5)
+        path = tmp_path / "manifest.json"
+        obj = json.loads(path.read_text(encoding="utf-8"))
+        shard = tmp_path / "shard-00001.jsonl"
+        if damage == "flipped_letter":
+            data = bytearray(shard.read_bytes())
+            at = data.index(b'"text": "') + 9
+            data[at] ^= 1
+            shard.write_bytes(bytes(data))
+        elif damage == "flipped_brace":
+            shard.write_bytes(b"[" + shard.read_bytes()[1:])
+        elif damage == "shard_removed":
+            removed = obj["shards"].pop(1)
+            obj["total_docs"] -= removed["docs"]
+        elif damage == "doc_counts_edited":
+            obj["shards"][1]["docs"] += 1
+            obj["total_docs"] += 1
+        elif damage == "lang_chars_edited":
+            obj["lang_chars"]["en"] += 1
+        elif damage == "old_format":
+            for key in ("sha256", "lang_chars", "unusable_docs"):
+                del obj[key]
+        elif damage == "shard_missing":
+            shard.unlink()
+        path.write_text(json.dumps(obj), encoding="utf-8")
+        manifest = ShardManifest.load(path)
+        plain = without_record(manifest)
+        for call in (
+            lambda m: m.verify(tmp_path),
+            lambda m: corpus_stats(m, tmp_path),
+            lambda m: corpus_stats(m, tmp_path, languages=None),
+        ):
+            parsed.clear()
+            assert outcome(lambda: call(manifest)) == outcome(lambda: call(plain))
+            assert parsed, "the record vouched for a corpus it does not describe"
+
+    @pytest.mark.parametrize(
+        "field, value, named",
+        [
+            ("sha256", 5, "sha256"),
+            ("sha256", None, "sha256"),
+            ("lang_chars", ["en"], "lang_chars"),
+            ("lang_chars", {"en": 2.5}, "en"),
+            ("unusable_docs", True, "unusable_docs"),
+            ("unusable_docs", None, "unusable_docs"),
+        ],
+        ids=[
+            "sha256_int", "sha256_missing", "lang_chars_list", "chars_float",
+            "unusable_bool", "unusable_missing",
+        ],
+    )
+    def test_mistyped_record_field_refused(self, tmp_path, field, value, named):
+        write_corpus(make_docs(5), tmp_path, stage="input", fingerprint="fp")
+        path = tmp_path / "manifest.json"
+        obj = json.loads(path.read_text(encoding="utf-8"))
+        if value is None:
+            del obj[field]
+        else:
+            obj[field] = value
+        path.write_text(json.dumps(obj), encoding="utf-8")
+        with pytest.raises(CorpusError, match=f"manifest {re.escape(str(path))} .*'{named}'"):
+            ShardManifest.load(path)
 
 
 class TestDocumentValidation:

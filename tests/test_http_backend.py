@@ -48,6 +48,9 @@ class _Handler(BaseHTTPRequestHandler):
     # Keep-alive, as vLLM-style servers answer.
     protocol_version = "HTTP/1.1"
     server_version = "stub/0"
+    # TCP_NODELAY, set by setup(): a reply goes out as a head and a body,
+    # and the body would otherwise wait on the client's delayed ACK.
+    disable_nagle_algorithm = True
 
     def log_message(self, *args):
         pass
@@ -156,7 +159,8 @@ def serving(tls: ssl.SSLContext | None = None):
     httpd.state = {"requests": []}
     httpd.cond = threading.Condition()
     httpd.open_conns = 0
-    thread = threading.Thread(target=httpd.serve_forever, daemon=True)
+    # shutdown() waits for the serving loop's next poll; 0.5 s by default.
+    thread = threading.Thread(target=httpd.serve_forever, args=(0.01,), daemon=True)
     thread.start()
     try:
         yield httpd

@@ -12,12 +12,14 @@ index within a shard.
 from __future__ import annotations
 
 import shutil
+import statistics
 import tracemalloc
 
 import pytest
 
 from rephrasing import pipeline
 from rephrasing.config import load_config
+from rephrasing.corpus import ShardManifest
 from rephrasing.inference import BackendError, CompletionBackend
 
 from conftest import make_docs, write_fixture_config
@@ -38,13 +40,18 @@ N = 150
 #   105 bytes);
 # - mix: offset, length and weight of every source document (20 bytes,
 #   two sources here) and one 8-byte reference per drawn document, plus
-#   an 8-byte shuffle slot per document of the source being drawn.
+#   an 8-byte shuffle slot per document of the source being drawn;
+# - stats: nothing per document, whether it hashes the shards that match
+#   their manifest's record or, as stats_parsed does on the same
+#   manifests with the record removed, parses them.
 INDEX_BYTES_PER_DOC = {
     "postprocess": 170,
     "score": 0,
     "filter": 150,
     "mix": 80,
     "score_resumed": 300,
+    "stats": 0,
+    "stats_parsed": 0,
 }
 # Per-shard manifest entries, dict and list growth steps.
 SLACK_BYTES = 64 * 1024
@@ -52,7 +59,10 @@ SLACK_BYTES = 64 * 1024
 # up to about 17 KB either way with how many documents and prompts the
 # request threads hold at that instant, so its slack is 32 KiB: a score
 # list of about 110 bytes a document (48 to 57 KB here) exceeds it.
+# One peak of it is one draw of that swing, so its peak is the median of
+# three fresh runs.
 SLACK_BYTES_OF = {"score": 32 * 1024}
+RUNS_OF = {"score": 3}
 
 # Upper bound, in bytes per passage, of what rephrase keeps of one shard:
 # each passage's job (key, prompt length, line offset and length), the
@@ -102,13 +112,33 @@ def traced_peaks(tmp_path, n_docs: int) -> dict[str, int]:
     pipeline.stage_rephrase(cfg)
     peaks = {}
     for stage in INDEX_BYTES_PER_DOC:
-        tracemalloc.start()
-        try:
-            getattr(pipeline, f"stage_{stage.removesuffix('_resumed')}")(cfg)
-            peaks[stage] = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        if stage == "stats_parsed":
+            remove_records(cfg)
+        runs = []
+        for _ in range(RUNS_OF.get(stage, 1)):
+            if stage == "score":
+                shutil.rmtree(cfg.work_dir / "scores", ignore_errors=True)
+            tracemalloc.start()
+            try:
+                getattr(pipeline, f"stage_{stage.split('_')[0]}")(cfg)
+                runs.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        peaks[stage] = statistics.median(runs)
     return peaks
+
+
+def remove_records(cfg) -> None:
+    """Save the manifests stats reads without their record, as an older
+    version wrote them, so that stats parses every shard."""
+    for path in (
+        cfg.input_manifest,
+        *(cfg.work_dir / name / "manifest.json" for name in ("rephrased", "filtered", "mixed")),
+    ):
+        manifest = ShardManifest.load(path)
+        assert manifest.record is not None, path
+        manifest.record = None
+        manifest.save(path)
 
 
 @pytest.fixture(scope="module")

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 from collections import Counter
 from pathlib import Path
 
@@ -14,6 +15,8 @@ from rephrasing.mixing import (
     plan_mix,
 )
 from rephrasing.tokens import TokenEstimator
+
+from conftest import make_docs
 
 EST = TokenEstimator(tokens_per_char=0.25, calibrated=True)
 
@@ -162,6 +165,38 @@ class TestExecuteMix:
         _, report = execute_mix(spec, tmp_path / "mixed", estimator=EST)
         realized = report.per_source["s"]["tokens"]
         assert 33_333.0 <= realized <= 33_333.0 + 100.0  # one max-doc overshoot
+
+    @pytest.mark.parametrize("written_at", [0.5, 0.25])
+    def test_sources_sized_by_the_run_estimator(self, tmp_path, written_at):
+        # The manifests' est_tokens come from the writer's ratio; the mix
+        # weighs documents with its own, and must size sources the same
+        # way, or the default target no longer uses the smallest source
+        # exactly once.
+        docs = make_docs(200, seed=3)
+        sources = []
+        for name, part in (("a", docs[:120]), ("b", docs[120:])):
+            write_corpus(
+                part, tmp_path / name, stage="input", fingerprint="fp",
+                estimator=TokenEstimator(written_at),
+            )
+            sources.append(MixSource(name, tmp_path / name / "manifest.json", 1.0))
+        _, report = execute_mix(
+            MixSpec(sources=tuple(sources)), tmp_path / "mixed", estimator=TokenEstimator(0.5)
+        )
+        assert {name: row["docs"] for name, row in report.per_source.items()} == {"a": 84, "b": 80}
+        assert report.per_source["b"]["full_passes"] == 0
+
+    def test_source_with_zero_recorded_tokens_is_walked(self, tmp_path):
+        source = make_source(tmp_path, "a", 10)
+        obj = json.loads(source.manifest_path.read_text(encoding="utf-8"))
+        obj["total_est_tokens"] = 0.0
+        for shard in obj["shards"]:
+            shard["est_tokens"] = 0.0
+        source.manifest_path.write_text(json.dumps(obj), encoding="utf-8")
+        with pytest.raises(MixError, match="empty"):
+            plan_mix(MixSpec(sources=(source,)))
+        _, report = execute_mix(MixSpec(sources=(source,)), tmp_path / "mixed", estimator=EST)
+        assert report.per_source["a"]["docs"] == 10
 
     def test_report_table_and_manifest(self, tmp_path):
         sources = (make_source(tmp_path, "a", 50), make_source(tmp_path, "b", 50))
