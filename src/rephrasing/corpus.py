@@ -2,8 +2,11 @@
 
 A corpus is a set of shard files with one JSON object per line
 (``id``, ``text``, ``lang``, ``meta``, ``provenance``) plus a single
-manifest JSON document per pipeline stage.  Shards are independent
-units of work and every type here is immutable after construction.
+manifest JSON document per pipeline stage.  ``write_corpus`` also
+writes a size index beside each shard (``SizeIndex``), with which
+``CorpusLines`` routes the documents of a corpus it wrote by their
+bytes.  Shards are independent units of work and every type here is
+immutable after construction.
 """
 
 from __future__ import annotations
@@ -12,10 +15,14 @@ import functools
 import hashlib
 import itertools
 import json
+import os
+import struct
+import sys
+from array import array
 from dataclasses import dataclass, field
 from operator import itemgetter
 from pathlib import Path
-from typing import BinaryIO, Callable, Iterable, Iterator, Mapping, Sequence
+from typing import BinaryIO, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .tokens import RATIO_QUANTUM, TokenEstimator, quantize_ratio
 
@@ -217,14 +224,56 @@ def load_shard(path: Path | str, languages: Sequence[str] | None = DEFAULT_LANGU
     return ShardReader(path, functools.partial(doc_from_obj, languages=languages))
 
 
-def read_document_at(handle: BinaryIO, offset: int, length: int) -> Document:
-    """The document on the shard line at ``offset`` of ``length`` bytes.
+def read_line_at(handle: BinaryIO, offset: int, length: int) -> bytes:
+    """The ``length`` bytes at ``offset`` of an open file, read with one
+    ``os.pread``, so ``handle`` may be unbuffered (``buffering=0``)."""
+    return os.pread(handle.fileno(), length, offset)
 
-    Both come from ``ShardReader.located``, which has already validated
-    the line, so ``handle`` may be unbuffered (``buffering=0``).
-    """
-    handle.seek(offset)
-    return doc_from_obj(parse_line(handle.read(length)))
+
+def read_document_at(handle: BinaryIO, offset: int, length: int) -> Document:
+    """The document on the shard line at ``offset`` of ``length`` bytes,
+    both from ``ShardReader.located``, which has already validated it."""
+    return doc_from_obj(parse_line(read_line_at(handle, offset, length)))
+
+
+class SizedLine(NamedTuple):
+    """One document as the line ``write_corpus`` writes for it
+    (``doc_to_json`` and a line feed), with its id, language and count of
+    characters, and whether every reader takes it back (``_usable``)."""
+
+    line: bytes
+    id: str
+    lang: str
+    chars: int
+    usable: bool = True
+
+
+def sized_line(doc: Document) -> SizedLine:
+    """The one encoder of the documents ``write_corpus`` writes."""
+    line = (doc_to_json(doc) + "\n").encode("utf-8")
+    return SizedLine(line, doc.id, doc.lang, len(doc.text), _usable(doc))
+
+
+# A line doc_to_json wrote starts with its id's JSON string, and that
+# ends at the first ', "text": ': inside the string every '"' is escaped.
+_ID_HEAD = b'{"id": '
+_TEXT_HEAD = b', "text": '
+
+
+def _line_id(line: bytes, end: int) -> str:
+    quoted = line[len(_ID_HEAD) : end]
+    if b"\\" in quoted:
+        return json.loads(quoted)
+    return quoted[1:-1].decode("utf-8")
+
+
+def splice_id(line: bytes, prefix: str, suffix: str, lang: str, chars: int) -> SizedLine:
+    """The document of a line ``write_corpus`` wrote, with the id
+    ``prefix + id + suffix``: the line with its id's JSON string swapped,
+    byte for byte the line ``doc_to_json`` gives the renamed document."""
+    end = line.index(_TEXT_HEAD)
+    doc_id = prefix + _line_id(line, end) + suffix
+    return SizedLine(_ID_HEAD + encode_json(doc_id).encode("utf-8") + line[end:], doc_id, lang, chars)
 
 
 @dataclass(frozen=True)
@@ -306,48 +355,178 @@ class _Tally:
         self.digest = hashlib.sha256()
         self.lang_chars: dict[str, int] = {}
         self.unusable_docs = 0
+        # The sha256 of the shards' size indexes, None once a shard has none.
+        self.index_digest = hashlib.sha256()
 
-    def add(self, doc: Document, line: bytes) -> None:
-        self.digest.update(line)
-        if _usable(doc):
-            self.lang_chars[doc.lang] = self.lang_chars.get(doc.lang, 0) + len(doc.text)
+    def add(self, item: SizedLine) -> None:
+        self.digest.update(item.line)
+        if item.usable:
+            self.lang_chars[item.lang] = self.lang_chars.get(item.lang, 0) + item.chars
         else:
             self.unusable_docs += 1
+
+    def add_index(self, data: bytes | None) -> None:
+        if data is None:
+            self.index_digest = None
+        elif self.index_digest is not None:
+            self.index_digest.update(data)
 
     def record(self) -> CorpusRecord:
         return CorpusRecord(self.digest.hexdigest(), self.lang_chars, self.unusable_docs)
 
+    def index_sha256(self) -> str | None:
+        return None if self.index_digest is None else self.index_digest.hexdigest()
+
+
+# A size index (``shard-NNNNN.idx``) is little-endian: the magic, the
+# count of entries (u32), the count of languages (u8) and each language
+# as its UTF-8 length (u8) and bytes; then one fixed-width entry per
+# shard line: the line's length in bytes (u32), its text's characters
+# (u32) and its language's place in that table (u8).
+_INDEX_MAGIC = b"RPHIDX1\n"
+_INDEX_COUNTS = struct.Struct("<IB")
+# Byte offset and width of each field of an entry, in entry order.
+_ENTRY_FIELDS = ((0, 4), (4, 4), (8, 1))
+_ENTRY_SIZE = 9
+# The array type of a u32 column (4 bytes wherever CPython runs).
+_U32 = "I"
+
+
+def _to_le(column: array) -> bytes:
+    if sys.byteorder == "big":
+        column = array(column.typecode, column)
+        column.byteswap()
+    return column.tobytes()
+
+
+def _from_le(data: bytes) -> array:
+    column = array(_U32, data)
+    if sys.byteorder == "big":
+        column.byteswap()
+    return column
+
+
+@dataclass(frozen=True)
+class SizeIndex:
+    """The size index of one shard: per line, in line order, its length
+    in bytes, its text's characters and its language, as a code into
+    ``langs``.  Columns: ``lengths`` and ``chars`` are u32 arrays,
+    ``codes`` one byte per line."""
+
+    langs: tuple[str, ...]
+    lengths: array
+    chars: array
+    codes: bytes
+
+    def __len__(self) -> int:
+        return len(self.codes)
+
+    def to_bytes(self) -> bytes | None:
+        """The index file, or None when a language does not fit its table."""
+        try:
+            names = [lang.encode("utf-8") for lang in self.langs]
+            header = _INDEX_COUNTS.pack(len(self), len(names))
+            header += b"".join(struct.pack("<B", len(name)) + name for name in names)
+        except (AttributeError, struct.error):  # a language that is no string, or too long
+            return None
+        entries = bytearray(_ENTRY_SIZE * len(self))
+        columns = (_to_le(self.lengths), _to_le(self.chars), self.codes)
+        for (start, width), column in zip(_ENTRY_FIELDS, columns):
+            for byte in range(width):
+                entries[start + byte :: _ENTRY_SIZE] = column[byte::width]
+        return _INDEX_MAGIC + header + entries
+
+    @staticmethod
+    def from_bytes(data: bytes) -> "SizeIndex | None":
+        """The index an index file holds, or None if it is not one."""
+        at = len(_INDEX_MAGIC)
+        try:
+            if data[:at] != _INDEX_MAGIC:
+                return None
+            count, n_langs = _INDEX_COUNTS.unpack_from(data, at)
+            at += _INDEX_COUNTS.size
+            langs = []
+            for _ in range(n_langs):
+                width = data[at]
+                langs.append(data[at + 1 : at + 1 + width].decode("utf-8"))
+                at += 1 + width
+        except (IndexError, struct.error, UnicodeDecodeError):
+            return None
+        entries = data[at:]
+        if len(entries) != _ENTRY_SIZE * count:
+            return None
+        columns = []
+        for start, width in _ENTRY_FIELDS:
+            column = bytearray(width * count)
+            for byte in range(width):
+                column[byte::width] = entries[start + byte :: _ENTRY_SIZE]
+            columns.append(column)
+        lengths, chars, codes = columns
+        if any(code >= n_langs for code in set(codes)):
+            return None
+        return SizeIndex(tuple(langs), _from_le(lengths), _from_le(chars), bytes(codes))
+
+
+def _index_path(shard: Path) -> Path:
+    return shard.with_suffix(".idx")
+
 
 def write_shard(
-    docs: Iterable[Document],
+    docs: Iterable[Document | SizedLine],
     path: Path | str,
     estimator: TokenEstimator | None = None,
     tally: _Tally | None = None,
 ) -> ShardEntry:
-    """Write one JSON object per line; duplicate ids abort the shard."""
+    """Write one line per document, ``Document``s encoded by
+    ``sized_line`` and ``SizedLine``s as they are, and beside the shard
+    its ``SizeIndex`` when every number and language fits it; duplicate
+    ids abort the shard, which leaves neither file."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
+    idx_path = _index_path(path)
     est = estimator or TokenEstimator()
     seen: set[str] = set()
     n_docs = 0
     n_chars = 0
     est_tokens = 0.0
+    lengths, counts, codes = array(_U32), array(_U32), bytearray()
+    lang_codes: dict[str, int] = {}
+    fits = True
     try:
         with path.open("wb") as handle:
-            for doc in docs:
-                if doc.id in seen:
-                    raise CorpusError(f"duplicate document id {doc.id!r} in {path}")
-                seen.add(doc.id)
-                line = (doc_to_json(doc) + "\n").encode("utf-8")
+            for item in docs:
+                if not isinstance(item, SizedLine):
+                    item = sized_line(item)
+                line, doc_id, lang, chars, _ = item
+                if doc_id in seen:
+                    raise CorpusError(f"duplicate document id {doc_id!r} in {path}")
+                seen.add(doc_id)
                 handle.write(line)
                 if tally is not None:
-                    tally.add(doc, line)
+                    tally.add(item)
                 n_docs += 1
-                n_chars += len(doc.text)
-                est_tokens += est.estimate_text(doc.text, doc.lang)
+                n_chars += chars
+                est_tokens += est.estimate_chars(chars, lang)
+                if fits:
+                    code = lang_codes.setdefault(lang, len(lang_codes))
+                    try:
+                        lengths.append(len(line))
+                        counts.append(chars)
+                        codes.append(code)
+                    except (OverflowError, ValueError):  # a u32 or a code past 255
+                        fits = False
+        index = SizeIndex(tuple(lang_codes), lengths, counts, bytes(codes))
+        data = index.to_bytes() if fits else None
+        if data is None:
+            idx_path.unlink(missing_ok=True)
+        else:
+            idx_path.write_bytes(data)
     except Exception:
         path.unlink(missing_ok=True)
+        idx_path.unlink(missing_ok=True)
         raise
+    if tally is not None:
+        tally.add_index(data)
     return ShardEntry(path.name, n_docs, n_chars, est_tokens)
 
 
@@ -357,14 +536,17 @@ class ShardManifest:
 
     Resumed runs compare the fingerprint against the active config and
     refuse to mix artifacts produced under different parameters.  A
-    manifest that ``write_corpus`` saved also holds its ``record``; one
-    written any other way, or by an older version, has none.
+    manifest that ``write_corpus`` saved also holds its ``record`` and,
+    when every shard has its size index, the sha256 of those indexes in
+    manifest order (``index_sha256``); one written any other way, or by
+    an older version, has neither.
     """
 
     stage: str
     fingerprint: str
     shards: list[ShardEntry] = field(default_factory=list)
     record: CorpusRecord | None = None
+    index_sha256: str | None = None
 
     @property
     def total_docs(self) -> int:
@@ -381,6 +563,7 @@ class ShardManifest:
             "total_docs": self.total_docs,
             "total_est_tokens": self.total_est_tokens,
             **(self.record.to_obj() if self.record is not None else {}),
+            **({"index_sha256": self.index_sha256} if self.index_sha256 is not None else {}),
             "shards": [s.to_obj() for s in self.shards],
         }
 
@@ -398,6 +581,7 @@ class ShardManifest:
                 fingerprint=typed_field(obj, "fingerprint"),
                 shards=[ShardEntry.from_obj(s) for s in typed_field(obj, "shards", list, default=[])],
                 record=CorpusRecord.from_obj(obj) if obj.keys() & _RECORD_FIELDS else None,
+                index_sha256=typed_field(obj, "index_sha256") if "index_sha256" in obj else None,
             )
             total = typed_field(obj, "total_docs", int, default=manifest.total_docs)
         except BAD_RECORD as exc:
@@ -487,7 +671,7 @@ def shard_runs(items: Iterable, shard_size: int) -> Iterator[Iterator]:
 
 
 def write_corpus(
-    docs: Iterable[Document],
+    docs: Iterable[Document | SizedLine],
     out_dir: Path | str,
     *,
     stage: str,
@@ -497,14 +681,17 @@ def write_corpus(
 ) -> ShardManifest:
     """Write a document stream as size-bounded shards plus a manifest.
 
-    The shards are ``shard_runs`` of the stream: each document goes
-    straight into the open shard, so memory holds one document plus the
-    open shard's ids (for its duplicate check), never a shard of
-    documents.  An empty stream still gets one empty shard.  The manifest
-    is saved only after the stream is exhausted; an exception from the
-    stream deletes the open shard and leaves no manifest.  It holds the
+    The stream holds ``Document``s, or ``SizedLine``s whose lines are
+    already what ``sized_line`` gives.  The shards are ``shard_runs`` of
+    the stream: each document goes straight into the open shard, so
+    memory holds one document plus the open shard's ids (for its
+    duplicate check) and size index, never a shard of documents.  An
+    empty stream still gets one empty shard.  The manifest is saved only
+    after the stream is exhausted; an exception from the stream deletes
+    the open shard and its index and leaves no manifest.  It holds the
     ``CorpusRecord`` of the bytes written, which lets a later reader hash
-    the shards instead of parsing them.
+    the shards instead of parsing them, and the digest of the indexes,
+    with which ``CorpusLines`` routes their documents by their bytes.
     """
     out_dir = Path(out_dir)
     manifest = ShardManifest(stage=stage, fingerprint=fingerprint)
@@ -513,6 +700,7 @@ def write_corpus(
         path = out_dir / f"shard-{len(manifest.shards):05d}.jsonl"
         manifest.shards.append(write_shard(run, path, estimator, tally))
     manifest.record = tally.record()
+    manifest.index_sha256 = tally.index_sha256()
     manifest.save(out_dir / "manifest.json")
     return manifest
 
@@ -526,6 +714,85 @@ def iter_corpus(
     raises ``CorpusError`` once its shard is read."""
     for path in manifest.shard_paths(base_dir):
         yield from load_shard(path, languages)
+
+
+class CorpusLines:
+    """Every document of a corpus as its ``SizedLine``, in shard order,
+    read one of two ways, chosen once for the corpus.
+
+    The index path reads each shard's bytes and its ``SizeIndex``, and
+    decodes only each line's id.  It is taken when the manifest's record
+    vouches for the shards (``recorded_digest``: the bytes are as
+    written, no document is unusable and every language is in
+    ``languages``), every shard has its index, the indexes hash to the
+    manifest's ``index_sha256`` and each has an entry per line.  Bytes that
+    match the record were written by ``write_corpus``, so every line is
+    ``doc_to_json`` output.  Otherwise the parse path reads the corpus
+    with ``iter_corpus``, with its checks and errors, and encodes each
+    document with ``sized_line``.  ``indexes`` holds the shards' indexes
+    on the index path, and is None on the parse path.
+    """
+
+    def __init__(
+        self,
+        manifest: ShardManifest,
+        base_dir: Path | str,
+        languages: Sequence[str] | None = DEFAULT_LANGUAGES,
+    ):
+        self.manifest = manifest
+        self.base_dir = Path(base_dir)
+        self.languages = languages
+        self.paths = manifest.shard_paths(base_dir)
+        self._sha256: str | None = None
+        self.indexes = self._verified_indexes()
+
+    def _verified_indexes(self) -> list[SizeIndex] | None:
+        if self.manifest.record is None or self.manifest.index_sha256 is None:
+            return None
+        digest = hashlib.sha256()
+        indexes = []
+        for entry, path in zip(self.manifest.shards, self.paths):
+            try:
+                data = _index_path(path).read_bytes()
+            except OSError:
+                return None
+            digest.update(data)
+            index = SizeIndex.from_bytes(data)
+            if index is None or len(index) != entry.docs:
+                return None
+            indexes.append(index)
+        if digest.hexdigest() != self.manifest.index_sha256:
+            return None
+        # recorded_digest also holds every shard to its entry's count of lines.
+        self._sha256 = self.manifest.recorded_digest(self.base_dir, self.languages)
+        return indexes if self._sha256 is not None else None
+
+    def __iter__(self) -> Iterator[SizedLine]:
+        if self.indexes is None:
+            yield from map(sized_line, iter_corpus(self.manifest, self.base_dir, self.languages))
+            return
+        for path, index in zip(self.paths, self.indexes):
+            langs = index.langs
+            with path.open("rb") as handle:
+                for line, chars, code in zip(handle, index.chars, index.codes):
+                    doc_id = _line_id(line, line.index(_TEXT_HEAD))
+                    yield SizedLine(line, doc_id, langs[code], chars)
+
+    def sha256(self) -> str | None:
+        """The sha256 of the shards' bytes in manifest order, as
+        ``ShardManifest.verify`` names the corpus: the record's when it
+        holds, else hashed without a parse; None if a shard is unreadable."""
+        if self._sha256 is None:
+            self._sha256 = self.manifest.recorded_digest(self.base_dir, self.languages)
+        if self._sha256 is None:
+            digest = hashlib.sha256()
+            try:
+                for path in self.paths:
+                    _hash_lines(path, digest)
+            except OSError:
+                return None
+            self._sha256 = digest.hexdigest()
+        return self._sha256
 
 
 METHOD_ESTIMATED = "estimated"

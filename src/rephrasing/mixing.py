@@ -11,6 +11,10 @@ documents, which are read back one at a time as the shards are written.
 from __future__ import annotations
 
 import bisect
+import dataclasses
+import functools
+import itertools
+import operator
 import random
 from array import array
 from dataclasses import dataclass, field
@@ -18,10 +22,14 @@ from pathlib import Path
 from typing import BinaryIO, Callable, Iterable, Iterator, Mapping, Sequence
 
 from .corpus import (
+    CorpusLines,
     Document,
     ShardManifest,
+    SizedLine,
     load_shard,
     read_document_at,
+    read_line_at,
+    splice_id,
     write_corpus,
 )
 from .tokens import TokenEstimator
@@ -136,20 +144,16 @@ class MixReport:
         return "\n".join(lines)
 
 
-def _drawn_doc(doc: Document, source_name: str, pass_index: int) -> Document:
+def _affixes(source_name: str, pass_index: int) -> tuple[str, str]:
     # Sources may share ids (a rephrased corpus keeps its originals'),
     # and repeat passes duplicate them outright, so drawn ids are
     # namespaced as "<source>/<id>" with a "~<pass>" suffix for repeats.
-    doc_id = f"{source_name}/{doc.id}"
-    if pass_index > 0:
-        doc_id = f"{doc_id}~{pass_index}"
-    return Document(
-        id=doc_id,
-        text=doc.text,
-        lang=doc.lang,
-        meta=doc.meta,
-        provenance=doc.provenance,
-    )
+    return f"{source_name}/", f"~{pass_index}" if pass_index > 0 else ""
+
+
+def _drawn_doc(doc: Document, source_name: str, pass_index: int) -> Document:
+    prefix, suffix = _affixes(source_name, pass_index)
+    return dataclasses.replace(doc, id=prefix + doc.id + suffix)
 
 
 # Shard files kept open at once while drawn documents are read back;
@@ -166,17 +170,25 @@ class _SourceIndex:
 
     Documents are numbered across all sources in spec order.  Per
     document the index keeps the byte offset and length of its shard
-    line and its weight (20 bytes); the shard that holds document ``i``
-    is the last one starting at or before ``i``.
+    line, its weight, its text's characters and its language's code in
+    its shard's ``shard_langs`` (25 bytes); the shard that holds document
+    ``i`` is the last one starting at or before ``i``.  A shard of a
+    source ``CorpusLines`` reads by its bytes has its size index's
+    languages in ``shard_langs``, and its documents' sizes come from that
+    index; a shard of any other source is walked and parsed, and has None
+    there (its characters and codes are 0, and unread).
     """
 
     def __init__(self) -> None:
         self.offsets = array("q")
         self.lengths = array("I")
         self.weights = array("d")
+        self.chars = array("I")
+        self.codes = array("B")
         self.shard_paths: list[Path] = []
         self.shard_sources: list[str] = []
         self.shard_starts: list[int] = []
+        self.shard_langs: list[tuple[str, ...] | None] = []
 
     def __len__(self) -> int:
         return len(self.offsets)
@@ -186,25 +198,43 @@ class _SourceIndex:
         name: str,
         manifest: ShardManifest,
         base_dir: Path,
-        weigh: Callable[[Document], float],
+        weigh: Callable[[int, str], float],
         languages: Sequence[str] | None,
     ) -> float:
-        """Index every document of a source; returns their total weight."""
+        """Index every document of a source; returns their total weight,
+        ``weigh(chars, lang)`` summed in document order."""
         total = 0.0
-        for path in manifest.shard_paths(base_dir):
+        lines = CorpusLines(manifest, base_dir, languages)
+        for path, index in zip(lines.paths, lines.indexes or itertools.repeat(None)):
+            start = len(self.offsets)
             self.shard_paths.append(path)
             self.shard_sources.append(name)
-            self.shard_starts.append(len(self.offsets))
-            for offset, length, doc in load_shard(path, languages).located():
-                weight = weigh(doc)
-                self.offsets.append(offset)
-                self.lengths.append(length)
-                self.weights.append(weight)
-                total += weight
+            self.shard_starts.append(start)
+            if index is None:
+                for offset, length, doc in load_shard(path, languages).located():
+                    weight = weigh(len(doc.text), doc.lang)
+                    self.offsets.append(offset)
+                    self.lengths.append(length)
+                    self.weights.append(weight)
+                    total += weight
+                added = len(self.offsets) - start
+                self.chars.extend(itertools.repeat(0, added))
+                self.codes.extend(itertools.repeat(0, added))
+            else:
+                self.offsets.extend(itertools.accumulate(index.lengths, initial=0))
+                self.offsets.pop()
+                self.lengths.extend(index.lengths)
+                self.chars.extend(index.chars)
+                self.codes.frombytes(index.codes)
+                self.weights.extend(map(weigh, index.chars, map(index.langs.__getitem__, index.codes)))
+                total = functools.reduce(operator.add, self.weights[start:], total)
+            self.shard_langs.append(None if index is None else index.langs)
         return total
 
-    def drawn(self, refs: Iterable[int], passes: int) -> Iterator[Document]:
-        """Read each ``index * passes + pass`` reference back as its drawn document."""
+    def drawn(self, refs: Iterable[int], passes: int) -> Iterator[Document | SizedLine]:
+        """Read each ``index * passes + pass`` reference back as its drawn
+        document: a line of an indexed shard with its id spliced in, or
+        else the document parsed from its line and renamed."""
         handles: dict[int, BinaryIO] = {}
         try:
             for ref in refs:
@@ -215,8 +245,14 @@ class _SourceIndex:
                     if len(handles) == MAX_OPEN_SHARDS:
                         handles.pop(next(iter(handles))).close()
                     handle = handles[shard] = self.shard_paths[shard].open("rb", buffering=0)
-                doc = read_document_at(handle, self.offsets[index], self.lengths[index])
-                yield _drawn_doc(doc, self.shard_sources[shard], pass_index)
+                langs = self.shard_langs[shard]
+                if langs is None:
+                    doc = read_document_at(handle, self.offsets[index], self.lengths[index])
+                    yield _drawn_doc(doc, self.shard_sources[shard], pass_index)
+                    continue
+                line = read_line_at(handle, self.offsets[index], self.lengths[index])
+                prefix, suffix = _affixes(self.shard_sources[shard], pass_index)
+                yield splice_id(line, prefix, suffix, langs[self.codes[index]], self.chars[index])
         finally:
             for handle in handles.values():
                 handle.close()
@@ -235,7 +271,10 @@ def execute_mix(
 
     The draw and the shuffle work on references, not documents: one walk
     of each source records where its documents sit and what they weigh,
-    and the plan sizes each source by the sum of those weights.  Each
+    and the plan sizes each source by the sum of those weights.  A source
+    ``CorpusLines`` reads by its bytes is walked through its size
+    indexes alone, and its drawn documents are copied from their lines
+    with the new id spliced in; any other source is parsed.  Each
     drawn document is one integer, ``index * passes + pass``, in a flat
     array (8 bytes).  ``random.shuffle`` permutes by length and seed
     alone, so shuffling references draws exactly what shuffling the
@@ -249,10 +288,10 @@ def execute_mix(
             raise MixError(f"source {source.name!r} is in the output directory {out_dir}")
     est = estimator or TokenEstimator()
 
-    def doc_weight(doc: Document) -> float:
+    def doc_weight(chars: int, lang: str) -> float:
         if spec.unit == UNIT_DOCUMENTS:
             return 1.0
-        return est.estimate_text(doc.text, doc.lang)
+        return est.estimate_chars(chars, lang)
 
     # Sources are sized by the walk, with the run's estimator, not by
     # their manifests, which another estimator may have written.

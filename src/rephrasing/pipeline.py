@@ -45,6 +45,7 @@ from typing import Callable, Hashable, Iterable, Iterator
 from .config import PipelineConfig
 from .corpus import (
     CorpusError,
+    CorpusLines,
     CorpusStats,
     Document,
     Provenance,
@@ -54,7 +55,6 @@ from .corpus import (
     corpus_stats,
     encode_json,
     iter_corpus,
-    load_shard,
     parse_line,
     shard_runs,
     stats_table,
@@ -163,24 +163,24 @@ def resolve_input_manifest(cfg: PipelineConfig) -> tuple[ShardManifest, Path]:
     if source.is_file() and source.suffix == ".json":
         return ShardManifest.load(source), source.parent
     if source.is_file() and source.suffix == ".jsonl":
-        entry = _entry_for_shard(source, cfg)
+        entry = _entry_for_shard(source)
         return ShardManifest("input", "input", [entry]), source.parent
     if source.is_dir():
         shards = sorted(source.glob("*.jsonl"))
         if not shards:
             raise StageError(f"no .jsonl shards in {source}")
-        entries = [_entry_for_shard(p, cfg) for p in shards]
+        entries = [_entry_for_shard(p) for p in shards]
         return ShardManifest("input", "input", entries), source
     raise StageError(f"input manifest not found: {source}")
 
 
-def _entry_for_shard(path: Path, cfg: PipelineConfig) -> ShardEntry:
-    docs = 0
-    chars = 0
-    for doc in load_shard(path, cfg.languages):
-        docs += 1
-        chars += len(doc.text)
-    return ShardEntry(path.name, docs, chars, 0.0)
+def _entry_for_shard(path: Path) -> ShardEntry:
+    """An entry of a manifest that is never saved: its documents are its
+    non-blank lines, counted without a parse, which the stage's own read
+    of the shard does; nothing reads its ``chars`` or ``est_tokens``."""
+    with path.open("rb") as handle:
+        docs = sum(not line.isspace() for line in handle)
+    return ShardEntry(path.name, docs, 0, 0.0)
 
 
 def _require_manifest(path: Path, cfg: PipelineConfig, stage: str) -> ShardManifest:
@@ -810,6 +810,7 @@ def stage_score(cfg: PipelineConfig, manifest_path: Path | None = None) -> dict:
     wall = time.monotonic() - started
     report = {
         "stage": "score",
+        "corpus_sha256": corpus_digest,
         "docs": count,
         "scorers": [scorer] if count else [],
         "mean_score": total / count if count else 0.0,
@@ -846,24 +847,32 @@ def stage_filter(
 ) -> dict:
     """Keep documents scoring strictly above the threshold.
 
-    Kept documents stream into a temporary directory that replaces
-    ``filtered/`` only when every document had a score, so a refused run
-    leaves ``filtered/`` as it was; memory holds the score table.
+    Documents are read by ``CorpusLines``, so each kept line of a corpus
+    that ``write_corpus`` wrote is copied as it is, and any other corpus
+    is parsed.  Kept documents stream into a temporary directory that
+    replaces ``filtered/`` only when every document had a score, so a
+    refused run leaves ``filtered/`` as it was; memory holds the score
+    table.  With an ask-llm scorer, scores that ``scores/report.json``
+    says were paid for another corpus are refused before any is read.
     """
     started = time.monotonic()
     estimator = load_estimator(cfg)
     manifest, base_dir = _select_corpus(cfg, manifest_path)
     threshold = cfg.filter.threshold if threshold is None else threshold
+    lines = CorpusLines(manifest, base_dir, cfg.languages)
 
     if cfg.filter.scorer == SCORER_EXTERNAL:
         scores = ingest_external_scores(cfg.filter.external_scores)
     else:
+        _check_scored_corpus(cfg, lines)
         scores_path = cfg.work_dir / "scores" / "scores.jsonl"
         # An absent score shard filters against an empty table, so the
         # resulting error names every unscored document.
         scores = ingest_external_scores(scores_path) if scores_path.is_file() else {}
 
-    kept = ThresholdFilter(iter_corpus(manifest, base_dir, cfg.languages), scores, threshold, estimator)
+    kept = ThresholdFilter(
+        ((line, line.id, line.lang, line.chars) for line in lines), scores, threshold, estimator
+    )
     with _replacing(cfg.work_dir / "filtered") as out_dir:
         out_manifest = write_corpus(
             kept,
@@ -882,6 +891,27 @@ def stage_filter(
         }
         _write_report(report, out_dir / "report.json")
     return report
+
+
+def _check_scored_corpus(cfg: PipelineConfig, lines: CorpusLines) -> None:
+    """Refuse scores that score wrote for another corpus than the one
+    filtered: document ids survive rephrasing, so only the digest that
+    score's report names tells.  A report without it passes."""
+    report_path = cfg.work_dir / "scores" / "report.json"
+    if not report_path.is_file():
+        return
+    try:
+        scored = json.loads(report_path.read_text(encoding="utf-8")).get("corpus_sha256")
+    except (ValueError, AttributeError) as exc:
+        raise CorpusError(f"score report {report_path} is not readable: {exc!r}") from exc
+    if scored is None:
+        return
+    digest = lines.sha256()
+    if digest is not None and digest != scored:
+        raise StageError(
+            f"scores in {report_path.parent} are for the corpus with sha256 {scored}, "
+            f"not for the filter's input, whose sha256 is {digest}; rerun score on this input"
+        )
 
 
 def stage_mix(cfg: PipelineConfig) -> dict:

@@ -233,43 +233,47 @@ class FilterReport:
 
 
 class ThresholdFilter:
-    """Stream the documents whose score is strictly greater than the threshold.
+    """Stream the items whose document scores strictly above the threshold.
 
-    Iterating yields the kept documents in input order and holds none of
-    them.  Every document must have a score: once the input is exhausted,
-    missing ids abort with ``MissingScoresError`` listing all of them, so
-    the operator can re-queue them; otherwise ``report`` holds the counts.
+    ``sized`` holds one ``(item, doc_id, lang, chars)`` tuple per
+    document: whatever the caller routes (a ``Document``, or the
+    ``SizedLine`` of its line), its id, its language and its text's
+    count of characters.  Iterating yields the kept items in input order
+    and holds none of them.  Every document must have a score: once the
+    input is exhausted, missing ids abort with ``MissingScoresError``
+    listing all of them, so the operator can re-queue them; otherwise
+    ``report`` holds the counts.
     """
 
     def __init__(
         self,
-        docs: Iterable[Document],
+        sized: Iterable[tuple[object, str, str, int]],
         scores: Mapping[str, float],
         threshold: float,
         estimator: TokenEstimator | None = None,
     ):
-        self.docs = docs
+        self.sized = sized
         self.scores = scores
         self.threshold = threshold
         self.estimator = estimator or TokenEstimator()
         self.report: FilterReport | None = None
 
-    def __iter__(self) -> Iterator[Document]:
+    def __iter__(self) -> Iterator:
         missing: list[str] = []
         kept = dropped = 0
         kept_tokens = dropped_tokens = 0.0
-        for doc in self.docs:
-            score = self.scores.get(doc.id)
+        for item, doc_id, lang, chars in self.sized:
+            score = self.scores.get(doc_id)
             if score is None:
-                missing.append(doc.id)
+                missing.append(doc_id)
                 continue
             if score > self.threshold:
                 kept += 1
-                kept_tokens += self.estimator.estimate_text(doc.text, doc.lang)
-                yield doc
+                kept_tokens += self.estimator.estimate_chars(chars, lang)
+                yield item
             else:
                 dropped += 1
-                dropped_tokens += self.estimator.estimate_text(doc.text, doc.lang)
+                dropped_tokens += self.estimator.estimate_chars(chars, lang)
         if missing:
             raise MissingScoresError(missing)
         self.report = FilterReport(self.threshold, kept, dropped, kept_tokens, dropped_tokens)
@@ -281,8 +285,10 @@ def threshold_filter(
     threshold: float,
     estimator: TokenEstimator | None = None,
 ) -> tuple[list[Document], FilterReport]:
-    """``ThresholdFilter`` collected into a list, with its report."""
-    kept = ThresholdFilter(docs, scores, threshold, estimator)
+    """``ThresholdFilter`` over documents, collected into a list, with its report."""
+    kept = ThresholdFilter(
+        ((doc, doc.id, doc.lang, len(doc.text)) for doc in docs), scores, threshold, estimator
+    )
     return list(kept), kept.report
 
 

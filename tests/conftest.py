@@ -23,20 +23,41 @@ _EXTRA_LETTERS = {
 }
 
 
+def _below(bits, n: int) -> int:
+    """``rng._randbelow(n)``: what ``choice`` and ``randint`` draw, by the
+    same ``getrandbits`` calls."""
+    k = n.bit_length()
+    r = bits(k)
+    while r >= n:
+        r = bits(k)
+    return r
+
+
 def make_word(rng: random.Random, lang: str = "en") -> str:
+    # rng.choice(letters) per letter, for rng.randint(2, 10) letters,
+    # drawn inline: the method calls around each draw cost more than it.
     letters = string.ascii_lowercase + _EXTRA_LETTERS[lang]
-    return "".join(rng.choice(letters) for _ in range(rng.randint(2, 10)))
+    bits = rng.getrandbits
+    n = len(letters)
+    k = n.bit_length()
+    out = []
+    for _ in range(2 + _below(bits, 9)):
+        r = bits(k)
+        while r >= n:
+            r = bits(k)
+        out.append(letters[r])
+    return "".join(out)
 
 
 def make_sentence(rng: random.Random, lang: str = "en", n_words: int | None = None) -> str:
     n = n_words if n_words is not None else rng.randint(4, 18)
     words = [make_word(rng, lang) for _ in range(n)]
-    return " ".join(words) + rng.choice(".!?")
+    return " ".join(words) + ".!?"[_below(rng.getrandbits, 3)]
 
 
 def make_paragraph(rng: random.Random, lang: str = "en", n_sentences: int | None = None) -> str:
     n = n_sentences if n_sentences is not None else rng.randint(1, 8)
-    return " ".join(make_sentence(rng, lang) for _ in range(n))
+    return " ".join([make_sentence(rng, lang) for _ in range(n)])
 
 
 def make_doc_text(rng: random.Random, lang: str = "en") -> str:
@@ -46,7 +67,7 @@ def make_doc_text(rng: random.Random, lang: str = "en") -> str:
         return make_sentence(rng, lang, n_words=rng.randint(2, 6))
     if shape < 0.10:
         # One giant sentence with no interior split point.
-        return " ".join(make_word(rng, lang) for _ in range(rng.randint(400, 700))) + "."
+        return " ".join([make_word(rng, lang) for _ in range(rng.randint(400, 700))]) + "."
     paragraphs = [make_paragraph(rng, lang) for _ in range(rng.randint(1, 10))]
     sep = "\n" * rng.randint(1, 3)
     return sep.join(paragraphs)

@@ -431,6 +431,40 @@ class TestBadLedgerRecord:
         assert ledger.read_bytes() == before
 
 
+class TestScoresOfAnotherCorpus:
+    def test_filter_refuses_scores_paid_for_another_corpus(self, tmp_path, capsys):
+        path = write_fixture_config(tmp_path, make_docs(40, seed=3))
+        assert run(["run-all", "-c", path]) == 0
+        source = tmp_path / "input" / "manifest.json"
+        work = tmp_path / "work"
+
+        def filtered_shards() -> dict[str, bytes]:
+            return {k: v for k, v in _snapshot(work / "filtered").items() if k != "report.json"}
+
+        filtered = filtered_shards()
+        assert run(["score", "-c", path, "--input", source]) == 0
+        source_sha = json.loads(source.read_text(encoding="utf-8"))["sha256"]
+        rephrased = json.loads((work / "rephrased" / "manifest.json").read_text(encoding="utf-8"))
+        report_path = work / "scores" / "report.json"
+        assert json.loads(report_path.read_text(encoding="utf-8"))["corpus_sha256"] == source_sha
+        capsys.readouterr()
+
+        assert run(["filter", "-c", path]) == 2
+        err = capsys.readouterr().err
+        assert source_sha in err and rephrased["sha256"] in err
+        assert filtered_shards() == filtered
+
+        # A report written before the digest was recorded is taken as it is.
+        report = json.loads(report_path.read_text(encoding="utf-8"))
+        del report["corpus_sha256"]
+        report_path.write_text(json.dumps(report), encoding="utf-8")
+        assert run(["filter", "-c", path]) == 0
+        # Scores of the filtered corpus itself pass.
+        assert run(["score", "-c", path]) == 0
+        assert run(["filter", "-c", path]) == 0
+        assert filtered_shards() == filtered
+
+
 class TestInputResolution:
     def test_stats_refuses_a_configured_input_it_cannot_read(self, tmp_path, capsys):
         docs = make_docs(6, seed=5)

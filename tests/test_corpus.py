@@ -175,7 +175,7 @@ class TestManifest:
 
         with pytest.raises(CorpusError, match="broken input"):
             write_corpus(stream(), tmp_path, stage="input", fingerprint="fp", shard_size=3)
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["shard-00000.jsonl"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["shard-00000.idx", "shard-00000.jsonl"]
 
     def test_duplicate_id_within_shard_aborts(self, tmp_path):
         docs = make_docs(2)

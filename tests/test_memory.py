@@ -38,9 +38,12 @@ N = 150
 #   (about 200 bytes with its id and score);
 # - filter: the score table, one id -> score entry per document (about
 #   105 bytes);
-# - mix: offset, length and weight of every source document (20 bytes,
-#   two sources here) and one 8-byte reference per drawn document, plus
-#   an 8-byte shuffle slot per document of the source being drawn;
+# - mix: offset, length, weight, characters and language code of every
+#   source document (25 bytes, two sources here) and one 8-byte reference
+#   per drawn document, plus an 8-byte shuffle slot per document of the
+#   source being drawn, whether it reads its sources' size indexes or, as
+#   mix_parsed does on the same manifests with the record and the index
+#   digest removed, parses them;
 # - stats: nothing per document, whether it hashes the shards that match
 #   their manifest's record or, as stats_parsed does on the same
 #   manifests with the record removed, parses them.
@@ -52,6 +55,7 @@ INDEX_BYTES_PER_DOC = {
     "score_resumed": 300,
     "stats": 0,
     "stats_parsed": 0,
+    "mix_parsed": 80,
 }
 # Per-shard manifest entries, dict and list growth steps.
 SLACK_BYTES = 64 * 1024
@@ -112,7 +116,7 @@ def traced_peaks(tmp_path, n_docs: int) -> dict[str, int]:
     pipeline.stage_rephrase(cfg)
     peaks = {}
     for stage in INDEX_BYTES_PER_DOC:
-        if stage == "stats_parsed":
+        if stage == "stats_parsed":  # and mix_parsed after it
             remove_records(cfg)
         runs = []
         for _ in range(RUNS_OF.get(stage, 1)):
@@ -129,15 +133,16 @@ def traced_peaks(tmp_path, n_docs: int) -> dict[str, int]:
 
 
 def remove_records(cfg) -> None:
-    """Save the manifests stats reads without their record, as an older
-    version wrote them, so that stats parses every shard."""
+    """Save the manifests stats and mix read without their record and
+    index digest, as an older version wrote them, so that both parse
+    every shard."""
     for path in (
         cfg.input_manifest,
         *(cfg.work_dir / name / "manifest.json" for name in ("rephrased", "filtered", "mixed")),
     ):
         manifest = ShardManifest.load(path)
-        assert manifest.record is not None, path
-        manifest.record = None
+        assert manifest.record is not None and manifest.index_sha256 is not None, path
+        manifest.record = manifest.index_sha256 = None
         manifest.save(path)
 
 

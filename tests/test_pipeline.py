@@ -12,8 +12,16 @@ import pytest
 
 from rephrasing import mixing, pipeline
 from rephrasing.config import load_config
-from rephrasing.corpus import CorpusError, Document, ShardManifest, iter_corpus, write_corpus
+from rephrasing.corpus import (
+    CorpusError,
+    Document,
+    ShardManifest,
+    iter_corpus,
+    load_shard,
+    write_corpus,
+)
 from rephrasing.pipeline import (
+    RUN_ALL_ORDER,
     StageError,
     run_all,
     stage_filter,
@@ -141,6 +149,59 @@ class TestPreprocess:
             outputs[name] = {path.name: path.read_bytes() for path in written}
         assert "passages-00000.jsonl" in outputs["manifest"]
         assert outputs[form] == outputs["manifest"]
+
+    def test_directory_input_parsed_once_per_stage(self, tmp_path, monkeypatch):
+        # Each stage that reads the input parses each document once, with
+        # a directory input as with a manifest, whose record spares stats
+        # the parse.
+        from rephrasing import corpus
+
+        docs = make_docs(40, seed=3)
+        parses = []
+        doc_from_obj = corpus.doc_from_obj
+
+        def counting(obj, *args, **kwargs):
+            parses.append(obj.get("provenance", {}).get("kind") == "original")
+            return doc_from_obj(obj, *args, **kwargs)
+
+        monkeypatch.setattr(corpus, "doc_from_obj", counting)
+        per_stage, outputs = {}, {}
+        for form, source in (("manifest", "input/manifest.json"), ("directory", "input")):
+            extra = {"input_manifest": source, "work_dir": form}
+            cfg = load_config(write_fixture_config(tmp_path, docs, extra=extra, name=f"{form}.yaml"))
+            for stage in RUN_ALL_ORDER[:-2] + ("stats",):
+                parses.clear()
+                getattr(pipeline, f"stage_{stage}")(cfg)
+                per_stage[form, stage] = sum(parses) / len(docs)
+            outputs[form] = {
+                path.relative_to(cfg.work_dir): path.read_bytes()
+                for path in cfg.work_dir.glob("*/*")
+                # Ledgers hold their lines in completion order.
+                if path.suffix in (".jsonl", ".idx", ".txt") and path.name != "checkpoint.jsonl"
+                or path.name == "stats.json"
+            }
+        for stage, manifest_reads, directory_reads in (
+            ("preprocess", 1, 1), ("postprocess", 1, 1), ("stats", 0, 1)
+        ):
+            assert (per_stage["manifest", stage], per_stage["directory", stage]) == (
+                manifest_reads, directory_reads
+            ), stage
+        assert Path("filtered/shard-00000.jsonl") in outputs["manifest"]
+        assert outputs["directory"] == outputs["manifest"]
+
+    def test_directory_input_bad_line_refused_by_the_stage(self, tmp_path):
+        write_corpus(make_docs(6, seed=3), tmp_path / "input", stage="input", fingerprint="input")
+        shard = tmp_path / "input" / "shard-00000.jsonl"
+        shard.write_bytes(shard.read_bytes() + b'{"id": 7}\n')
+        extra = {"input_manifest": "input"}
+        cfg = load_config(write_fixture_config(tmp_path, [], extra=extra))
+        with pytest.raises(CorpusError) as refused:
+            stage_preprocess(cfg)
+        with pytest.raises(CorpusError) as parsed:
+            list(load_shard(shard, cfg.languages))
+        assert str(refused.value) == str(parsed.value)
+        assert "1 bad line(s); first at line 7" in str(refused.value)
+        assert not (cfg.work_dir / "passages").exists()
 
     def test_empty_input_refused_before_anything_is_written(self, tmp_path):
         cfg = load_config(write_fixture_config(tmp_path, []))
@@ -1269,7 +1330,7 @@ class TestMixAndStats:
         stage_mix(cfg)
         mixed = cfg.work_dir / "mixed"
         before = {path.name: path.read_bytes() for path in mixed.iterdir()}
-        read_document_at = mixing.read_document_at
+        read_line_at = mixing.read_line_at
         reads = 0
 
         def fail_on_fifth_read(*args):
@@ -1277,10 +1338,10 @@ class TestMixAndStats:
             reads += 1
             if reads == 5:
                 raise OSError("scripted read failure")
-            return read_document_at(*args)
+            return read_line_at(*args)
 
         # The mix fails while it writes its shards.
-        monkeypatch.setattr(mixing, "read_document_at", fail_on_fifth_read)
+        monkeypatch.setattr(mixing, "read_line_at", fail_on_fifth_read)
         with pytest.raises(OSError, match="scripted"):
             stage_mix(cfg)
         assert {path.name: path.read_bytes() for path in mixed.iterdir()} == before
