@@ -97,12 +97,14 @@ class TestIndexFile:
         assert obj["index_sha256"] == manifest.index_sha256
         assert ShardManifest.load(tmp_path / "manifest.json") == manifest
 
-    @pytest.mark.parametrize("case", ["257_languages", "long_language"])
+    @pytest.mark.parametrize("case", ["257_languages", "long_language", "chars_past_u32"])
     def test_shard_that_does_not_fit_gets_no_index(self, tmp_path, case):
         if case == "257_languages":
             docs = [Document(f"d{i}", "text", f"l{i}") for i in range(257)]
-        else:
+        elif case == "long_language":
             docs = [Document("d", "text", "x" * 256)]
+        else:  # a line that claims more characters than an entry holds
+            docs = [sized_line(Document("d", "text", "en"))._replace(chars=2**32)]
         stale = tmp_path / "shard-00000.idx"
         stale.write_bytes(b"left by an earlier write")
         manifest = write_corpus(docs, tmp_path, stage="input", fingerprint="fp")
