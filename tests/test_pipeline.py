@@ -10,7 +10,7 @@ from unittest.mock import ANY
 
 import pytest
 
-from rephrasing import mixing, pipeline
+from rephrasing import corpus, mixing, pipeline
 from rephrasing.config import load_config
 from rephrasing.corpus import (
     CorpusError,
@@ -154,8 +154,6 @@ class TestPreprocess:
         # Each stage that reads the input parses each document once, with
         # a directory input as with a manifest, whose record spares stats
         # the parse.
-        from rephrasing import corpus
-
         docs = make_docs(40, seed=3)
         parses = []
         doc_from_obj = corpus.doc_from_obj
