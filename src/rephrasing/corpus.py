@@ -3,10 +3,11 @@
 A corpus is a set of shard files with one JSON object per line
 (``id``, ``text``, ``lang``, ``meta``, ``provenance``) plus a single
 manifest JSON document per pipeline stage.  ``write_corpus`` also
-writes a size index beside each shard (``SizeIndex``), with which
-``CorpusLines`` routes the documents of a corpus it wrote by their
-bytes.  Shards are independent units of work and every type here is
-immutable after construction.
+writes a size index beside each shard (``SizeIndex``), with which a
+reader routes the lines of a corpus it wrote by their bytes, once the
+manifest vouches for them (``vouched_indexes``; ``CorpusLines`` for
+documents).  Shards are independent units of work and every type here
+is immutable after construction.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import struct
 import sys
 from array import array
 from dataclasses import dataclass, field
+from json.decoder import scanstring
 from operator import itemgetter
 from pathlib import Path
 from typing import BinaryIO, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
@@ -148,6 +150,28 @@ def doc_from_obj(obj: Mapping, languages: Sequence[str] | None = None) -> Docume
     return doc
 
 
+class DocumentHead(NamedTuple):
+    """A document without its text: the id, language and meta that
+    postprocess joins with the document's completions."""
+
+    id: str
+    lang: str
+    meta: dict
+
+
+def head_line(doc: Document) -> bytes:
+    """The line of a document's head in the list preprocess writes
+    beside its passages (``head_from_obj`` reads it back)."""
+    head = {"id": doc.id, "lang": doc.lang, "meta": dict(doc.meta)}
+    return (encode_json(head) + "\n").encode("utf-8")
+
+
+def head_from_obj(obj: Mapping) -> DocumentHead:
+    return DocumentHead(
+        typed_field(obj, "id"), typed_field(obj, "lang"), typed_field(obj, "meta", dict)
+    )
+
+
 def parse_line(raw: bytes) -> dict:
     """The JSON object on one line; a line that is not UTF-8 or not JSON
     raises ``ValueError``, and one that is not an object ``CorpusError``."""
@@ -247,6 +271,11 @@ class SizedLine(NamedTuple):
     chars: int
     usable: bool = True
 
+    def text(self) -> str:
+        """The document's text, decoded from its line alone."""
+        start = self.line.index(_TEXT_HEAD) + len(_TEXT_HEAD)
+        return json_string(self.line[start : self.line.index(_LANG_HEAD, start)])
+
 
 def sized_line(doc: Document) -> SizedLine:
     """The one encoder of the documents ``write_corpus`` writes."""
@@ -255,16 +284,22 @@ def sized_line(doc: Document) -> SizedLine:
 
 
 # A line doc_to_json wrote starts with its id's JSON string, and that
-# ends at the first ', "text": ': inside the string every '"' is escaped.
+# ends at the first ', "text": ', as the text's ends at the first
+# ', "lang": ': inside a JSON string every '"' follows a backslash.
 _ID_HEAD = b'{"id": '
 _TEXT_HEAD = b', "text": '
+_LANG_HEAD = b', "lang": '
+
+
+def json_string(quoted: bytes) -> str:
+    """The string a JSON string literal (UTF-8, quotes included) encodes."""
+    if b"\\" in quoted:
+        return scanstring(quoted.decode("utf-8"), 1)[0]
+    return quoted[1:-1].decode("utf-8")
 
 
 def _line_id(line: bytes, end: int) -> str:
-    quoted = line[len(_ID_HEAD) : end]
-    if b"\\" in quoted:
-        return json.loads(quoted)
-    return quoted[1:-1].decode("utf-8")
+    return json_string(line[len(_ID_HEAD) : end])
 
 
 def splice_id(line: bytes, prefix: str, suffix: str, lang: str, chars: int) -> SizedLine:
@@ -476,11 +511,13 @@ def write_shard(
     path: Path | str,
     estimator: TokenEstimator | None = None,
     tally: _Tally | None = None,
+    unique_ids: bool = True,
 ) -> ShardEntry:
     """Write one line per document, ``Document``s encoded by
     ``sized_line`` and ``SizedLine``s as they are, and beside the shard
-    its ``SizeIndex`` when every number and language fits it; duplicate
-    ids abort the shard, which leaves neither file."""
+    its ``SizeIndex`` when every number and language fits it; with
+    ``unique_ids``, duplicate ids abort the shard, which leaves neither
+    file."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     idx_path = _index_path(path)
@@ -498,9 +535,10 @@ def write_shard(
                 if not isinstance(item, SizedLine):
                     item = sized_line(item)
                 line, doc_id, lang, chars, _ = item
-                if doc_id in seen:
-                    raise CorpusError(f"duplicate document id {doc_id!r} in {path}")
-                seen.add(doc_id)
+                if unique_ids:
+                    if doc_id in seen:
+                        raise CorpusError(f"duplicate document id {doc_id!r} in {path}")
+                    seen.add(doc_id)
                 handle.write(line)
                 if tally is not None:
                     tally.add(item)
@@ -645,6 +683,13 @@ class ShardManifest:
         return digest.hexdigest()
 
 
+def file_sha256(path: Path | str) -> str:
+    """The sha256 of a file, read line by line."""
+    digest = hashlib.sha256()
+    _hash_lines(Path(path), digest)
+    return digest.hexdigest()
+
+
 def _hash_lines(path: Path, digest) -> int:
     """Feed a file to ``digest`` line by line, so the hash holds no more
     than a parse does; returns the count of lines."""
@@ -678,27 +723,31 @@ def write_corpus(
     fingerprint: str,
     estimator: TokenEstimator | None = None,
     shard_size: int = 50_000,
+    shard_prefix: str = "shard",
+    unique_ids: bool = True,
 ) -> ShardManifest:
     """Write a document stream as size-bounded shards plus a manifest.
 
     The stream holds ``Document``s, or ``SizedLine``s whose lines are
-    already what ``sized_line`` gives.  The shards are ``shard_runs`` of
-    the stream: each document goes straight into the open shard, so
-    memory holds one document plus the open shard's ids (for its
-    duplicate check) and size index, never a shard of documents.  An
-    empty stream still gets one empty shard.  The manifest is saved only
-    after the stream is exhausted; an exception from the stream deletes
-    the open shard and its index and leaves no manifest.  It holds the
-    ``CorpusRecord`` of the bytes written, which lets a later reader hash
-    the shards instead of parsing them, and the digest of the indexes,
-    with which ``CorpusLines`` routes their documents by their bytes.
+    already what ``sized_line`` gives, or, with ``unique_ids`` off, the
+    lines of other records (preprocess's passages).  The shards are
+    ``shard_runs`` of the stream, ``<shard_prefix>-NNNNN.jsonl``: each
+    line goes straight into the open shard, so memory holds one line
+    plus the open shard's ids (for its duplicate check) and size index,
+    never a shard of documents.  An empty stream still gets one empty
+    shard.  The manifest is saved only after the stream is exhausted; an
+    exception from the stream deletes the open shard and its index and
+    leaves no manifest.  It holds the ``CorpusRecord`` of the bytes
+    written, which lets a later reader hash the shards instead of
+    parsing them, and the digest of the indexes, with which a reader
+    routes their lines by their bytes (``vouched_indexes``).
     """
     out_dir = Path(out_dir)
     manifest = ShardManifest(stage=stage, fingerprint=fingerprint)
     tally = _Tally()
     for run in shard_runs(docs, shard_size):
-        path = out_dir / f"shard-{len(manifest.shards):05d}.jsonl"
-        manifest.shards.append(write_shard(run, path, estimator, tally))
+        path = out_dir / f"{shard_prefix}-{len(manifest.shards):05d}.jsonl"
+        manifest.shards.append(write_shard(run, path, estimator, tally, unique_ids))
     manifest.record = tally.record()
     manifest.index_sha256 = tally.index_sha256()
     manifest.save(out_dir / "manifest.json")
@@ -716,21 +765,74 @@ def iter_corpus(
         yield from load_shard(path, languages)
 
 
+class ShardIndexes:
+    """The size indexes of a corpus's shards, which ``vouched_indexes``
+    checked, in shard order; each is read from its file when it is asked
+    for, so a reader holds one shard's index at a time."""
+
+    def __init__(self, paths: Sequence[Path], counts: Sequence[int]):
+        self.paths = paths
+        self.counts = counts
+
+    def __len__(self) -> int:
+        return len(self.paths)
+
+    def __iter__(self) -> Iterator[SizeIndex]:
+        for shard, count in zip(self.paths, self.counts):
+            path = _index_path(shard)
+            index = SizeIndex.from_bytes(path.read_bytes())
+            if index is None or len(index) != count:
+                raise CorpusError(f"size index {path} changed since it was checked")
+            yield index
+
+
+def vouched_indexes(
+    manifest: ShardManifest,
+    base_dir: Path | str,
+    languages: Sequence[str] | None = DEFAULT_LANGUAGES,
+) -> tuple[ShardIndexes, str] | None:
+    """The shards' size indexes and sha256, when the manifest vouches for
+    the bytes of a corpus ``write_corpus`` wrote: every shard has its
+    index, with an entry per document of its manifest entry, the indexes
+    hash to the manifest's ``index_sha256``, and the record holds
+    (``recorded_digest``: the shards are as written, no document is
+    unusable and every language is in ``languages``).  Otherwise None.
+    Both digests are taken by streaming, one index file at a time."""
+    if manifest.record is None or manifest.index_sha256 is None:
+        return None
+    paths = manifest.shard_paths(base_dir)
+    digest = hashlib.sha256()
+    for entry, path in zip(manifest.shards, paths):
+        try:
+            data = _index_path(path).read_bytes()
+        except OSError:
+            return None
+        digest.update(data)
+        index = SizeIndex.from_bytes(data)
+        if index is None or len(index) != entry.docs:
+            return None
+    if digest.hexdigest() != manifest.index_sha256:
+        return None
+    # recorded_digest also holds every shard to its entry's count of lines.
+    sha256 = manifest.recorded_digest(base_dir, languages)
+    if sha256 is None:
+        return None
+    return ShardIndexes(paths, [entry.docs for entry in manifest.shards]), sha256
+
+
 class CorpusLines:
     """Every document of a corpus as its ``SizedLine``, in shard order,
     read one of two ways, chosen once for the corpus.
 
     The index path reads each shard's bytes and its ``SizeIndex``, and
-    decodes only each line's id.  It is taken when the manifest's record
-    vouches for the shards (``recorded_digest``: the bytes are as
-    written, no document is unusable and every language is in
-    ``languages``), every shard has its index, the indexes hash to the
-    manifest's ``index_sha256`` and each has an entry per line.  Bytes that
+    decodes only each line's id.  It is taken when the manifest vouches
+    for the shards and their indexes (``vouched_indexes``).  Bytes that
     match the record were written by ``write_corpus``, so every line is
     ``doc_to_json`` output.  Otherwise the parse path reads the corpus
     with ``iter_corpus``, with its checks and errors, and encodes each
     document with ``sized_line``.  ``indexes`` holds the shards' indexes
-    on the index path, and is None on the parse path.
+    on the index path, each read when it is asked for, and is None on
+    the parse path.
     """
 
     def __init__(
@@ -743,29 +845,8 @@ class CorpusLines:
         self.base_dir = Path(base_dir)
         self.languages = languages
         self.paths = manifest.shard_paths(base_dir)
-        self._sha256: str | None = None
-        self.indexes = self._verified_indexes()
-
-    def _verified_indexes(self) -> list[SizeIndex] | None:
-        if self.manifest.record is None or self.manifest.index_sha256 is None:
-            return None
-        digest = hashlib.sha256()
-        indexes = []
-        for entry, path in zip(self.manifest.shards, self.paths):
-            try:
-                data = _index_path(path).read_bytes()
-            except OSError:
-                return None
-            digest.update(data)
-            index = SizeIndex.from_bytes(data)
-            if index is None or len(index) != entry.docs:
-                return None
-            indexes.append(index)
-        if digest.hexdigest() != self.manifest.index_sha256:
-            return None
-        # recorded_digest also holds every shard to its entry's count of lines.
-        self._sha256 = self.manifest.recorded_digest(self.base_dir, self.languages)
-        return indexes if self._sha256 is not None else None
+        vouched = vouched_indexes(manifest, base_dir, languages)
+        self.indexes, self._sha256 = vouched if vouched is not None else (None, None)
 
     def __iter__(self) -> Iterator[SizedLine]:
         if self.indexes is None:

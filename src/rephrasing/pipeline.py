@@ -9,7 +9,7 @@ Work directory layout::
 
     work_dir/
       calibration.json          token estimator (ratio, sample, seed)
-      passages/                 split passages + manifest
+      passages/                 split passages, size indexes, document heads, manifest
       rephrase/                 checkpoint.jsonl, completions.jsonl, failed.jsonl
       rephrased/                reassembled documents, audit shard, report
       scores/                   checkpoint.jsonl, scores.jsonl, report
@@ -30,6 +30,7 @@ order.
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import itertools
 import json
 import math
@@ -48,17 +49,25 @@ from .corpus import (
     CorpusLines,
     CorpusStats,
     Document,
+    DocumentHead,
     Provenance,
     ShardEntry,
     ShardManifest,
     ShardReader,
+    SizedLine,
+    SizeIndex,
     corpus_stats,
     encode_json,
+    file_sha256,
+    head_from_obj,
+    head_line,
     iter_corpus,
+    json_string,
     parse_line,
     shard_runs,
     stats_table,
     stats_to_obj,
+    vouched_indexes,
     write_corpus,
 )
 from .inference import (
@@ -94,9 +103,12 @@ from .prompts import (
     PromptTemplate,
     RenderedPrompt,
     TemplateRegistry,
+    prompt_length,
     render,
+    render_text,
     rendered_length,
     tag_collision,
+    tag_collision_in_json,
 )
 from .quality import (
     SCORER_EXTERNAL,
@@ -107,10 +119,13 @@ from .quality import (
     askllm_score_first,
     ingest_external_scores,
 )
-from .splitting import Passage, split_document
+from .splitting import Passage, passage_head, passage_line, split_document
 from .tokens import CalibrationError, TokenEstimator, calibrate
 
 AUDIT_INFERENCE_FAILED = "inference_failed"
+
+# Preprocess's list of the input's document heads, beside the passages.
+DOCUMENT_HEADS = "documents.jsonl"
 
 
 class StageError(Exception):
@@ -243,13 +258,22 @@ def stage_preprocess(cfg: PipelineConfig) -> dict:
     a pass of its own.  Without one nothing would count a sample, so
     none is drawn: the estimator takes the default ratio, and the split
     pass counts the documents whose first ``sample_size`` calibration
-    records as sampled.  Each passage goes into the open shard as soon
-    as its document is split, so memory holds one document's passages.
-    The shards go to a temporary directory that replaces ``passages/``
-    only when the whole input split; an empty input changes nothing.
+    records as sampled.  The passages are written by ``write_corpus``,
+    each into the open shard as soon as its document is split, so memory
+    holds one document's passages and the open shard's size index; the
+    manifest records the shards' bytes and indexes, with which rephrase
+    reads them without a parse (``vouched_indexes``).  Beside them goes
+    ``documents.jsonl``, each input document's head (``head_line``: id,
+    lang and meta) in input order, and the report notes its sha256 and
+    the input's (``recorded_digest``, None unless the input's manifest
+    vouches for it), with which postprocess joins completions without
+    reading the input.  Everything goes to a temporary directory that
+    replaces ``passages/`` only when the whole input split; an empty
+    input changes nothing.
     """
     started = time.monotonic()
     manifest_in, base_dir = resolve_input_manifest(cfg)
+    input_sha256 = manifest_in.recorded_digest(base_dir, cfg.languages)
 
     sampled = bool(cfg.estimator.exact_endpoint)
     if sampled:
@@ -264,34 +288,39 @@ def stage_preprocess(cfg: PipelineConfig) -> dict:
             )
     else:
         estimator = TokenEstimator(cfg.estimator.default_ratio, {}, 0, cfg.seed)
-    fingerprint = cfg.fingerprint()
 
     docs_in = 0
     docs_without_passages = 0
     flag_counts: Counter = Counter()
-    manifest_out = ShardManifest("passages", fingerprint)
+    heads_digest = hashlib.sha256()
 
-    def passages() -> Iterator[Passage]:
-        nonlocal docs_in, docs_without_passages
-        for doc in iter_corpus(manifest_in, base_dir, cfg.languages):
-            docs_in += 1
-            split = split_document(doc, cfg.split, estimator)
-            docs_without_passages += not split
-            for passage in split:
-                flag_counts.update(passage.split_flags)
-                yield passage
+    with _replacing(cfg.work_dir / "passages") as out_dir, (out_dir / DOCUMENT_HEADS).open(
+        "wb"
+    ) as heads_out:
 
-    with _replacing(cfg.work_dir / "passages") as out_dir:
-        for run in shard_runs(passages(), cfg.shard_size):
-            path = out_dir / f"passages-{len(manifest_out.shards):05d}.jsonl"
-            count = chars = tokens = 0
-            with path.open("w", encoding="utf-8") as handle:
-                for passage in run:
-                    handle.write(encode_json(passage.to_obj()) + "\n")
-                    count += 1
-                    chars += len(passage.text)
-                    tokens += passage.est_tokens
-            manifest_out.shards.append(ShardEntry(path.name, count, chars, tokens))
+        def passages() -> Iterator[SizedLine]:
+            nonlocal docs_in, docs_without_passages
+            for doc in iter_corpus(manifest_in, base_dir, cfg.languages):
+                docs_in += 1
+                head = head_line(doc)
+                heads_out.write(head)
+                heads_digest.update(head)
+                split = split_document(doc, cfg.split, estimator)
+                docs_without_passages += not split
+                for passage in split:
+                    flag_counts.update(passage.split_flags)
+                    yield passage_line(passage)
+
+        manifest_out = write_corpus(
+            passages(),
+            out_dir,
+            stage="passages",
+            fingerprint=cfg.fingerprint(),
+            estimator=estimator,
+            shard_size=cfg.shard_size,
+            shard_prefix="passages",
+            unique_ids=False,
+        )
         if not docs_in:
             raise CalibrationError("cannot calibrate on an empty corpus")
         if not sampled:
@@ -299,7 +328,6 @@ def stage_preprocess(cfg: PipelineConfig) -> dict:
                 estimator, sample_size=min(cfg.estimator.sample_size, docs_in)
             )
         estimator.save(cfg.work_dir / "calibration.json")
-        manifest_out.save(out_dir / "manifest.json")
 
         report = {
             "stage": "preprocess",
@@ -310,16 +338,22 @@ def stage_preprocess(cfg: PipelineConfig) -> dict:
             "flag_counts": dict(flag_counts),
             "estimator": estimator.to_obj(),
             "calibration_fallback": estimator.fallback,
+            "input_sha256": input_sha256,
+            "documents_sha256": heads_digest.hexdigest(),
             "seconds": round(time.monotonic() - started, 3),
         }
         _write_report(report, out_dir / "report.json")
     return report
 
 
-def _passage_shard_paths(cfg: PipelineConfig) -> list[Path]:
+def _passage_manifest(cfg: PipelineConfig) -> tuple[ShardManifest, Path]:
     out_dir = cfg.work_dir / "passages"
     _restore(out_dir)
-    manifest = _require_manifest(out_dir / "manifest.json", cfg, "passages")
+    return _require_manifest(out_dir / "manifest.json", cfg, "passages"), out_dir
+
+
+def _passage_shard_paths(cfg: PipelineConfig) -> list[Path]:
+    manifest, out_dir = _passage_manifest(cfg)
     return manifest.shard_paths(out_dir)
 
 
@@ -336,8 +370,9 @@ def iter_passages(cfg: PipelineConfig) -> Iterator[Passage]:
 
 class _PassageJob:
     """One passage's rephrase job, as ``run_batch`` takes it: its key,
-    its prompt's length, and where its line lies in the shard, from which
-    ``render`` reads the passage back."""
+    its prompt's length, and where ``render`` reads the passage back
+    from the shard: its line, or on the byte route its text's JSON
+    string."""
 
     __slots__ = ("shard", "key", "prompt_chars", "offset", "length")
 
@@ -360,30 +395,62 @@ class _PassageShard:
     their tagged template.  Once indexed, the shard stays open until
     ``close``, so that each job reads its passage back with ``os.pread``
     when it is rendered: memory holds the index, never the passages or
-    their prompts."""
+    their prompts.
 
-    def __init__(self, path: Path, cfg: PipelineConfig, registry: TemplateRegistry):
+    With the shard's ``SizeIndex`` (``index``), which rephrase has when
+    the passages manifest vouches for the shards (``vouched_indexes``),
+    no line is parsed: a job's key comes from its line's head, its
+    prompt's length from the index's characters, the tag from a byte
+    search of the text's JSON string, and its rendering reads and
+    decodes only that string.  Without it every line is parsed, with ``ShardReader``'s checks
+    and errors, when the shard is indexed and again when it is rendered.
+    """
+
+    def __init__(
+        self, path: Path, index: SizeIndex | None, cfg: PipelineConfig, registry: TemplateRegistry
+    ):
         self.path = path
         self.registry = registry
         self.temperature = cfg.temperature
+        self.by_bytes = index is not None
         self.jobs: list[_PassageJob] = []
         self.tag_collisions = 0
         templates: dict[str, PromptTemplate] = {}
-        for offset, length, passage in ShardReader(path, _passage_record).located():
-            template = templates.get(passage.lang)
+
+        def template_for(lang: str) -> PromptTemplate:
+            template = templates.get(lang)
             if template is None:
-                template = registry.get(cfg.template_id_for(passage.lang))
-                templates[passage.lang] = template
-            key = JobKey(passage.doc_id, passage.index, template.template_id)
-            chars = rendered_length(passage, template)
-            self.jobs.append(_PassageJob(self, key, chars, offset, length))
-            self.tag_collisions += tag_collision(passage, template)
+                template = templates[lang] = registry.get(cfg.template_id_for(lang))
+            return template
+
+        if index is None:
+            for offset, length, passage in ShardReader(path, _passage_record).located():
+                template = template_for(passage.lang)
+                key = JobKey(passage.doc_id, passage.index, template.template_id)
+                chars = rendered_length(passage, template)
+                self.jobs.append(_PassageJob(self, key, chars, offset, length))
+                self.tag_collisions += tag_collision(passage, template)
+        else:
+            offset = 0
+            with path.open("rb") as handle:
+                for line, text_chars, code in zip(handle, index.chars, index.codes):
+                    template = template_for(index.langs[code])
+                    doc_id, number, text = passage_head(line)
+                    key = JobKey(doc_id, number, template.template_id)
+                    chars = prompt_length(template, text_chars)
+                    at, length = offset + text.start, text.stop - text.start
+                    self.jobs.append(_PassageJob(self, key, chars, at, length))
+                    self.tag_collisions += tag_collision_in_json(line[text], template)
+                    offset += len(line)
         self._file = path.open("rb")
 
     def render(self, job: _PassageJob) -> RenderedPrompt:
-        line = os.pread(self._file.fileno(), job.length, job.offset)
+        data = os.pread(self._file.fileno(), job.length, job.offset)
         template = self.registry.get(job.key.template_id)
-        return render(Passage.from_obj(parse_line(line)), template, self.temperature)
+        if self.by_bytes:
+            key = job.key
+            return render_text(key.doc_id, key.index, json_string(data), template, self.temperature)
+        return render(Passage.from_obj(parse_line(data)), template, self.temperature)
 
     def close(self) -> None:
         self._file.close()
@@ -461,6 +528,9 @@ def stage_rephrase(cfg: PipelineConfig, *, on_result=None) -> dict:
     jobs the ledger does not replay are sent longest prompt first, and
     each reads its passage back and renders its prompt (the template
     comes from the passage's ``lang``) only when a request slot pulls it.
+    Whether the shards are read by their bytes or parsed
+    (``_PassageShard``) is decided once, before the first request, by
+    checking the passages manifest's record and indexes.
 
     The ledger ``checkpoint.jsonl`` is the result store, run by
     ``_run_ledgered`` with one ``run_batch`` per shard: the runner
@@ -486,7 +556,9 @@ def stage_rephrase(cfg: PipelineConfig, *, on_result=None) -> dict:
     estimator = load_estimator(cfg)
     registry = cfg.registry()
     fingerprint = cfg.fingerprint()
-    shard_paths = _passage_shard_paths(cfg)
+    manifest, passages_dir = _passage_manifest(cfg)
+    vouched = vouched_indexes(manifest, passages_dir, None)
+    indexes = itertools.repeat(None) if vouched is None else vouched[0]
 
     out_dir = cfg.work_dir / "rephrase"
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -502,8 +574,8 @@ def stage_rephrase(cfg: PipelineConfig, *, on_result=None) -> dict:
 
     def shard_jobs() -> Iterator[list[_PassageJob]]:
         """Each shard's jobs; the shard stays open until the next is asked for."""
-        for path in shard_paths:
-            with _PassageShard(path, cfg, registry) as shard:
+        for path, index in zip(manifest.shard_paths(passages_dir), indexes):
+            with _PassageShard(path, index, cfg, registry) as shard:
                 totals.update(jobs=len(shard.jobs), tag_collisions=shard.tag_collisions)
                 yield shard.jobs
 
@@ -573,14 +645,39 @@ def _absent_from_input(cfg: PipelineConfig, doc_ids: set[str]) -> set[str]:
     return doc_ids
 
 
+def _input_heads(cfg: PipelineConfig) -> Iterable[Document | DocumentHead]:
+    """The input's documents in input order, for their id, lang and meta.
+
+    They are the heads preprocess wrote beside the passages when its
+    report's digests still name both files: the input's manifest record
+    still hashes to its shards (``recorded_digest``, no parse) and gives
+    the digest preprocess noted, and ``documents.jsonl`` hashes to its
+    own.  Then the heads are what a parse of the input gives.  Otherwise
+    the input is parsed.
+    """
+    manifest_in, base_dir = resolve_input_manifest(cfg)
+    passages_dir = cfg.work_dir / "passages"
+    heads = passages_dir / DOCUMENT_HEADS
+    try:
+        noted = json.loads((passages_dir / "report.json").read_text(encoding="utf-8"))
+        input_sha256 = noted["input_sha256"]
+        vouched = input_sha256 is not None and file_sha256(heads) == noted["documents_sha256"]
+    except (OSError, ValueError, LookupError, TypeError):
+        vouched = False
+    if vouched and manifest_in.recorded_digest(base_dir, cfg.languages) == input_sha256:
+        return ShardReader(heads, head_from_obj)
+    return iter_corpus(manifest_in, base_dir, cfg.languages)
+
+
 def stage_postprocess(cfg: PipelineConfig) -> dict:
     """Clean completions, filter passages, and reassemble documents.
 
     Completions come grouped by document in input order, so one walk of
-    the input merge-joins each document with its completions, and each
-    reassembled document goes straight into its shard.  Memory holds one
-    document's completions plus the ids of documents with a failed
-    passage.  Output is written to a temporary directory that replaces
+    the input's documents (``_input_heads``: the heads preprocess wrote,
+    or the input parsed) merge-joins each document with its completions,
+    and each reassembled document goes straight into its shard.  Memory
+    holds one document's completions plus the ids of documents with a
+    failed passage.  Output is written to a temporary directory that replaces
     ``rephrased/`` only when every completed or failed document was found
     in the input and neither ``completions.jsonl`` nor ``failed.jsonl``
     holds a bad line: both are read by ``ShardReader``, which raises
@@ -598,7 +695,7 @@ def stage_postprocess(cfg: PipelineConfig) -> dict:
     completions_path = rephrase_dir / "completions.jsonl"
     if not completions_path.is_file():
         raise StageError(f"missing completions {completions_path}; run rephrase first")
-    manifest_in, base_dir = resolve_input_manifest(cfg)
+    documents = _input_heads(cfg)
 
     rejection_counts: Counter = Counter()
     doc_drop_counts: Counter = Counter()
@@ -642,7 +739,7 @@ def stage_postprocess(cfg: PipelineConfig) -> dict:
             nonlocal accepted, docs_in
             groups = itertools.groupby(cleaned_stream(), key=lambda item: item[0])
             head = next(groups, None)
-            for doc in iter_corpus(manifest_in, base_dir, cfg.languages):
+            for doc in documents:
                 failed = doc.id in failed_docs
                 failed_docs.discard(doc.id)
                 if head is None or head[0] != doc.id:
@@ -720,9 +817,12 @@ def stage_postprocess(cfg: PipelineConfig) -> dict:
 def stage_score(cfg: PipelineConfig, manifest_path: Path | None = None) -> dict:
     """Score documents with the informative-signal prompt.
 
-    The corpus is checked in full before the first request, so a bad
-    line late in it costs no paid request; shards that match their
-    manifest's record are hashed, not parsed.  The ledger
+    The corpus is read through ``CorpusLines``.  It is checked in full
+    before the first request, so a bad line late in it costs no paid
+    request: a corpus whose manifest vouches for its shards and indexes
+    is hashed, and each document is then decoded from its line (id,
+    text and language, without ``doc_from_obj``); any other is checked
+    by ``ShardManifest.verify`` and parsed.  The ledger
     ``scores/checkpoint.jsonl`` is the result store, run by
     ``_run_ledgered`` over ``shard_size`` runs of the corpus: a run's
     unscored documents stream into the request pool, which pulls each
@@ -744,7 +844,13 @@ def stage_score(cfg: PipelineConfig, manifest_path: Path | None = None) -> dict:
     started = time.monotonic()
     estimator = load_estimator(cfg)
     manifest, base_dir = _select_corpus(cfg, manifest_path)
-    corpus_digest = manifest.verify(base_dir, cfg.languages)
+    lines = CorpusLines(manifest, base_dir, cfg.languages)
+    if lines.indexes is None:
+        corpus_digest = manifest.verify(base_dir, cfg.languages)
+        docs: Iterable[Document] = iter_corpus(manifest, base_dir, cfg.languages)
+    else:
+        corpus_digest = lines.sha256()
+        docs = (Document(line.id, line.text(), line.lang) for line in lines)
 
     out_dir = cfg.work_dir / "scores"
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -757,7 +863,6 @@ def stage_score(cfg: PipelineConfig, manifest_path: Path | None = None) -> dict:
     except CheckpointMismatchError:
         ledger_path.unlink()
         replay = {}
-    docs = iter_corpus(manifest, base_dir, cfg.languages)
     scores_tmp = out_dir / "scores.jsonl.tmp"
 
     times = RequestTimes()

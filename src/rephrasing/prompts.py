@@ -183,11 +183,19 @@ def render(
     if isinstance(template, str):
         template = (registry or TemplateRegistry()).get(template)
     _check_renderable(passage, template)
+    return render_text(passage.doc_id, passage.index, passage.text, template, temperature)
+
+
+def render_text(
+    doc_id: str, index: int, text: str, template: PromptTemplate, temperature: float
+) -> RenderedPrompt:
+    """``render`` of the passage with these fields, which it takes: its
+    text is not empty and the template is checked (``prompt_length``)."""
     return RenderedPrompt(
-        doc_id=passage.doc_id,
-        index=passage.index,
+        doc_id=doc_id,
+        index=index,
         template_id=template.template_id,
-        text=template.body.replace("{text}", passage.text),
+        text=template.body.replace("{text}", text),
         stop=template.stop,
         temperature=temperature,
     )
@@ -197,7 +205,14 @@ def rendered_length(passage: Passage, template: PromptTemplate) -> int:
     """``len(render(passage, template).text)``, refused where ``render``
     refuses, without building the prompt."""
     _check_renderable(passage, template)
-    return len(template.body) - len(template.placeholder) + len(passage.text)
+    return prompt_length(template, len(passage.text))
+
+
+def prompt_length(template: PromptTemplate, text_chars: int) -> int:
+    """The length of the template's prompt for a text of ``text_chars``
+    characters; refused unless it is a rephrasing template."""
+    _check_template(template)
+    return len(template.body) - len(template.placeholder) + text_chars
 
 
 def tag_collision(passage: Passage, template: PromptTemplate) -> bool:
@@ -205,8 +220,25 @@ def tag_collision(passage: Passage, template: PromptTemplate) -> bool:
     return template.extraction == TAGGED and TEXT_CLOSE in passage.text
 
 
-def _check_renderable(passage: Passage, template: PromptTemplate) -> None:
+_TEXT_CLOSE_UTF8 = TEXT_CLOSE.encode("utf-8")
+
+
+def tag_collision_in_json(quoted: bytes, template: PromptTemplate) -> bool:
+    """``tag_collision`` for the passage whose text has the JSON string
+    ``quoted`` (UTF-8, as ``json`` writes it with ``ensure_ascii`` off).
+    The tag is in the string exactly when it is in the text: ``json``
+    escapes none of its characters, and it cannot straddle an escape,
+    since it holds no backslash, with which every escape starts, and
+    its first character, "<", is none of those an escape goes on with."""
+    return template.extraction == TAGGED and _TEXT_CLOSE_UTF8 in quoted
+
+
+def _check_template(template: PromptTemplate) -> None:
     if template.placeholder != "{text}":
         raise PromptError(f"template {template.template_id!r} is not a rephrasing template")
+
+
+def _check_renderable(passage: Passage, template: PromptTemplate) -> None:
+    _check_template(template)
     if not passage.text:
         raise PromptError(f"passage {passage.doc_id}:{passage.index} has empty text")

@@ -9,11 +9,13 @@ tokenizer calls.
 
 from __future__ import annotations
 
+import json
 import re
 from dataclasses import dataclass
+from json.decoder import scanstring
 from typing import Mapping, Sequence
 
-from .corpus import CorpusError, Document, typed_field
+from .corpus import CorpusError, Document, SizedLine, encode_json, typed_field
 from .tokens import TokenEstimator
 
 MAX_PASSAGE_TOKENS = 350.0
@@ -85,6 +87,37 @@ class Passage:
             split_flags=frozenset(flags),
             lang=typed_field(obj, "lang"),
         )
+
+
+def passage_line(passage: Passage) -> SizedLine:
+    """The one encoder of passages-shard lines, as ``write_corpus``
+    writes them: the line, the passage's document id and language, its
+    text's characters, and whether rephrase takes it (``render`` refuses
+    an empty text)."""
+    line = (encode_json(passage.to_obj()) + "\n").encode("utf-8")
+    return SizedLine(line, passage.doc_id, passage.lang, len(passage.text), bool(passage.text))
+
+
+# A line passage_line wrote starts with its doc_id's JSON string, which
+# ends at the first ', "index": ', then the index, up to ', "text": ', and
+# the text's JSON string, up to the first ', "est_tokens": ': inside a
+# JSON string every '"' follows a backslash.
+_DOC_ID_AT = len('{"doc_id": "')
+_INDEX_HEAD = ', "index": '
+_TEXT_HEAD = b', "text": '
+_EST_HEAD = b', "est_tokens": '
+_decode_at = json.JSONDecoder().raw_decode
+
+
+def passage_head(line: bytes) -> tuple[str, int, slice]:
+    """The doc_id and the index of a line ``passage_line`` wrote, read
+    without parsing its text, and where in the line the text's JSON
+    string lies (quotes included)."""
+    text_at = line.index(_TEXT_HEAD)
+    head = line[:text_at].decode("utf-8")
+    doc_id, id_end = scanstring(head, _DOC_ID_AT)
+    index = _decode_at(head, id_end + len(_INDEX_HEAD))[0]
+    return doc_id, index, slice(text_at + len(_TEXT_HEAD), line.index(_EST_HEAD, text_at))
 
 
 def normalize_newlines(text: str) -> str:

@@ -5,8 +5,9 @@ Its traced peak may grow by no more than the per-document index the
 stage must keep, plus a fixed slack; a stage that holds documents grows
 by their text, several kilobytes each, and fails.  Preprocess and
 rephrase run with one passages shard that holds every passage:
-preprocess keeps no index, and rephrase is held to its per-passage
-index within a shard.
+preprocess keeps only that open shard's size index (9 bytes a passage),
+within the fixed slack, and rephrase is held to its per-passage index
+within a shard.
 """
 
 from __future__ import annotations

@@ -153,7 +153,8 @@ class TestPreprocess:
     def test_directory_input_parsed_once_per_stage(self, tmp_path, monkeypatch):
         # Each stage that reads the input parses each document once, with
         # a directory input as with a manifest, whose record spares stats
-        # the parse.
+        # the parse, and postprocess, which joins the document heads
+        # preprocess wrote.
         docs = make_docs(40, seed=3)
         parses = []
         doc_from_obj = corpus.doc_from_obj
@@ -179,7 +180,7 @@ class TestPreprocess:
                 or path.name == "stats.json"
             }
         for stage, manifest_reads, directory_reads in (
-            ("preprocess", 1, 1), ("postprocess", 1, 1), ("stats", 0, 1)
+            ("preprocess", 1, 1), ("postprocess", 0, 1), ("stats", 0, 1)
         ):
             assert (per_stage["manifest", stage], per_stage["directory", stage]) == (
                 manifest_reads, directory_reads
