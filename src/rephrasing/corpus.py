@@ -22,6 +22,7 @@ import sys
 from array import array
 from dataclasses import dataclass, field
 from json.decoder import scanstring
+from json.encoder import c_make_encoder, encode_basestring
 from operator import itemgetter
 from pathlib import Path
 from typing import BinaryIO, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
@@ -34,10 +35,93 @@ PROVENANCE_ORIGINAL = "original"
 PROVENANCE_REPHRASED = "rephrased"
 
 
-# Serialises every JSON line the pipeline writes.  ``json.dumps`` with a
-# non-default option builds a new encoder on each call; this one is built
-# once and holds no state between calls, so threads may share it.
-encode_json = json.JSONEncoder(ensure_ascii=False).encode
+def _make_encode_json() -> Callable[[object], str]:
+    encoder = json.JSONEncoder(ensure_ascii=False)
+    if c_make_encoder is None:
+        return encoder.encode
+    chunks = c_make_encoder(
+        None,  # no circular-check markers
+        encoder.default,
+        encode_basestring,
+        encoder.indent,
+        encoder.key_separator,
+        encoder.item_separator,
+        encoder.sort_keys,
+        encoder.skipkeys,
+        encoder.allow_nan,
+    )
+
+    def encode_json(obj: object) -> str:
+        return "".join(chunks(obj, 0))
+
+    return encode_json
+
+
+# ``json.dumps(obj, ensure_ascii=False)``, through one C encoder built
+# here, where ``JSONEncoder.encode`` builds a new one (and a markers dict)
+# on every call.  It holds no state between calls, so threads may share
+# it.  Without markers a circular record raises ``RecursionError``, not
+# ``ValueError``.  Where CPython has no C encoder, it is
+# ``JSONEncoder.encode``.
+encode_json = _make_encode_json()
+
+_EMPTY_TEXT = b'"text": ""'
+# The bytes JSON escapes in a string other than '\\', '"' and a line feed.
+_CONTROL = bytes(range(0x20)).replace(b"\n", b"")
+_FLAT = frozenset((str, int, float, bool, type(None)))
+
+
+def _flat_before_text(obj: Mapping) -> bool:
+    """Whether every field before ``text`` is a scalar or a list of
+    scalars, so that the first ``"text": ""`` of its encoding is its own."""
+    for key, value in obj.items():
+        if key == "text":
+            return True
+        kind = type(value)
+        if kind not in _FLAT and not (kind is list and all(type(item) in _FLAT for item in value)):
+            return False
+    return False
+
+
+def _text_body(text: str) -> bytes:
+    """The UTF-8 of ``encode_basestring(text)`` between its quotes, made
+    from the text's UTF-8 bytes when only '\\', '"' and line feeds need
+    an escape."""
+    try:
+        raw = text.encode("utf-8")
+    except UnicodeEncodeError:
+        raw = None
+    if raw is None or len(raw.translate(None, _CONTROL)) != len(raw):
+        # A lone surrogate raises here, as in any other field.
+        return encode_basestring(text)[1:-1].encode("utf-8")
+    return raw.replace(b"\\", b"\\\\").replace(b'"', b'\\"').replace(b"\n", b"\\n")
+
+
+def json_line(obj: Mapping, head: bytes = b"{") -> bytes:
+    """The UTF-8 line of a record: ``json.dumps(obj, ensure_ascii=False)``
+    and a line feed, with ``head`` in place of its ``{``.
+
+    Every JSON line the pipeline writes is made here.  When the record's
+    top-level ``text`` is a string and every field before it a scalar or
+    a list of scalars, the record is encoded with that text emptied, and
+    the text's JSON string, escaped as UTF-8 bytes, is spliced in at the
+    first ``"text": ""``, which is then the text's own.  Any other record
+    is encoded whole.  A value JSON cannot hold raises ``TypeError``, a
+    lone surrogate ``UnicodeEncodeError`` and a circular record
+    ``RecursionError`` (``encode_json``), either way.
+    """
+    text = obj.get("text")
+    if type(text) is not str or not _flat_before_text(obj):
+        return head + (encode_json(obj)[1:] + "\n").encode("utf-8")
+    line = encode_json({**obj, "text": ""}).encode("utf-8")
+    at = line.index(_EMPTY_TEXT) + len(_EMPTY_TEXT) - 1  # the closing quote
+    return b"".join((head, line[1:at], _text_body(text), line[at:], b"\n"))
+
+
+def json_head(obj: Mapping) -> bytes:
+    """How ``json_line`` starts the line of a record whose first fields
+    are ``obj``'s: up to the ``, `` before the next field."""
+    return json_line(obj)[:-2] + b", "
 
 
 class CorpusError(Exception):
@@ -99,19 +183,6 @@ class Document:
             )
 
 
-def doc_to_json(doc: Document) -> str:
-    """Serialize one document with fixed field order (byte-stable)."""
-    return encode_json(
-        {
-            "id": doc.id,
-            "text": doc.text,
-            "lang": doc.lang,
-            "meta": dict(doc.meta),
-            "provenance": doc.provenance.to_obj(),
-        }
-    )
-
-
 _KIND_NAMES = {
     str: "a string",
     int: "an integer",
@@ -162,8 +233,7 @@ class DocumentHead(NamedTuple):
 def head_line(doc: Document) -> bytes:
     """The line of a document's head in the list preprocess writes
     beside its passages (``head_from_obj`` reads it back)."""
-    head = {"id": doc.id, "lang": doc.lang, "meta": dict(doc.meta)}
-    return (encode_json(head) + "\n").encode("utf-8")
+    return json_line({"id": doc.id, "lang": doc.lang, "meta": dict(doc.meta)})
 
 
 def head_from_obj(obj: Mapping) -> DocumentHead:
@@ -262,8 +332,8 @@ def read_document_at(handle: BinaryIO, offset: int, length: int) -> Document:
 
 class SizedLine(NamedTuple):
     """One document as the line ``write_corpus`` writes for it
-    (``doc_to_json`` and a line feed), with its id, language and count of
-    characters, and whether every reader takes it back (``_usable``)."""
+    (``sized_line``), with its id, language and count of characters, and
+    whether every reader takes it back (``_usable``)."""
 
     line: bytes
     id: str
@@ -278,12 +348,19 @@ class SizedLine(NamedTuple):
 
 
 def sized_line(doc: Document) -> SizedLine:
-    """The one encoder of the documents ``write_corpus`` writes."""
-    line = (doc_to_json(doc) + "\n").encode("utf-8")
-    return SizedLine(line, doc.id, doc.lang, len(doc.text), _usable(doc))
+    """The one encoder of the documents ``write_corpus`` writes, with a
+    fixed field order."""
+    obj = {
+        "id": doc.id,
+        "text": doc.text,
+        "lang": doc.lang,
+        "meta": dict(doc.meta),
+        "provenance": doc.provenance.to_obj(),
+    }
+    return SizedLine(json_line(obj), doc.id, doc.lang, len(doc.text), _usable(doc))
 
 
-# A line doc_to_json wrote starts with its id's JSON string, and that
+# A line sized_line wrote starts with its id's JSON string, and that
 # ends at the first ', "text": ', as the text's ends at the first
 # ', "lang": ': inside a JSON string every '"' follows a backslash.
 _ID_HEAD = b'{"id": '
@@ -305,10 +382,10 @@ def _line_id(line: bytes, end: int) -> str:
 def splice_id(line: bytes, prefix: str, suffix: str, lang: str, chars: int) -> SizedLine:
     """The document of a line ``write_corpus`` wrote, with the id
     ``prefix + id + suffix``: the line with its id's JSON string swapped,
-    byte for byte the line ``doc_to_json`` gives the renamed document."""
+    byte for byte the line ``sized_line`` gives the renamed document."""
     end = line.index(_TEXT_HEAD)
     doc_id = prefix + _line_id(line, end) + suffix
-    return SizedLine(_ID_HEAD + encode_json(doc_id).encode("utf-8") + line[end:], doc_id, lang, chars)
+    return SizedLine(json_head({"id": doc_id}) + line[end + 2 :], doc_id, lang, chars)
 
 
 @dataclass(frozen=True)
@@ -828,7 +905,7 @@ class CorpusLines:
     decodes only each line's id.  It is taken when the manifest vouches
     for the shards and their indexes (``vouched_indexes``).  Bytes that
     match the record were written by ``write_corpus``, so every line is
-    ``doc_to_json`` output.  Otherwise the parse path reads the corpus
+    ``sized_line`` output.  Otherwise the parse path reads the corpus
     with ``iter_corpus``, with its checks and errors, and encodes each
     document with ``sized_line``.  ``indexes`` holds the shards' indexes
     on the index path, each read when it is asked for, and is None on

@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Hashable, Iterable, Mapping, Sequence, Sized, TypeVar
 
-from .corpus import BAD_RECORD, CorpusError, encode_json, typed_field
+from .corpus import BAD_RECORD, CorpusError, json_head, json_line, typed_field
 from .prompts import RenderedPrompt
 
 FINISH_STOP = "stop_sequence"
@@ -830,7 +830,7 @@ _CHECKPOINT_HEADER = "header"
 _CHECKPOINT_RESULT = "result"
 # How every result line starts: ``{"kind": "result", `` and then the
 # fields of the record's own JSON object.
-_RESULT_PREFIX = '{"kind": "result", '
+_RESULT_HEAD = b'{"kind": "result", '
 
 # A ledger record: ``key`` names the work it records, ``failed`` marks
 # work to redo on resume, and ``to_obj`` / a ``from_obj`` parser carry
@@ -868,8 +868,7 @@ class CheckpointWriter:
                 _verify_checkpoint_header(self.path, handle.readline(), fingerprint)
         self._handle = self.path.open("ab")
         if not size:
-            header = {"kind": _CHECKPOINT_HEADER, "fingerprint": fingerprint}
-            data = (json.dumps(header) + "\n").encode("utf-8")
+            data = json_line({"kind": _CHECKPOINT_HEADER, "fingerprint": fingerprint})
             self._handle.write(data)
             self._handle.flush()
             size = len(data)
@@ -877,7 +876,7 @@ class CheckpointWriter:
         self.position: tuple[int, int] | None = None
 
     def append(self, result) -> None:
-        data = (_RESULT_PREFIX + encode_json(result.to_obj())[1:] + "\n").encode("utf-8")
+        data = json_line(result.to_obj(), _RESULT_HEAD)
         with self._lock:
             self._handle.write(data)
             self._handle.flush()
@@ -931,7 +930,7 @@ def _verify_checkpoint_header(path: Path, first: bytes, fingerprint: str) -> Non
 def record_line(ledger_line: bytes) -> bytes:
     """The record's own JSON line, from a result line that
     ``CheckpointWriter.append`` wrote: the ``"kind"`` field cut off."""
-    return b"{" + ledger_line[len(_RESULT_PREFIX) :]  # an ASCII prefix
+    return b"{" + ledger_line[len(_RESULT_HEAD) :]
 
 
 @dataclass(frozen=True, slots=True)
@@ -968,7 +967,7 @@ class LedgerLine:
 
     @staticmethod
     def head(key: JobKey) -> bytes:
-        return b'{"key": ' + encode_json(key.to_obj()).encode("utf-8") + b", "
+        return json_head({"key": key.to_obj()})
 
 
 def _rephrase_result(obj: Mapping, offset: int, length: int) -> RephraseResult:

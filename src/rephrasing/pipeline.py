@@ -62,6 +62,7 @@ from .corpus import (
     head_from_obj,
     head_line,
     iter_corpus,
+    json_line,
     json_string,
     parse_line,
     shard_runs,
@@ -133,8 +134,16 @@ class StageError(Exception):
 
 
 def _write_report(obj: dict, path: Path) -> None:
+    """Write a JSON report whole or not at all: to a sibling temporary
+    file, which then replaces ``path``, so a stop in mid-write leaves the
+    previous report as it was."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(obj, indent=2, ensure_ascii=False) + "\n", encoding="utf-8")
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        tmp.write_text(json.dumps(obj, indent=2, ensure_ascii=False) + "\n", encoding="utf-8")
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def _restore(out_dir: Path) -> None:
@@ -718,12 +727,11 @@ def stage_postprocess(cfg: PipelineConfig) -> dict:
             )
 
     with _replacing(cfg.work_dir / "rephrased") as out_dir, (out_dir / "audit.jsonl").open(
-        "w", encoding="utf-8"
+        "wb"
     ) as audit_out:
 
         def audit(doc_id: str, index: int | None, reason: str) -> None:
-            record = {"doc_id": doc_id, "index": index, "reason": reason}
-            audit_out.write(encode_json(record) + "\n")
+            audit_out.write(json_line({"doc_id": doc_id, "index": index, "reason": reason}))
 
         failed_path = rephrase_dir / "failed.jsonl"
         # Documents with a failed passage not yet met in the input.

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .corpus import CorpusError, Document, ShardReader, encode_json, typed_field
+from .corpus import CorpusError, Document, ShardReader, json_head, typed_field
 from .inference import (
     AuthError,
     BackendConfig,
@@ -119,7 +119,7 @@ class ScoreLine:
 
     @staticmethod
     def head(doc_id: str) -> bytes:
-        return b'{"doc_id": ' + encode_json(doc_id).encode("utf-8") + b", "
+        return json_head({"doc_id": doc_id})
 
 
 def score_from_logprobs(lp_affirmative: float, lp_negative: float) -> float:

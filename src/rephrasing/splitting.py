@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from json.decoder import scanstring
 from typing import Mapping, Sequence
 
-from .corpus import CorpusError, Document, SizedLine, encode_json, typed_field
+from .corpus import CorpusError, Document, SizedLine, json_line, typed_field
 from .tokens import TokenEstimator
 
 MAX_PASSAGE_TOKENS = 350.0
@@ -94,7 +94,7 @@ def passage_line(passage: Passage) -> SizedLine:
     writes them: the line, the passage's document id and language, its
     text's characters, and whether rephrase takes it (``render`` refuses
     an empty text)."""
-    line = (encode_json(passage.to_obj()) + "\n").encode("utf-8")
+    line = json_line(passage.to_obj())
     return SizedLine(line, passage.doc_id, passage.lang, len(passage.text), bool(passage.text))
 
 

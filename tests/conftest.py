@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import random
 import string
 from pathlib import Path
@@ -71,6 +72,19 @@ def make_doc_text(rng: random.Random, lang: str = "en") -> str:
     paragraphs = [make_paragraph(rng, lang) for _ in range(rng.randint(1, 10))]
     sep = "\n" * rng.randint(1, 3)
     return sep.join(paragraphs)
+
+
+def doc_json(doc: Document) -> str:
+    """A document's shard line without its line feed, as ``json.dumps``
+    gives it: the reference the pipeline's own encoder must match."""
+    obj = {
+        "id": doc.id,
+        "text": doc.text,
+        "lang": doc.lang,
+        "meta": dict(doc.meta),
+        "provenance": doc.provenance.to_obj(),
+    }
+    return json.dumps(obj, ensure_ascii=False)
 
 
 def make_docs(n: int, seed: int = 0, langs=LANGS) -> list[Document]:

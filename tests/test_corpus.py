@@ -3,7 +3,11 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 import re
+import sys
+import threading
+from json.encoder import c_make_encoder
 from pathlib import Path
 
 import pytest
@@ -16,19 +20,25 @@ from rephrasing.corpus import (
     Provenance,
     ShardManifest,
     corpus_stats,
-    doc_to_json,
     encode_json,
+    head_line,
     iter_corpus,
+    json_line,
     load_shard,
     read_document_at,
+    sized_line,
+    splice_id,
     stats_table,
     stats_to_obj,
     write_corpus,
     write_shard,
 )
+from rephrasing.inference import CheckpointWriter, JobKey, LedgerLine, RephraseResult, record_line
+from rephrasing.quality import ScoredDocument, ScoreLine
+from rephrasing.splitting import Passage, passage_line
 from rephrasing.tokens import TokenEstimator, quantize_ratio
 
-from conftest import make_docs
+from conftest import doc_json, make_docs
 
 
 def drain(records):
@@ -58,7 +68,7 @@ class TestShardRoundTrip:
     def test_malformed_line_recorded_with_lineno(self, tmp_path):
         docs = make_docs(2)
         path = tmp_path / "s.jsonl"
-        lines = [doc_to_json(docs[0]), "{not json", doc_to_json(docs[1])]
+        lines = [doc_json(docs[0]), "{not json", doc_json(docs[1])]
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         reader = load_shard(path)
         loaded = drain(reader)
@@ -129,7 +139,7 @@ class TestManifest:
         manifest.verify(tmp_path)
         shard_path = tmp_path / manifest.shards[0].path
         with shard_path.open("a", encoding="utf-8") as handle:
-            handle.write(doc_to_json(Document("extra", "x", "en")) + "\n")
+            handle.write(doc_json(Document("extra", "x", "en")) + "\n")
         with pytest.raises(CorpusError, match="manifest says"):
             manifest.verify(tmp_path)
 
@@ -189,7 +199,7 @@ class TestReadByOffset:
         docs = make_docs(5)
         path = tmp_path / "s.jsonl"
         # One Windows line ending in the middle.
-        lines = [doc_to_json(d) + "\n" for d in docs]
+        lines = [doc_json(d) + "\n" for d in docs]
         lines[2] = lines[2][:-1] + "\r\n"
         path.write_bytes("".join(lines).encode("utf-8"))
         spans = list(load_shard(path).located())
@@ -203,7 +213,7 @@ class TestLineDecoding:
 
     def test_undecodable_byte_is_a_bad_line(self, tmp_path):
         docs = make_docs(8)
-        lines = [(doc_to_json(d) + "\n").encode("utf-8") for d in docs]
+        lines = [(doc_json(d) + "\n").encode("utf-8") for d in docs]
         lines[5] = lines[5].replace(b'"text": "', b'"text": "\xff', 1)
         path = tmp_path / "s.jsonl"
         path.write_bytes(b"".join(lines))
@@ -218,7 +228,7 @@ class TestLineDecoding:
 
     def test_lone_carriage_return_does_not_end_a_line(self, tmp_path):
         path = tmp_path / "s.jsonl"
-        path.write_bytes(("\r".join(doc_to_json(d) for d in make_docs(3)) + "\n").encode("utf-8"))
+        path.write_bytes(("\r".join(doc_json(d) for d in make_docs(3)) + "\n").encode("utf-8"))
         reader = load_shard(path)
         assert drain(reader) == []
         assert reader.n_lines == len(reader.errors) == 1
@@ -236,7 +246,7 @@ class TestLineDecoding:
         "field, value", [("text", None), ("text", 12), ("id", 7), ("lang", ["en"])]
     )
     def test_field_not_a_string_is_a_bad_line(self, tmp_path, field, value):
-        lines = [doc_to_json(d) for d in make_docs(3)]
+        lines = [doc_json(d) for d in make_docs(3)]
         obj = json.loads(lines[1])
         obj[field] = value
         lines[1] = json.dumps(obj)
@@ -368,7 +378,7 @@ class TestCorpusRecord:
         docs = make_docs(25)
         manifest = write_corpus(docs, tmp_path, stage="input", fingerprint="fp", shard_size=10)
         written = b"".join(p.read_bytes() for p in manifest.shard_paths(tmp_path))
-        assert written == "".join(doc_to_json(d) + "\n" for d in docs).encode("utf-8")
+        assert written == "".join(doc_json(d) + "\n" for d in docs).encode("utf-8")
         chars = {}
         for doc in docs:
             chars[doc.lang] = chars.get(doc.lang, 0) + len(doc.text)
@@ -549,3 +559,150 @@ def test_stats_estimator_default(tmp_path):
     manifest = write_corpus(docs, tmp_path, stage="input", fingerprint="fp")
     stats = corpus_stats(manifest, tmp_path, TokenEstimator())
     assert stats.tokens == 10.0
+
+
+# Texts on both sides of json_line's fallback: the first three and the
+# last need only the escapes made on the UTF-8 bytes, the next four
+# another escape, which takes the fallback, and the rest none.
+LINE_TEXTS = [
+    '"',
+    "\\",
+    "\n",
+    "\r\n",
+    "\t",
+    "\x00",
+    "\x1f",
+    "\x7f",
+    "\u2028",
+    "äöüß",
+    "\U0001f600",
+    "",
+    'a "text": "" b',
+]
+LINE_META = {
+    "nested": {"list": [1, [2, None], {"k": "v"}], 7: "int key", "text": ""},
+    "numbers": [0.1, 1e16, -0.0, math.nan, math.inf, -math.inf],
+    "flags": [True, False, None],
+}
+RESULT_HEAD = b'{"kind": "result", '
+
+
+def dumps_line(obj, head=b"{") -> bytes:
+    """The reference every line writer must match, byte for byte."""
+    return head + (json.dumps(obj, ensure_ascii=False) + "\n").encode("utf-8")[1:]
+
+
+def line_doc(text: str) -> Document:
+    return Document('d"ä\\' + text, text, "de", LINE_META, Provenance.rephrased("qa", "m"))
+
+
+class TestLineWriters:
+    @pytest.mark.parametrize("text", LINE_TEXTS)
+    def test_document_lines_are_json_dumps(self, text):
+        doc = line_doc(text)
+        assert sized_line(doc).line == (doc_json(doc) + "\n").encode("utf-8")
+        head = {"id": doc.id, "lang": doc.lang, "meta": LINE_META}
+        assert head_line(doc) == dumps_line(head)
+        spliced = splice_id(sized_line(doc).line, "p-\n", text, "de", len(text))
+        renamed = dataclasses.replace(doc, id="p-\n" + doc.id + text)
+        assert spliced.line == (doc_json(renamed) + "\n").encode("utf-8")
+
+    @pytest.mark.parametrize("text", LINE_TEXTS)
+    def test_passage_lines_are_json_dumps(self, text):
+        passage = Passage(text + "ö", 3, text, 0.1, frozenset({"b", "a"}), "it")
+        assert passage_line(passage).line == dumps_line(passage.to_obj())
+
+    @pytest.mark.parametrize("text", LINE_TEXTS)
+    def test_ledger_lines_are_json_dumps(self, tmp_path, text):
+        result = RephraseResult(JobKey(text, 2, "qa"), text, "stop", "m ", 1)
+        scored = ScoredDocument(text, 0.1, "ask_llm")
+        with CheckpointWriter(tmp_path / "ledger.jsonl", "fp") as writer:
+            writer.append(result)
+            writer.append(scored)
+        header, result_line, score_line = (tmp_path / "ledger.jsonl").read_bytes().splitlines(True)
+        assert header == dumps_line({"kind": "header", "fingerprint": "fp"})
+        assert result_line == dumps_line(result.to_obj(), RESULT_HEAD)
+        assert score_line == dumps_line(scored.to_obj(), RESULT_HEAD)
+        key_head = LedgerLine.head(result.key)
+        assert key_head == dumps_line({"key": result.key.to_obj()})[:-2] + b", "
+        assert record_line(result_line).startswith(key_head)
+        score_head = ScoreLine.head(text)
+        assert score_head == dumps_line({"doc_id": text})[:-2] + b", "
+        assert record_line(score_line).startswith(score_head)
+
+    @pytest.mark.parametrize("text", LINE_TEXTS)
+    def test_other_records_are_json_dumps(self, text):
+        records = [
+            {"doc_id": text, "index": None, "reason": "inference_failed"},  # an audit line
+            {"text": text},
+            {"meta": {"text": ""}, "text": text},  # an object before the text
+            {"key": [text, [1]], "text": text},  # a list that is not flat
+            {"a": -0.0, "b": math.nan, "text": text, "c": {1: [math.inf, 1e16, True, None]}},
+        ]
+        for record in records:
+            assert json_line(record) == dumps_line(record)
+            assert json_line(record, RESULT_HEAD) == dumps_line(record, RESULT_HEAD)
+
+    @pytest.mark.parametrize(
+        "record",
+        [
+            {"id": "a", "text": "x", "meta": {"when": object()}},
+            {"id": "a", "text": b"bytes"},
+            {"id": {1, 2}, "text": "x"},
+        ],
+    )
+    def test_unsupported_value_raises_type_error(self, record):
+        with pytest.raises(TypeError):
+            json_line(record)
+
+    @pytest.mark.parametrize("field", ["id", "text", "lang"])
+    def test_lone_surrogate_raises_unicode_encode_error(self, field):
+        doc = dataclasses.replace(line_doc("x"), **{field: "a\ud800b"})
+        with pytest.raises(UnicodeEncodeError):
+            sized_line(doc)
+
+    @pytest.mark.skipif(c_make_encoder is None, reason="the C encoder checks for cycles here")
+    def test_circular_record_raises_recursion_error(self):
+        record = {"id": "a", "meta": {}}
+        record["meta"]["self"] = record
+        with pytest.raises(RecursionError):
+            encode_json(record)
+
+
+def test_shared_encoder_under_thread_switches(tmp_path):
+    """Eight threads share one ledger and the one encoder while the
+    interpreter switches threads as often as it can; every line is the
+    one a single thread gives."""
+    texts = [doc.text[:200] for doc in make_docs(8, seed=11)] + LINE_TEXTS
+    n_threads, per_thread = 8, 2000
+
+    def result(thread: int, i: int) -> RephraseResult:
+        return RephraseResult(JobKey(f"doc-{thread}", i, "qa"), texts[(thread + i) % len(texts)], "stop")
+
+    reference = sorted(
+        dumps_line(result(t, i).to_obj(), RESULT_HEAD) for t in range(n_threads) for i in range(per_thread)
+    )
+    errors = []
+
+    def write(writer: CheckpointWriter, thread: int) -> None:
+        try:
+            for i in range(per_thread):
+                writer.append(result(thread, i))
+        except Exception as exc:  # reported by the main thread
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with CheckpointWriter(tmp_path / "ledger.jsonl", "fp") as writer:
+            threads = [threading.Thread(target=write, args=(writer, t)) for t in range(n_threads)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+                assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert errors == []
+    lines = (tmp_path / "ledger.jsonl").read_bytes().splitlines(True)
+    assert sorted(lines[1:]) == reference

@@ -10,11 +10,9 @@ from __future__ import annotations
 
 import hashlib
 
-from rephrasing.corpus import doc_to_json
+from conftest import doc_json, make_docs
 
-from conftest import make_docs
-
-# The sha256 of the doc_to_json lines of the acceptance suite's fixture
+# The sha256 of the doc_json lines of the acceptance suite's fixture
 # seed, as make_docs gave them when it called rng.choice per letter.
 PINNED_SHA256 = "a2c350369a3bae45d012560ffb26ae727e656708e4e534ce26153adc22fa5fee"
 
@@ -22,5 +20,5 @@ PINNED_SHA256 = "a2c350369a3bae45d012560ffb26ae727e656708e4e534ce26153adc22fa5fe
 def test_make_docs_pinned():
     digest = hashlib.sha256()
     for doc in make_docs(2000, seed=20_240):
-        digest.update((doc_to_json(doc) + "\n").encode("utf-8"))
+        digest.update((doc_json(doc) + "\n").encode("utf-8"))
     assert digest.hexdigest() == PINNED_SHA256

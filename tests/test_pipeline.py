@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import builtins
+import errno
+import io
 import json
 import os
 import shutil
@@ -1431,3 +1434,43 @@ def _untimed(report: dict) -> dict:
 
 def _untimed_files(directory: Path) -> dict[str, bytes]:
     return {p.name: p.read_bytes() for p in directory.iterdir() if p.name != "report.json"}
+
+
+class _TornFile:
+    """A file whose first write lands half its data and then fails, as a
+    kill or a full disk in mid-write would leave it."""
+
+    def __init__(self, handle):
+        self.handle = handle
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.handle.close()
+
+    def write(self, data):
+        self.handle.write(data[: len(data) // 2])
+        self.handle.flush()
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+def test_report_write_that_fails_partway_keeps_the_previous_report(tmp_path, monkeypatch):
+    path = tmp_path / "scores" / "report.json"
+    pipeline._write_report({"docs": 1, "corpus_sha256": "ä" * 64}, path)
+    before = path.read_bytes()
+    real_open = io.open
+
+    def torn_open(file, mode="r", *args, **kwargs):
+        handle = real_open(file, mode, *args, **kwargs)
+        if "w" in mode and Path(file).parent == path.parent:
+            return _TornFile(handle)
+        return handle
+
+    monkeypatch.setattr(io, "open", torn_open)
+    monkeypatch.setattr(builtins, "open", torn_open)
+    with pytest.raises(OSError, match="No space left"):
+        pipeline._write_report({"docs": 2, "corpus_sha256": "ö" * 64}, path)
+    monkeypatch.undo()
+    assert path.read_bytes() == before
+    assert [p.name for p in path.parent.iterdir()] == ["report.json"]

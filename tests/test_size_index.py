@@ -25,7 +25,6 @@ from rephrasing.corpus import (
     Provenance,
     ShardManifest,
     SizeIndex,
-    doc_to_json,
     sized_line,
     splice_id,
     write_corpus,
@@ -34,7 +33,7 @@ from rephrasing.mixing import UNIT_DOCUMENTS, UNIT_TOKENS, MixSource, MixSpec, e
 from rephrasing.pipeline import stage_filter
 from rephrasing.tokens import TokenEstimator
 
-from conftest import LANGS, make_docs, write_fixture_config
+from conftest import LANGS, doc_json, make_docs, write_fixture_config
 
 
 def edge_docs() -> list[Document]:
@@ -156,7 +155,7 @@ class TestReaderPaths:
             spliced = splice_id(sized_line(doc).line, prefix, suffix, doc.lang, len(doc.text))
             renamed = dataclasses.replace(doc, id=prefix + doc.id + suffix)
             assert spliced == sized_line(renamed)
-            assert spliced.line == (doc_to_json(renamed) + "\n").encode("utf-8")
+            assert spliced.line == (doc_json(renamed) + "\n").encode("utf-8")
 
 
 def filter_config(tmp_path: Path, docs: list[Document]):
