@@ -66,35 +66,21 @@ def _make_encode_json() -> Callable[[object], str]:
 encode_json = _make_encode_json()
 
 _EMPTY_TEXT = b'"text": ""'
-# The bytes JSON escapes in a string other than '\\', '"' and a line feed.
-_CONTROL = bytes(range(0x20)).replace(b"\n", b"")
-_FLAT = frozenset((str, int, float, bool, type(None)))
+# The bytes JSON escapes in a string other than '\\', '"', a line feed,
+# a carriage return and a tab, the five ``json_line`` escapes itself.
+_CONTROL = bytes(range(0x20)).translate(None, b"\n\r\t")
 
 
-def _flat_before_text(obj: Mapping) -> bool:
-    """Whether every field before ``text`` is a scalar or a list of
-    scalars, so that the first ``"text": ""`` of its encoding is its own."""
-    for key, value in obj.items():
-        if key == "text":
-            return True
-        kind = type(value)
-        if kind not in _FLAT and not (kind is list and all(type(item) in _FLAT for item in value)):
-            return False
-    return False
-
-
-def _text_body(text: str) -> bytes:
-    """The UTF-8 of ``encode_basestring(text)`` between its quotes, made
-    from the text's UTF-8 bytes when only '\\', '"' and line feeds need
-    an escape."""
+def _spliceable(text: str) -> bytes | None:
+    """The UTF-8 of a text in which only '\\', '"', line feeds, carriage
+    returns and tabs need a JSON escape; None for any other text."""
     try:
         raw = text.encode("utf-8")
     except UnicodeEncodeError:
-        raw = None
-    if raw is None or len(raw.translate(None, _CONTROL)) != len(raw):
-        # A lone surrogate raises here, as in any other field.
-        return encode_basestring(text)[1:-1].encode("utf-8")
-    return raw.replace(b"\\", b"\\\\").replace(b'"', b'\\"').replace(b"\n", b"\\n")
+        return None
+    if len(raw.translate(None, _CONTROL)) != len(raw):
+        return None
+    return raw
 
 
 def json_line(obj: Mapping, head: bytes = b"{") -> bytes:
@@ -102,20 +88,32 @@ def json_line(obj: Mapping, head: bytes = b"{") -> bytes:
     and a line feed, with ``head`` in place of its ``{``.
 
     Every JSON line the pipeline writes is made here.  When the record's
-    top-level ``text`` is a string and every field before it a scalar or
-    a list of scalars, the record is encoded with that text emptied, and
-    the text's JSON string, escaped as UTF-8 bytes, is spliced in at the
-    first ``"text": ""``, which is then the text's own.  Any other record
-    is encoded whole.  A value JSON cannot hold raises ``TypeError``, a
-    lone surrogate ``UnicodeEncodeError`` and a circular record
-    ``RecursionError`` (``encode_json``), either way.
+    top-level ``text`` is a string whose only characters with a JSON
+    escape are '\\', '"', line feeds, carriage returns and tabs, the
+    record is encoded with that text emptied.  If ``"text": ""`` occurs
+    once in that encoding, it is the text's own (only an object member
+    can write it, and a nested one would make a second), and the text's
+    UTF-8 bytes, with those five escaped by ``bytes.replace``, are
+    spliced in there.  Any other record (a text with a NUL or another
+    control character, say) is encoded whole.  A value JSON cannot hold
+    raises ``TypeError``, a lone surrogate ``UnicodeEncodeError`` and a
+    circular record ``RecursionError`` (``encode_json``), either way.
     """
     text = obj.get("text")
-    if type(text) is not str or not _flat_before_text(obj):
-        return head + (encode_json(obj)[1:] + "\n").encode("utf-8")
-    line = encode_json({**obj, "text": ""}).encode("utf-8")
-    at = line.index(_EMPTY_TEXT) + len(_EMPTY_TEXT) - 1  # the closing quote
-    return b"".join((head, line[1:at], _text_body(text), line[at:], b"\n"))
+    raw = _spliceable(text) if type(text) is str else None
+    if raw is not None:
+        line = encode_json({**obj, "text": ""}).encode("utf-8")
+        if line.count(_EMPTY_TEXT) == 1:
+            at = line.index(_EMPTY_TEXT) + len(_EMPTY_TEXT) - 1  # the closing quote
+            body = (
+                raw.replace(b"\\", b"\\\\")
+                .replace(b'"', b'\\"')
+                .replace(b"\n", b"\\n")
+                .replace(b"\r", b"\\r")
+                .replace(b"\t", b"\\t")
+            )
+            return b"".join((head, line[1:at], body, line[at:], b"\n"))
+    return head + (encode_json(obj)[1:] + "\n").encode("utf-8")
 
 
 def json_head(obj: Mapping) -> bytes:

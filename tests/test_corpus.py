@@ -561,9 +561,9 @@ def test_stats_estimator_default(tmp_path):
     assert stats.tokens == 10.0
 
 
-# Texts on both sides of json_line's fallback: the first three and the
+# Texts on both sides of json_line's fallback: the first five and the
 # last need only the escapes made on the UTF-8 bytes, the next four
-# another escape, which takes the fallback, and the rest none.
+# another escape, which encodes the whole record, and the rest none.
 LINE_TEXTS = [
     '"',
     "\\",
@@ -572,6 +572,8 @@ LINE_TEXTS = [
     "\t",
     "\x00",
     "\x1f",
+    "\x08\x0c",
+    "a\tb\r\x0b",
     "\x7f",
     "\u2028",
     "äöüß",
@@ -635,8 +637,10 @@ class TestLineWriters:
         records = [
             {"doc_id": text, "index": None, "reason": "inference_failed"},  # an audit line
             {"text": text},
-            {"meta": {"text": ""}, "text": text},  # an object before the text
-            {"key": [text, [1]], "text": text},  # a list that is not flat
+            {"meta": {"text": ""}, "text": text},  # a second "text": "" before the text
+            {"text": text, "meta": [{"text": ""}]},  # and after it
+            {"meta": {"text": "x"}, "key": [text, [1]], "text": text},  # objects and lists before it
+            {"id": 'x"text": ""\\', "text\"": "", "text": text},  # strings that hold its bytes
             {"a": -0.0, "b": math.nan, "text": text, "c": {1: [math.inf, 1e16, True, None]}},
         ]
         for record in records:
