@@ -23,6 +23,7 @@ from array import array
 from dataclasses import dataclass, field
 from json.decoder import scanstring
 from json.encoder import c_make_encoder, encode_basestring
+from json.scanner import make_scanner
 from operator import itemgetter
 from pathlib import Path
 from typing import BinaryIO, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
@@ -66,21 +67,35 @@ def _make_encode_json() -> Callable[[object], str]:
 encode_json = _make_encode_json()
 
 _EMPTY_TEXT = b'"text": ""'
-# The bytes JSON escapes in a string other than '\\', '"', a line feed,
-# a carriage return and a tab, the five ``json_line`` escapes itself.
-_CONTROL = bytes(range(0x20)).translate(None, b"\n\r\t")
+# Each control character other than a line feed, a carriage return and
+# a tab, by its byte: the byte and its escape as ``encode_basestring``
+# writes it.  In UTF-8 such a byte is always that character.
+_RARE_ESCAPES = {
+    code: (bytes((code,)), b"\\u%04x" % code) for code in range(0x20) if code not in b"\n\r\t"
+} | {0x08: (b"\b", b"\\b"), 0x0C: (b"\f", b"\\f")}
+# Every other byte, which ``_json_body`` deletes to find the rare ones.
+_NOT_RARE = bytes(range(0x100)).translate(None, bytes(_RARE_ESCAPES))
 
 
-def _spliceable(text: str) -> bytes | None:
-    """The UTF-8 of a text in which only '\\', '"', line feeds, carriage
-    returns and tabs need a JSON escape; None for any other text."""
-    try:
-        raw = text.encode("utf-8")
-    except UnicodeEncodeError:
-        return None
-    if len(raw.translate(None, _CONTROL)) != len(raw):
-        return None
-    return raw
+def _json_body(text: str) -> bytes:
+    """The UTF-8 of a text's JSON string without its quotes, as
+    ``encode_json`` writes it: '\\', '"', line feeds, carriage returns and
+    tabs escaped by ``bytes.replace``, then each other control character
+    the text holds.  A lone surrogate raises ``UnicodeEncodeError``."""
+    raw = text.encode("utf-8")
+    body = (
+        raw.replace(b"\\", b"\\\\")
+        .replace(b'"', b'\\"')
+        .replace(b"\n", b"\\n")
+        .replace(b"\r", b"\\r")
+        .replace(b"\t", b"\\t")
+    )
+    rare = raw.translate(None, _NOT_RARE)
+    if rare:
+        for code in set(rare):
+            char, escape = _RARE_ESCAPES[code]
+            body = body.replace(char, escape)
+    return body
 
 
 def json_line(obj: Mapping, head: bytes = b"{") -> bytes:
@@ -88,38 +103,34 @@ def json_line(obj: Mapping, head: bytes = b"{") -> bytes:
     and a line feed, with ``head`` in place of its ``{``.
 
     Every JSON line the pipeline writes is made here.  When the record's
-    top-level ``text`` is a string whose only characters with a JSON
-    escape are '\\', '"', line feeds, carriage returns and tabs, the
-    record is encoded with that text emptied.  If ``"text": ""`` occurs
-    once in that encoding, it is the text's own (only an object member
-    can write it, and a nested one would make a second), and the text's
-    UTF-8 bytes, with those five escaped by ``bytes.replace``, are
-    spliced in there.  Any other record (a text with a NUL or another
-    control character, say) is encoded whole.  A value JSON cannot hold
-    raises ``TypeError``, a lone surrogate ``UnicodeEncodeError`` and a
-    circular record ``RecursionError`` (``encode_json``), either way.
+    top-level ``text`` is a string that encodes, the record is encoded
+    with that text emptied.  If ``"text": ""`` occurs once in that
+    encoding, it is the text's own (only an object member can write it,
+    and a nested one would make a second), and the text's ``_json_body``
+    is spliced in there.  Any other record is encoded whole.  A value
+    JSON cannot hold raises ``TypeError``, a lone surrogate
+    ``UnicodeEncodeError`` and a circular record ``RecursionError``
+    (``encode_json``), either way.
     """
     text = obj.get("text")
-    raw = _spliceable(text) if type(text) is str else None
-    if raw is not None:
-        line = encode_json({**obj, "text": ""}).encode("utf-8")
-        if line.count(_EMPTY_TEXT) == 1:
-            at = line.index(_EMPTY_TEXT) + len(_EMPTY_TEXT) - 1  # the closing quote
-            body = (
-                raw.replace(b"\\", b"\\\\")
-                .replace(b'"', b'\\"')
-                .replace(b"\n", b"\\n")
-                .replace(b"\r", b"\\r")
-                .replace(b"\t", b"\\t")
-            )
-            return b"".join((head, line[1:at], body, line[at:], b"\n"))
+    if type(text) is str:
+        try:
+            body = _json_body(text)
+        except UnicodeEncodeError:  # a lone surrogate; encode_json raises it below
+            pass
+        else:
+            line = encode_json({**obj, "text": ""}).encode("utf-8")
+            if line.count(_EMPTY_TEXT) == 1:
+                at = line.index(_EMPTY_TEXT) + len(_EMPTY_TEXT) - 1  # the closing quote
+                return b"".join((head, line[1:at], body, line[at:], b"\n"))
     return head + (encode_json(obj)[1:] + "\n").encode("utf-8")
 
 
 def json_head(obj: Mapping) -> bytes:
     """How ``json_line`` starts the line of a record whose first fields
-    are ``obj``'s: up to the ``, `` before the next field."""
-    return json_line(obj)[:-2] + b", "
+    are ``obj``'s: ``obj``'s encoding up to its closing ``}``, then the
+    ``, `` before the next field."""
+    return (encode_json(obj)[:-1] + ", ").encode("utf-8")
 
 
 class CorpusError(Exception):
@@ -203,18 +214,14 @@ def typed_field(obj, key, kind=str, default=_REQUIRED):
 
 
 def doc_from_obj(obj: Mapping, languages: Sequence[str] | None = None) -> Document:
-    for name in ("id", "text", "lang"):
-        typed_field(obj, name)
+    doc_id, text, lang = obj.get("id"), obj.get("text"), obj.get("lang")
+    if type(doc_id) is not str or type(text) is not str or type(lang) is not str:
+        for name in ("id", "text", "lang"):
+            typed_field(obj, name)
     meta = obj.get("meta", {})
     if not isinstance(meta, dict):
         raise CorpusError(f"field 'meta' is {type(meta).__name__}, not an object")
-    doc = Document(
-        id=obj["id"],
-        text=obj["text"],
-        lang=obj["lang"],
-        meta=meta,
-        provenance=Provenance.from_obj(obj.get("provenance")),
-    )
+    doc = Document(doc_id, text, lang, meta, Provenance.from_obj(obj.get("provenance")))
     doc.validate(languages)
     return doc
 
@@ -235,15 +242,38 @@ def head_line(doc: Document) -> bytes:
 
 
 def head_from_obj(obj: Mapping) -> DocumentHead:
+    doc_id, lang, meta = obj.get("id"), obj.get("lang"), obj.get("meta")
+    if type(doc_id) is str and type(lang) is str and type(meta) is dict:
+        return DocumentHead(doc_id, lang, meta)
     return DocumentHead(
         typed_field(obj, "id"), typed_field(obj, "lang"), typed_field(obj, "meta", dict)
     )
 
 
+# The scanner inside ``json.loads``, built once: ``parse_line`` calls it
+# straight, without the wrappers around it.
+_scan_object = make_scanner(json.JSONDecoder())
+
+
 def parse_line(raw: bytes) -> dict:
     """The JSON object on one line; a line that is not UTF-8 or not JSON
-    raises ``ValueError``, and one that is not an object ``CorpusError``."""
-    obj = json.loads(raw.decode("utf-8"))
+    raises ``ValueError``, and one that is not an object ``CorpusError``.
+
+    Every JSON line the pipeline reads goes through here.  A line that
+    starts with ``{`` and whose object ends at its line feed (or at its
+    end) is scanned by ``json.loads``'s own scanner; any other line, or
+    one the scanner refuses, is handed to ``json.loads`` itself, so each
+    value and each error is what ``json.loads`` gives."""
+    line = raw.decode("utf-8")
+    if line[:1] == "{":
+        try:
+            obj, end = _scan_object(line, 0)
+        except (ValueError, StopIteration):  # StopIteration: no value where one belongs
+            pass
+        else:
+            if line[end:] in ("\n", ""):
+                return obj
+    obj = json.loads(line)
     if not isinstance(obj, dict):
         raise CorpusError("line is not a JSON object")
     return obj
@@ -603,6 +633,7 @@ def write_shard(
     est_tokens = 0.0
     lengths, counts, codes = array(_U32), array(_U32), bytearray()
     lang_codes: dict[str, int] = {}
+    ratios: dict[str, float] = {}  # the estimator's, by language
     fits = True
     try:
         with path.open("wb") as handle:
@@ -619,7 +650,10 @@ def write_shard(
                     tally.add(item)
                 n_docs += 1
                 n_chars += chars
-                est_tokens += est.estimate_chars(chars, lang)
+                ratio = ratios.get(lang)
+                if ratio is None:
+                    ratio = ratios[lang] = est.ratio_for(lang)
+                est_tokens += chars * ratio
                 if fits:
                     code = lang_codes.setdefault(lang, len(lang_codes))
                     try:
@@ -765,14 +799,23 @@ def file_sha256(path: Path | str) -> str:
     return digest.hexdigest()
 
 
+# The most of a file ``_hash_lines`` holds at once.
+_HASH_BLOCK = 64 * 1024
+
+
 def _hash_lines(path: Path, digest) -> int:
-    """Feed a file to ``digest`` line by line, so the hash holds no more
-    than a parse does; returns the count of lines."""
+    """Feed a file to ``digest`` in blocks of at most ``_HASH_BLOCK``
+    bytes, all read into one buffer; returns the count of its lines, as
+    a reader that splits at line feeds counts them."""
     lines = 0
-    with path.open("rb") as handle:
-        for lines, line in enumerate(handle, start=1):
-            digest.update(line)
-    return lines
+    last = ord("\n")
+    block = bytearray(_HASH_BLOCK)
+    with path.open("rb", buffering=0) as handle, memoryview(block) as view:
+        while size := handle.readinto(block):
+            digest.update(view[:size])
+            lines += block.count(b"\n", 0, size)
+            last = block[size - 1]
+    return lines + (last != ord("\n"))  # a last line without its line feed
 
 
 def shard_runs(items: Iterable, shard_size: int) -> Iterator[Iterator]:

@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Hashable, Iterable, Mapping, Sequence, Sized, TypeVar
 
-from .corpus import BAD_RECORD, CorpusError, json_head, json_line, typed_field
+from .corpus import BAD_RECORD, CorpusError, json_head, json_line, parse_line, typed_field
 from .prompts import RenderedPrompt
 
 FINISH_STOP = "stop_sequence"
@@ -277,6 +277,15 @@ class RephraseResult:
 
     @staticmethod
     def from_obj(obj: Mapping) -> "RephraseResult":
+        key, text, finish = obj["key"], obj.get("text"), obj.get("finish")
+        model_id, attempts = obj.get("model_id", ""), obj.get("attempts", 1)
+        if (
+            type(text) is str
+            and type(finish) is str
+            and type(model_id) is str
+            and type(attempts) is int
+        ):
+            return RephraseResult(JobKey.from_obj(key), text, finish, model_id, attempts)
         return RephraseResult(
             key=JobKey.from_obj(obj["key"]),
             text=typed_field(obj, "text"),
@@ -956,6 +965,10 @@ class LedgerLine:
 
     @staticmethod
     def from_obj(obj: Mapping, offset: int, length: int) -> "LedgerLine":
+        key, finish, text = obj["key"], obj.get("finish"), obj.get("text")
+        attempts = obj.get("attempts")
+        if type(finish) is str and type(text) is str and type(attempts) is int:
+            return LedgerLine(JobKey.from_obj(key), finish, len(text), attempts, offset, length)
         return LedgerLine(
             JobKey.from_obj(obj["key"]),
             typed_field(obj, "finish"),
@@ -1007,13 +1020,11 @@ def load_checkpoint(
             if not line.endswith(b"\n"):
                 break
             try:
-                obj = json.loads(line.decode("utf-8"))
-            except ValueError:
-                # Not JSON, or not UTF-8: a line torn by a kill.
-                obj = {}
-            try:
-                if not isinstance(obj, dict):
-                    raise CorpusError("line is not a JSON object")
+                try:
+                    obj = parse_line(line)
+                except ValueError:
+                    # Not JSON, or not UTF-8: a line torn by a kill.
+                    obj = {}
                 if obj.get("kind") == _CHECKPOINT_RESULT:
                     record = parse(obj, offset, length)
                     records[record.key] = record

@@ -42,6 +42,9 @@ SCORER_ASK_LLM_VOTE = "ask_llm_vote"
 # filter.scorer value: threshold the scores in filter.external_scores.
 SCORER_EXTERNAL = "external"
 
+# The types of a JSON number as parsed: a bool is none.
+_NUMBER = (int, float)
+
 
 class QualityError(Exception):
     """Scoring or filtering failure."""
@@ -87,10 +90,13 @@ class ScoredDocument:
 
     @staticmethod
     def from_obj(obj: Mapping) -> "ScoredDocument":
-        scorer = sys.intern(typed_field(obj, "scorer"))
-        score = float(typed_field(obj, "score", (int, float)))
+        scorer, score, doc_id = obj.get("scorer"), obj.get("score"), obj.get("doc_id")
+        if type(scorer) is not str or type(score) not in _NUMBER or type(doc_id) is not str:
+            scorer = sys.intern(typed_field(obj, "scorer"))
+            score = float(typed_field(obj, "score", _NUMBER))
+            doc_id = typed_field(obj, "doc_id")
         try:
-            return ScoredDocument(typed_field(obj, "doc_id"), score, scorer)
+            return ScoredDocument(doc_id, float(score), sys.intern(scorer))
         except QualityError as exc:  # a recorded score out of its range
             raise CorpusError(str(exc)) from exc
 
@@ -296,9 +302,11 @@ def _score_record(obj: dict) -> tuple[str, float]:
     """One line of a score file: a string ``doc_id`` and a finite JSON
     number ``score``; ``true``/``false`` are not numbers."""
     doc_id, score = obj["doc_id"], obj["score"]
+    if type(doc_id) is str and type(score) is float and math.isfinite(score):
+        return doc_id, score
     if not isinstance(doc_id, str):
         raise CorpusError(f"doc_id is {type(doc_id).__name__}, not a string")
-    if type(score) not in (int, float) or not math.isfinite(score):
+    if type(score) not in _NUMBER or not math.isfinite(score):
         raise CorpusError(f"score {score!r} is not a finite number")
     return doc_id, float(score)
 

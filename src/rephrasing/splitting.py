@@ -167,12 +167,13 @@ def merge_chunks(
     accumulator under ``min_tokens`` is appended to the previously
     emitted passage when one exists.
     """
-    sep_cost = est.estimate_chars(1, lang)
+    ratio = est.ratio_for(lang)
+    sep_cost = ratio  # one character's estimate
     merged: list[str] = []
     acc: list[str] = []
     acc_est = 0.0
     for chunk in chunks:
-        chunk_est = est.estimate_text(chunk, lang)
+        chunk_est = len(chunk) * ratio
         if not acc:
             acc = [chunk]
             acc_est = chunk_est
@@ -204,12 +205,16 @@ def split_document(
     is conserved across the split.
     """
     lang = doc.lang
+    ratio = est.ratio_for(lang)
     chunks: list[str] = []
     for segment in split_on_linebreaks(normalize_newlines(doc.text)):
-        chunks.extend(split_long_segment(segment, cfg, est, lang))
+        if len(segment) * ratio <= cfg.max_tokens:  # split_long_segment would keep it whole
+            chunks.append(segment)
+        else:
+            chunks.extend(split_long_segment(segment, cfg, est, lang))
     passages = []
     for index, text in enumerate(merge_chunks(chunks, cfg, est, lang)):
-        est_tokens = est.estimate_text(text, lang)
+        est_tokens = len(text) * ratio
         flags = set()
         if est_tokens > cfg.max_tokens:
             flags.add(OVERSIZE_UNSPLITTABLE)

@@ -21,6 +21,7 @@ from rephrasing.corpus import (
     ShardManifest,
     corpus_stats,
     encode_json,
+    file_sha256,
     head_line,
     iter_corpus,
     json_line,
@@ -538,6 +539,59 @@ class TestCorpusRecord:
             ShardManifest.load(path)
 
 
+BLOCK = rephrasing.corpus._HASH_BLOCK
+
+
+class TestHashLines:
+    """``_hash_lines`` reads blocks, and gives what a loop over the
+    file's lines gives: the digest of its bytes and its count of lines."""
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            b"",
+            b"no final line feed",
+            b"a\nb",
+            b"\n",
+            b"a\r\nb\r\n\r\n",
+            b"x" * (2 * BLOCK + 3) + b"\nlonger than a block",
+            (b"y" * 63 + b"\n") * (BLOCK // 64),
+            (b"z" * 127 + b"\n") * (BLOCK // 64),
+            b"w" * BLOCK,
+            b"\n" * (BLOCK + 1),
+        ],
+        ids=[
+            "empty", "no_final_line_feed", "two_lines_no_final", "one_line_feed", "crlf",
+            "line_longer_than_a_block", "exactly_a_block", "exactly_two_blocks",
+            "a_block_without_line_feed", "line_feeds_past_a_block",
+        ],
+    )
+    def test_same_digest_and_count_as_the_line_loop(self, tmp_path, data):
+        path = tmp_path / "file"
+        path.write_bytes(data)
+        reference, count = hashlib.sha256(), 0
+        with path.open("rb") as handle:
+            for count, line in enumerate(handle, start=1):
+                reference.update(line)
+        digest = hashlib.sha256()
+        assert rephrasing.corpus._hash_lines(path, digest) == count
+        assert digest.hexdigest() == reference.hexdigest() == hashlib.sha256(data).hexdigest()
+        assert file_sha256(path) == reference.hexdigest()
+
+    def test_recorded_digest_needs_each_shard_count(self, tmp_path):
+        """A line moved from one shard to the next keeps the bytes of the
+        corpus, and so its digest, but not the count of either shard."""
+        manifest = write_corpus(make_docs(6), tmp_path, stage="input", fingerprint="fp", shard_size=3)
+        assert manifest.recorded_digest(tmp_path) == manifest.record.sha256
+        first, second = manifest.shard_paths(tmp_path)
+        lines = [text + b"\n" for text in first.read_bytes().split(b"\n")[:-1]]
+        first.write_bytes(b"".join(lines[:2]))
+        second.write_bytes(lines[2] + second.read_bytes())
+        assert manifest.recorded_digest(tmp_path) is None
+        with pytest.raises(CorpusError, match="has 2 docs, manifest says 3"):
+            manifest.verify(tmp_path)
+
+
 class TestDocumentValidation:
     def test_empty_text_rejected(self):
         with pytest.raises(CorpusError):
@@ -561,9 +615,10 @@ def test_stats_estimator_default(tmp_path):
     assert stats.tokens == 10.0
 
 
-# Texts on both sides of json_line's fallback: the first five and the
-# last need only the escapes made on the UTF-8 bytes, the next four
-# another escape, which encodes the whole record, and the rest none.
+# Texts with each escape json_line makes on the UTF-8 bytes: the first
+# five and the last with the five common ones, the next five with those
+# of other control characters (``\u0000``, ``\b``, ``\f``; the fifth holds
+# every control character), and the rest with none.
 LINE_TEXTS = [
     '"',
     "\\",
@@ -574,6 +629,7 @@ LINE_TEXTS = [
     "\x1f",
     "\x08\x0c",
     "a\tb\r\x0b",
+    "".join(map(chr, range(0x20))) + '\x7f"\\\x00',
     "\x7f",
     "\u2028",
     "äöüß",

@@ -627,6 +627,47 @@ class TestCheckpoint:
             writer.append(RephraseResult(JobKey("c", 0, "qa"), "text", "stop_sequence"))
         assert [key.doc_id for key in load_checkpoint(path, "fp")] == ["a", "c"]
 
+    @pytest.mark.parametrize(
+        "line, kept",
+        [
+            (b" x\n", False),  # "Extra data"
+            (b"\r\n", True),  # whitespace after the object
+            (b"\n", True),
+        ],
+        ids=["extra_data", "crlf", "lf"],
+    )
+    @pytest.mark.parametrize("before", [b"", b" ", b"\xef\xbb\xbf"], ids=["none", "space", "bom"])
+    def test_complete_line_read_as_json_loads_reads_it(self, tmp_path, before, line, kept):
+        """A complete line is a record when ``json.loads`` reads one from
+        it; one it refuses is skipped as torn."""
+        path = tmp_path / "cp.jsonl"
+        with CheckpointWriter(path, "fp") as writer:
+            writer.append(RephraseResult(JobKey("a", 0, "qa"), "text", "stop_sequence"))
+        fields = json.dumps(RephraseResult(JobKey("b", 0, "qa"), "t", "stop").to_obj())[1:]
+        with path.open("ab") as handle:
+            handle.write(before + b'{"kind": "result", ' + fields.encode("utf-8") + line)
+            # Two appends glued by a kill between them: not JSON, skipped.
+            glued = b'{"kind": "result", "key": ["c"{"kind": "result", '
+            handle.write(glued + fields.encode("utf-8") + b"\n")
+        loaded = load_checkpoint(path, "fp", LedgerLine.from_obj)
+        kept = kept and before != b"\xef\xbb\xbf"  # json.loads refuses a BOM
+        assert [key.doc_id for key in loaded] == (["a", "b"] if kept else ["a"])
+        data = path.read_bytes()
+        lines = [text + b"\n" for text in data.split(b"\n")[:-1]]
+        located = [data[at.offset : at.offset + at.length] for at in loaded.values()]
+        assert located == lines[1 : 1 + len(loaded)]
+
+    @pytest.mark.parametrize("record", ['"result"', "12", "NaN", "null", "[]"])
+    def test_complete_line_of_another_json_value_refused(self, tmp_path, record):
+        path = tmp_path / "cp.jsonl"
+        with CheckpointWriter(path, "fp") as writer:
+            writer.append(RephraseResult(JobKey("a", 0, "qa"), "text", "stop_sequence"))
+        with path.open("a", encoding="utf-8") as handle:
+            handle.write(record + "\n")
+        message = r"cp\.jsonl: line 3: CorpusError\('line is not a JSON object'\)$"
+        with pytest.raises(CorpusError, match=message):
+            load_checkpoint(path, "fp")
+
     def test_missing_checkpoint_is_empty(self, tmp_path):
         assert load_checkpoint(tmp_path / "absent.jsonl", "fp") == {}
 
