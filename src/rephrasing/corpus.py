@@ -20,6 +20,8 @@ import os
 import struct
 import sys
 from array import array
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 from json.decoder import scanstring
 from json.encoder import c_make_encoder, encode_basestring
@@ -300,14 +302,17 @@ class ShardReader:
     skipped.  A line that does not decode, parse or pass ``parse`` is
     recorded in ``errors`` with its line number and the stream goes on;
     once the file is read, any bad line raises ``CorpusError`` naming
-    the file, the count of bad lines and the first one.
+    the file, the count of bad lines and the first one.  With ``digest``
+    (a hashlib object), every line read, blank ones too, is fed to it,
+    and ``n_lines`` counts them as ``_hash_lines`` does.
     """
 
-    def __init__(self, path: Path | str, parse: Callable[[dict], object]):
+    def __init__(self, path: Path | str, parse: Callable[[dict], object], digest=None):
         self.path = Path(path)
         if not self.path.is_file():
             raise FileNotFoundError(f"not found: {self.path}")
         self.parse = parse
+        self.digest = digest
         self.errors: list[LineError] = []
         self.n_lines = 0
 
@@ -317,11 +322,13 @@ class ShardReader:
     def located(self) -> Iterator[tuple[int, int, object]]:
         """Each record with the byte offset and length of its line,
         for ``read_document_at``."""
-        parse = self.parse
+        parse, digest = self.parse, self.digest
         offset = 0
         with self.path.open("rb") as handle:
             for lineno, raw in enumerate(handle, start=1):
                 self.n_lines = lineno
+                if digest is not None:
+                    digest.update(raw)
                 if not raw.isspace():
                     try:
                         record = parse(parse_line(raw))
@@ -341,9 +348,12 @@ class ShardReader:
         )
 
 
-def load_shard(path: Path | str, languages: Sequence[str] | None = DEFAULT_LANGUAGES) -> ShardReader:
-    """A reader of the documents of one corpus shard."""
-    return ShardReader(path, functools.partial(doc_from_obj, languages=languages))
+def load_shard(
+    path: Path | str, languages: Sequence[str] | None = DEFAULT_LANGUAGES, digest=None
+) -> ShardReader:
+    """A reader of the documents of one corpus shard, which feeds every
+    line it reads to ``digest`` when one is given (``ShardReader``)."""
+    return ShardReader(path, functools.partial(doc_from_obj, languages=languages), digest)
 
 
 def read_line_at(handle: BinaryIO, offset: int, length: int) -> bytes:
@@ -489,27 +499,30 @@ def _usable(doc: Document) -> bool:
 
 class _Tally:
     """What ``write_corpus`` learns of its documents as it writes them,
-    across all its shards; ``record`` sums it up."""
+    across all its shards: ``write_shard`` feeds every byte it writes to
+    ``digest`` and adds the rest once per shard (``add_shard``);
+    ``record`` sums it up."""
 
     def __init__(self) -> None:
         self.digest = hashlib.sha256()
         self.lang_chars: dict[str, int] = {}
         self.unusable_docs = 0
+        # Each shard's count of lines, as _hash_lines counts them.
+        self.lines: list[int] = []
         # The sha256 of the shards' size indexes, None once a shard has none.
         self.index_digest = hashlib.sha256()
 
-    def add(self, item: SizedLine) -> None:
-        self.digest.update(item.line)
-        if item.usable:
-            self.lang_chars[item.lang] = self.lang_chars.get(item.lang, 0) + item.chars
-        else:
-            self.unusable_docs += 1
-
-    def add_index(self, data: bytes | None) -> None:
-        if data is None:
+    def add_shard(
+        self, lang_chars: Mapping[str, int], unusable_docs: int, lines: int, index: bytes | None
+    ) -> None:
+        for lang, chars in lang_chars.items():
+            self.lang_chars[lang] = self.lang_chars.get(lang, 0) + chars
+        self.unusable_docs += unusable_docs
+        self.lines.append(lines)
+        if index is None:
             self.index_digest = None
         elif self.index_digest is not None:
-            self.index_digest.update(data)
+            self.index_digest.update(index)
 
     def record(self) -> CorpusRecord:
         return CorpusRecord(self.digest.hexdigest(), self.lang_chars, self.unusable_docs)
@@ -611,6 +624,11 @@ def _index_path(shard: Path) -> Path:
     return shard.with_suffix(".idx")
 
 
+# The bytes of lines ``write_shard`` gathers before it writes, hashes
+# and counts them as one block.
+_WRITE_BLOCK = 64 * 1024
+
+
 def write_shard(
     docs: Iterable[Document | SizedLine],
     path: Path | str,
@@ -622,32 +640,54 @@ def write_shard(
     ``sized_line`` and ``SizedLine``s as they are, and beside the shard
     its ``SizeIndex`` when every number and language fits it; with
     ``unique_ids``, duplicate ids abort the shard, which leaves neither
-    file."""
+    file.  Lines go out in blocks of about ``_WRITE_BLOCK`` bytes, each
+    fed to ``tally``'s digest and counted by its line feeds; the shard's
+    other sums go to ``tally`` once it is written."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     idx_path = _index_path(path)
     est = estimator or TokenEstimator()
+    update = None if tally is None else tally.digest.update
     seen: set[str] = set()
     n_docs = 0
     n_chars = 0
     est_tokens = 0.0
+    lang_chars: dict[str, int] = {}  # of the usable documents
+    unusable = 0
+    block = bytearray()
+    lines = 0  # line feeds written
+    last = b"\n"  # the last byte written
     lengths, counts, codes = array(_U32), array(_U32), bytearray()
     lang_codes: dict[str, int] = {}
     ratios: dict[str, float] = {}  # the estimator's, by language
     fits = True
     try:
         with path.open("wb") as handle:
+
+            def flush() -> None:
+                nonlocal lines, last
+                handle.write(block)
+                if update is not None:
+                    update(block)
+                lines += block.count(b"\n")
+                last = block[-1:] or last
+                block.clear()
+
             for item in docs:
                 if not isinstance(item, SizedLine):
                     item = sized_line(item)
-                line, doc_id, lang, chars, _ = item
+                line, doc_id, lang, chars, usable = item
                 if unique_ids:
                     if doc_id in seen:
                         raise CorpusError(f"duplicate document id {doc_id!r} in {path}")
                     seen.add(doc_id)
-                handle.write(line)
-                if tally is not None:
-                    tally.add(item)
+                block += line
+                if len(block) >= _WRITE_BLOCK:
+                    flush()
+                if usable:
+                    lang_chars[lang] = lang_chars.get(lang, 0) + chars
+                else:
+                    unusable += 1
                 n_docs += 1
                 n_chars += chars
                 ratio = ratios.get(lang)
@@ -662,6 +702,8 @@ def write_shard(
                         codes.append(code)
                     except (OverflowError, ValueError):  # a u32 or a code past 255
                         fits = False
+            flush()
+        lines += last != b"\n"  # a last line without its line feed, as _hash_lines counts it
         index = SizeIndex(tuple(lang_codes), lengths, counts, bytes(codes))
         data = index.to_bytes() if fits else None
         if data is None:
@@ -673,7 +715,7 @@ def write_shard(
         idx_path.unlink(missing_ok=True)
         raise
     if tally is not None:
-        tally.add_index(data)
+        tally.add_shard(lang_chars, unusable, lines, data)
     return ShardEntry(path.name, n_docs, n_chars, est_tokens)
 
 
@@ -741,32 +783,45 @@ class ShardManifest:
         base = Path(base_dir)
         return [base / s.path for s in self.shards]
 
-    def recorded_digest(
-        self, base_dir: Path | str, languages: Sequence[str] | None = DEFAULT_LANGUAGES
-    ) -> str | None:
-        """The record's sha256 when the shards still hold what
-        ``write_corpus`` recorded and every reader takes all of it: no
-        unusable document, no language outside ``languages`` (unless it is
-        None), the record's characters those of the shard entries, and
-        every shard, hashed line by line in manifest order, with as many
-        lines as its entry has documents.  Otherwise None, and the caller
-        parses the corpus, which raises whatever error it holds."""
+    def record_holds(self, languages: Sequence[str] | None = DEFAULT_LANGUAGES) -> bool:
+        """Whether the record says that every reader takes the corpus: it
+        exists, counts no unusable document and no language outside
+        ``languages`` (unless it is None), and its characters are those of
+        the shard entries.  The shards' bytes are not looked at."""
         record = self.record
-        if (
+        return not (
             record is None
             or record.unusable_docs
             or (languages is not None and not set(record.lang_chars) <= set(languages))
             or sum(record.lang_chars.values()) != sum(s.chars for s in self.shards)
-        ):
+        )
+
+    def recorded_digest(
+        self,
+        base_dir: Path | str,
+        languages: Sequence[str] | None = DEFAULT_LANGUAGES,
+        read: "ReadDigest | None" = None,
+    ) -> str | None:
+        """The record's sha256 when the shards still hold what
+        ``write_corpus`` recorded and every reader takes all of it: the
+        record holds (``record_holds``) and the shards' bytes in manifest
+        order hash to its sha256, each shard with as many lines as its
+        entry has documents.  The bytes are those ``read`` took as
+        ``iter_corpus`` read them, or else ``hash_files`` hashes them.
+        Otherwise None, and the caller parses the corpus, which raises
+        whatever error it holds."""
+        if not self.record_holds(languages):
             return None
-        digest = hashlib.sha256()
-        try:
-            for entry, path in zip(self.shards, self.shard_paths(base_dir)):
-                if _hash_lines(path, digest) != entry.docs:
-                    return None
-        except OSError:
+        if read is None:
+            try:
+                hashed = hash_files(self.shard_paths(base_dir))
+            except OSError:
+                return None
+        else:
+            hashed = read.result()
+        if hashed != (self.record.sha256, tuple(s.docs for s in self.shards)):
             return None
-        return record.sha256 if digest.hexdigest() == record.sha256 else None
+        return self.record.sha256
 
     def verify(self, base_dir: Path | str, languages: Sequence[str] | None = DEFAULT_LANGUAGES) -> str:
         """Check that every listed shard exists, parses and matches its
@@ -779,8 +834,8 @@ class ShardManifest:
         recorded = self.recorded_digest(base_dir, languages)
         if recorded is not None:
             return recorded
-        digest = hashlib.sha256()
-        for entry, path in zip(self.shards, self.shard_paths(base_dir)):
+        paths = self.shard_paths(base_dir)
+        for entry, path in zip(self.shards, paths):
             n = 0
             for doc in load_shard(path, languages):
                 n += 1
@@ -788,15 +843,12 @@ class ShardManifest:
                     raise CorpusError(f"shard {path}: cannot score empty document {doc.id!r}")
             if n != entry.docs:
                 raise CorpusError(f"shard {path}: has {n} docs, manifest says {entry.docs}")
-            _hash_lines(path, digest)
-        return digest.hexdigest()
+        return hash_files(paths)[0]
 
 
 def file_sha256(path: Path | str) -> str:
-    """The sha256 of a file, read line by line."""
-    digest = hashlib.sha256()
-    _hash_lines(Path(path), digest)
-    return digest.hexdigest()
+    """The sha256 of a file (``hash_files``)."""
+    return hash_files([Path(path)])[0]
 
 
 # The most of a file ``_hash_lines`` holds at once.
@@ -816,6 +868,121 @@ def _hash_lines(path: Path, digest) -> int:
             lines += block.count(b"\n", 0, size)
             last = block[size - 1]
     return lines + (last != ord("\n"))  # a last line without its line feed
+
+
+# What the files of a corpus are, without reading them (``_identity``):
+# a tuple per file, in manifest order.
+_Identities = tuple[tuple[int, ...], ...]
+
+# While a ``digest_memo`` scope is open: each sha256 of a sequence of
+# files that this process wrote, read or hashed, with each file's count
+# of lines, by the files' identities.  None outside the scope.  A
+# context variable, so that a scope in one thread is not another's.
+_memo: ContextVar[dict[_Identities, tuple[str, tuple[int, ...]]] | None] = ContextVar(
+    "digest_memo", default=None
+)
+
+
+@contextmanager
+def digest_memo() -> Iterator[None]:
+    """A scope in which a digest of files is taken at most once.
+
+    Within it, ``write_corpus`` remembers the digest and line counts of
+    the bytes it wrote, ``ReadDigest`` those of the bytes a read took and
+    ``hash_files`` those it hashed, each keyed by the identities of the
+    files (``_identity``) stat'd after the write or around the read.
+    ``hash_files`` then gives what it remembers for files of the same
+    identities instead of reading them, and so does everything that
+    hashes through it: ``recorded_digest``, ``verify``, ``file_sha256``
+    and ``CorpusLines.sha256``.  An entry holds only what this process
+    computed from the bytes, never what a manifest claims.  Renaming a
+    file keeps its identity.  An edit the identity cannot see keeps the
+    size and lands within the clock tick of the write or hash it
+    follows, so that ``st_mtime_ns`` and ``st_ctime_ns`` stay the same.
+    Outside the scope every digest is hashed; the memo is cleared when
+    the scope ends, however it ends.
+    """
+    token = _memo.set({})
+    try:
+        yield
+    finally:
+        _memo.reset(token)
+
+
+def _identity(path: Path) -> tuple[int, ...]:
+    """A file's device, inode, size, and nanosecond times of its last
+    write (``st_mtime_ns``) and of the last change of its inode
+    (``st_ctime_ns``), which ``os.utime`` cannot set back."""
+    st = os.stat(path)
+    return (st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns, st.st_ctime_ns)
+
+
+def _identities(paths: Sequence[Path]) -> _Identities | None:
+    """Each file's ``_identity`` while a ``digest_memo`` scope is open
+    and every file is there, else None."""
+    if _memo.get() is None:
+        return None
+    try:
+        return tuple(map(_identity, paths))
+    except OSError:
+        return None
+
+
+def _remember(identities: _Identities | None, sha256: str, lines: Sequence[int]) -> None:
+    memo = _memo.get()
+    if identities is not None and memo is not None:
+        memo[identities] = (sha256, tuple(lines))
+
+
+def remember_written(path: Path, sha256: str, lines: int) -> None:
+    """Note, in an open ``digest_memo``, the sha256 and count of lines of
+    a file the caller has just written and closed."""
+    _remember(_identities([path]), sha256, [lines])
+
+
+def hash_files(paths: Sequence[Path]) -> tuple[str, tuple[int, ...]]:
+    """The sha256 of the files' bytes in order and each file's count of
+    lines (``_hash_lines``): what an open ``digest_memo`` holds for files
+    of these identities, or else hashed, and remembered there when no
+    identity changed during the hash.  A file that cannot be read raises
+    ``OSError``."""
+    before = _identities(paths)
+    known = None if before is None else _memo.get().get(before)
+    if known is not None:
+        return known
+    digest = hashlib.sha256()
+    lines = tuple(_hash_lines(path, digest) for path in paths)
+    if before is not None and _identities(paths) == before:
+        _remember(before, digest.hexdigest(), lines)
+    return digest.hexdigest(), lines
+
+
+class ReadDigest:
+    """The sha256 and line counts of a corpus's shards, taken as
+    ``iter_corpus`` reads them for their documents, in place of a pass
+    of their own: every byte, blank lines and a last line without its
+    line feed included, as ``hash_files`` takes them."""
+
+    def __init__(self, paths: Sequence[Path]):
+        self.paths = list(paths)
+        self.digest = hashlib.sha256()
+        self.lines: list[int] = []
+        self._before = _identities(self.paths)
+
+    def add(self, reader: ShardReader) -> None:
+        """Count the lines of a shard ``reader`` has read to its end."""
+        self.lines.append(reader.n_lines)
+
+    def result(self) -> tuple[str, tuple[int, ...]] | None:
+        """The digest and each shard's lines once every shard is read,
+        remembered in an open ``digest_memo`` when no shard's identity
+        changed during the read; None before."""
+        if len(self.lines) != len(self.paths):
+            return None
+        hashed = (self.digest.hexdigest(), tuple(self.lines))
+        if self._before is not None and _identities(self.paths) == self._before:
+            _remember(self._before, *hashed)
+        return hashed
 
 
 def shard_runs(items: Iterable, shard_size: int) -> Iterator[Iterator]:
@@ -850,25 +1017,31 @@ def write_corpus(
     already what ``sized_line`` gives, or, with ``unique_ids`` off, the
     lines of other records (preprocess's passages).  The shards are
     ``shard_runs`` of the stream, ``<shard_prefix>-NNNNN.jsonl``: each
-    line goes straight into the open shard, so memory holds one line
-    plus the open shard's ids (for its duplicate check) and size index,
-    never a shard of documents.  An empty stream still gets one empty
+    line goes straight into the open shard's block (``write_shard``), so
+    memory holds a block of lines plus the open shard's ids (for its
+    duplicate check) and size index, never a shard of documents.  An empty stream still gets one empty
     shard.  The manifest is saved only after the stream is exhausted; an
     exception from the stream deletes the open shard and its index and
     leaves no manifest.  It holds the ``CorpusRecord`` of the bytes
     written, which lets a later reader hash the shards instead of
     parsing them, and the digest of the indexes, with which a reader
-    routes their lines by their bytes (``vouched_indexes``).
+    routes their lines by their bytes (``vouched_indexes``).  In an open
+    ``digest_memo`` the shards' digest is remembered, keyed by their
+    identities stat'd as each shard closed.
     """
     out_dir = Path(out_dir)
     manifest = ShardManifest(stage=stage, fingerprint=fingerprint)
     tally = _Tally()
+    identities = []
     for run in shard_runs(docs, shard_size):
         path = out_dir / f"{shard_prefix}-{len(manifest.shards):05d}.jsonl"
         manifest.shards.append(write_shard(run, path, estimator, tally, unique_ids))
+        identities.append(_identities([path]))
     manifest.record = tally.record()
     manifest.index_sha256 = tally.index_sha256()
     manifest.save(out_dir / "manifest.json")
+    if None not in identities:
+        _remember(tuple(i for (i,) in identities), manifest.record.sha256, tally.lines)
     return manifest
 
 
@@ -876,11 +1049,18 @@ def iter_corpus(
     manifest: ShardManifest,
     base_dir: Path | str,
     languages: Sequence[str] | None = DEFAULT_LANGUAGES,
+    read: ReadDigest | None = None,
 ) -> Iterator[Document]:
     """Stream every document of a manifest in shard order; a bad line
-    raises ``CorpusError`` once its shard is read."""
+    raises ``CorpusError`` once its shard is read.  With ``read``, whose
+    shards must be the manifest's, the bytes read are hashed into it."""
     for path in manifest.shard_paths(base_dir):
-        yield from load_shard(path, languages)
+        if read is None:
+            yield from load_shard(path, languages)
+        else:
+            reader = load_shard(path, languages, read.digest)
+            yield from reader
+            read.add(reader)
 
 
 class ShardIndexes:
@@ -984,13 +1164,10 @@ class CorpusLines:
         if self._sha256 is None:
             self._sha256 = self.manifest.recorded_digest(self.base_dir, self.languages)
         if self._sha256 is None:
-            digest = hashlib.sha256()
             try:
-                for path in self.paths:
-                    _hash_lines(path, digest)
+                self._sha256 = hash_files(self.paths)[0]
             except OSError:
                 return None
-            self._sha256 = digest.hexdigest()
         return self._sha256
 
 

@@ -25,6 +25,17 @@ The ledger is also each paid stage's result store: the runner writes
 both stages' outputs from it, one chunk at a time (a passages shard, or
 a ``shard_size`` run of the scored corpus), copying each line in item
 order.
+
+A stage trusts a corpus by its sha256: the one its manifest records,
+checked by hashing the shards.  ``run_all`` hashes each corpus at most
+once beyond its write: within it a ``digest_memo`` keeps every digest
+the run itself wrote, read or hashed, keyed by the identities of the
+files (device, inode, size, ``mtime_ns`` and ``ctime_ns``), and a later
+stage takes the digest from there while the identities are unchanged.
+Stages run one by one, from the command line or by the library, hash
+as before.  The one edit within ``run_all`` that the memo cannot see
+keeps the size and lands within one clock tick of the write or hash it
+follows, so that ``mtime_ns`` and ``ctime_ns`` stay the same too.
 """
 
 from __future__ import annotations
@@ -51,12 +62,14 @@ from .corpus import (
     Document,
     DocumentHead,
     Provenance,
+    ReadDigest,
     ShardEntry,
     ShardManifest,
     ShardReader,
     SizedLine,
     SizeIndex,
     corpus_stats,
+    digest_memo,
     encode_json,
     file_sha256,
     head_from_obj,
@@ -65,6 +78,7 @@ from .corpus import (
     json_line,
     json_string,
     parse_line,
+    remember_written,
     shard_runs,
     stats_table,
     stats_to_obj,
@@ -133,17 +147,22 @@ class StageError(Exception):
     """Stage precondition failure: missing inputs, fingerprint mismatch."""
 
 
-def _write_report(obj: dict, path: Path) -> None:
-    """Write a JSON report whole or not at all: to a sibling temporary
+def _write_whole(text: str, path: Path) -> None:
+    """Write a text file whole or not at all: to a sibling temporary
     file, which then replaces ``path``, so a stop in mid-write leaves the
-    previous report as it was."""
+    previous file as it was."""
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
     try:
-        tmp.write_text(json.dumps(obj, indent=2, ensure_ascii=False) + "\n", encoding="utf-8")
+        tmp.write_text(text, encoding="utf-8")
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
+
+
+def _write_report(obj: dict, path: Path) -> None:
+    """Write a JSON report whole or not at all (``_write_whole``)."""
+    _write_whole(json.dumps(obj, indent=2, ensure_ascii=False) + "\n", path)
 
 
 def _restore(out_dir: Path) -> None:
@@ -274,15 +293,22 @@ def stage_preprocess(cfg: PipelineConfig) -> dict:
     reads them without a parse (``vouched_indexes``).  Beside them goes
     ``documents.jsonl``, each input document's head (``head_line``: id,
     lang and meta) in input order, and the report notes its sha256 and
-    the input's (``recorded_digest``, None unless the input's manifest
-    vouches for it), with which postprocess joins completions without
-    reading the input.  Everything goes to a temporary directory that
-    replaces ``passages/`` only when the whole input split; an empty
-    input changes nothing.
+    the input's, with which postprocess joins completions without
+    reading the input.  The input's is hashed by the split's own read
+    of it (``ReadDigest``), every byte, blank lines included, and noted
+    when its manifest's record vouches for those bytes
+    (``recorded_digest``), else None; an input whose record cannot hold
+    is not hashed.  Within ``run_all`` both digests go to its
+    ``digest_memo``, keyed by the files' identities (the input's stat'd
+    before and after the read, and kept only if unchanged), so no later
+    stage hashes these files again.  Everything goes to a temporary
+    directory that replaces ``passages/`` only when the whole input
+    split; an empty input changes nothing.
     """
     started = time.monotonic()
     manifest_in, base_dir = resolve_input_manifest(cfg)
-    input_sha256 = manifest_in.recorded_digest(base_dir, cfg.languages)
+    paths = manifest_in.shard_paths(base_dir)
+    read = ReadDigest(paths) if manifest_in.record_holds(cfg.languages) else None
 
     sampled = bool(cfg.estimator.exact_endpoint)
     if sampled:
@@ -303,33 +329,36 @@ def stage_preprocess(cfg: PipelineConfig) -> dict:
     flag_counts: Counter = Counter()
     heads_digest = hashlib.sha256()
 
-    with _replacing(cfg.work_dir / "passages") as out_dir, (out_dir / DOCUMENT_HEADS).open(
-        "wb"
-    ) as heads_out:
+    with _replacing(cfg.work_dir / "passages") as out_dir:
+        heads_path = out_dir / DOCUMENT_HEADS
+        with heads_path.open("wb") as heads_out:
 
-        def passages() -> Iterator[SizedLine]:
-            nonlocal docs_in, docs_without_passages
-            for doc in iter_corpus(manifest_in, base_dir, cfg.languages):
-                docs_in += 1
-                head = head_line(doc)
-                heads_out.write(head)
-                heads_digest.update(head)
-                split = split_document(doc, cfg.split, estimator)
-                docs_without_passages += not split
-                for passage in split:
-                    flag_counts.update(passage.split_flags)
-                    yield passage_line(passage)
+            def passages() -> Iterator[SizedLine]:
+                nonlocal docs_in, docs_without_passages
+                for doc in iter_corpus(manifest_in, base_dir, cfg.languages, read):
+                    docs_in += 1
+                    head = head_line(doc)
+                    heads_out.write(head)
+                    heads_digest.update(head)
+                    split = split_document(doc, cfg.split, estimator)
+                    docs_without_passages += not split
+                    for passage in split:
+                        flag_counts.update(passage.split_flags)
+                        yield passage_line(passage)
 
-        manifest_out = write_corpus(
-            passages(),
-            out_dir,
-            stage="passages",
-            fingerprint=cfg.fingerprint(),
-            estimator=estimator,
-            shard_size=cfg.shard_size,
-            shard_prefix="passages",
-            unique_ids=False,
-        )
+            manifest_out = write_corpus(
+                passages(),
+                out_dir,
+                stage="passages",
+                fingerprint=cfg.fingerprint(),
+                estimator=estimator,
+                shard_size=cfg.shard_size,
+                shard_prefix="passages",
+                unique_ids=False,
+            )
+        remember_written(heads_path, heads_digest.hexdigest(), docs_in)
+        # None for an input whose record does not hold, which no read hashed.
+        input_sha256 = manifest_in.recorded_digest(base_dir, cfg.languages, read)
         if not docs_in:
             raise CalibrationError("cannot calibrate on an empty corpus")
         if not sampled:
@@ -1106,8 +1135,7 @@ def stage_stats(cfg: PipelineConfig) -> dict:
         }
 
     out_dir = cfg.work_dir / "stats"
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "stats.txt").write_text(table + "\n", encoding="utf-8")
+    _write_whole(table + "\n", out_dir / "stats.txt")
     _write_report(obj, out_dir / "stats.json")
     return {
         "stage": "stats",
@@ -1122,15 +1150,18 @@ RUN_ALL_ORDER = ("preprocess", "rephrase", "postprocess", "score", "filter", "mi
 
 def run_all(cfg: PipelineConfig) -> dict:
     """Chain the stages in pipeline order; score only for an ask_llm
-    filter, mix only when configured."""
+    filter, mix only when configured.  The stages share one
+    ``digest_memo``, so each corpus is hashed at most once beyond its
+    write; it is cleared when the chain returns or raises."""
     reports = {}
-    reports["preprocess"] = stage_preprocess(cfg)
-    reports["rephrase"] = stage_rephrase(cfg)
-    reports["postprocess"] = stage_postprocess(cfg)
-    if cfg.filter.scorer != SCORER_EXTERNAL:
-        reports["score"] = stage_score(cfg)
-    reports["filter"] = stage_filter(cfg)
-    if cfg.mix is not None and cfg.mix.sources:
-        reports["mix"] = stage_mix(cfg)
-    reports["stats"] = stage_stats(cfg)
+    with digest_memo():
+        reports["preprocess"] = stage_preprocess(cfg)
+        reports["rephrase"] = stage_rephrase(cfg)
+        reports["postprocess"] = stage_postprocess(cfg)
+        if cfg.filter.scorer != SCORER_EXTERNAL:
+            reports["score"] = stage_score(cfg)
+        reports["filter"] = stage_filter(cfg)
+        if cfg.mix is not None and cfg.mix.sources:
+            reports["mix"] = stage_mix(cfg)
+        reports["stats"] = stage_stats(cfg)
     return reports

@@ -1474,3 +1474,26 @@ def test_report_write_that_fails_partway_keeps_the_previous_report(tmp_path, mon
     monkeypatch.undo()
     assert path.read_bytes() == before
     assert [p.name for p in path.parent.iterdir()] == ["report.json"]
+
+
+def test_stats_write_that_fails_partway_keeps_the_previous_table(tmp_path, monkeypatch):
+    cfg = load_config(write_fixture_config(tmp_path, make_docs(6, seed=2)))
+    stage_preprocess(cfg)
+    stage_stats(cfg)
+    stats_dir = cfg.work_dir / "stats"
+    before = {path.name: path.read_bytes() for path in stats_dir.iterdir()}
+    assert set(before) == {"stats.txt", "stats.json"}
+    real_open = io.open
+
+    def torn_open(file, mode="r", *args, **kwargs):
+        handle = real_open(file, mode, *args, **kwargs)
+        if "w" in mode and Path(file).parent == stats_dir:
+            return _TornFile(handle)
+        return handle
+
+    monkeypatch.setattr(io, "open", torn_open)
+    monkeypatch.setattr(builtins, "open", torn_open)
+    with pytest.raises(OSError, match="No space left"):
+        stage_stats(cfg)
+    monkeypatch.undo()
+    assert {path.name: path.read_bytes() for path in stats_dir.iterdir()} == before
